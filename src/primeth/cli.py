@@ -288,7 +288,7 @@ def main(argv=None):
         if args.command == "table":
             return _cmd_table(args, cache)
         raise AssertionError(f"unhandled command {args.command}")
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, SegmentTooLargeError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ThresholdViolatedError as exc:
@@ -299,7 +299,6 @@ def main(argv=None):
         HypothesisViolatedError,
         InapplicableIndexError,
         InvalidRangeError,
-        SegmentTooLargeError,
         UnsupportedRangeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

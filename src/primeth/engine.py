@@ -2,16 +2,20 @@
 
 All results are exact.  The counting function uses a divide-count
 recurrence over the distinct values of x // d, which runs in roughly
-x^(3/4) time and keeps x around 10^12..10^13 feasible.  nth_prime brackets
-the answer with the classical enclosure n log n < p_n < 2 n log n and
-narrows the window by interpolation search on prime_count before a final
-segmented sieve.
+x^(3/4) time and keeps x around 10^12..10^13 feasible.  nth_prime indexes
+a fixed table of the primes up to 2^24 when it can.  Past the table it
+starts at x = R^-1(n), the inverse of Riemann's R function, counts pi(x)
+exactly once, and sieves windows forward or backward from x until it
+reaches the nth prime.  R only picks where to start, so the answer is as
+exact as prime_count and the sieve.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath import mp, riemannr
 
 from .errors import (
     InvalidRangeError,
@@ -21,43 +25,40 @@ from .errors import (
 
 # Segment budget counts tracked odd integers (one bit each).
 DEFAULT_SEGMENT_BITS = 1 << 26
-# Largest value covered by the in-memory base sieve; nth_prime answers
-# indices whose value fits below this directly from the sieve.
-_BASE_SIEVE_CAP = 1 << 27
-# Window width at which bisection hands over to a segmented sieve.
-_FINAL_SPAN = 2_000_000
+# The prime table covers [2, _TABLE_LIMIT]; it also supplies the sieving
+# primes of sieve_segment, which therefore needs isqrt(hi) < _TABLE_LIMIT.
+_TABLE_LIMIT = 1 << 24
+# First sieve window of the nth_prime walk; each further window doubles.
+_WINDOW = 1 << 16
+# Two Newton steps from n log n land within 0.02 sqrt(x) of R^-1(n) for
+# n up to 10^15; the seed only sets where the sieve walk starts.
+_NEWTON_STEPS = 2
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_base_primes = np.array([], dtype=np.int64)
-_base_limit = 1
 
-
-def _grow_base_sieve(limit):
-    """Extend the cached prime list to cover [2, limit]."""
-    global _base_primes, _base_limit
-    if limit <= _base_limit:
-        return
-    # grow geometrically so repeated lookups do not re-sieve per call
-    limit = min(max(limit, 1 << 16, 4 * _base_limit), _BASE_SIEVE_CAP)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    _base_primes = np.nonzero(flags)[0].astype(np.int64)
-    _base_limit = limit
+@functools.cache
+def _prime_table():
+    """All primes <= _TABLE_LIMIT, by an odd-only sieve built on first use."""
+    flags = np.ones(_TABLE_LIMIT // 2, dtype=bool)  # flags[i] <-> 2i + 1
+    flags[0] = False
+    for i in range(1, math.isqrt(_TABLE_LIMIT) // 2 + 1):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = False
+    table = np.concatenate(([2], 2 * np.flatnonzero(flags) + 1)).astype(np.int64)
+    table.flags.writeable = False  # shared by every caller, as are its slices
+    return table
 
 
 def base_primes_upto(limit):
-    """Cached ascending primes covering at least [2, limit]."""
-    if limit > _BASE_SIEVE_CAP:
+    """Ascending primes covering [2, limit], for limit < _TABLE_LIMIT."""
+    if limit >= _TABLE_LIMIT:
         raise SegmentTooLargeError(
-            f"base sieve capped at {_BASE_SIEVE_CAP}, asked for {limit}"
+            f"sieving primes are tabled below {_TABLE_LIMIT}, asked for {limit}"
         )
-    _grow_base_sieve(limit)
-    cut = np.searchsorted(_base_primes, limit, side="right")
-    return _base_primes[:cut]
+    table = _prime_table()
+    return table[: np.searchsorted(table, limit, side="right")]
 
 
 @dataclass
@@ -91,7 +92,12 @@ class SegmentTable:
 
 
 def sieve_segment(lo, hi, budget_bits=DEFAULT_SEGMENT_BITS):
-    """Sieve the closed range [lo, hi]; flags exactly mark the primes."""
+    """Sieve the closed range [lo, hi], 2 <= lo <= hi < 2^48.
+
+    flags exactly mark the primes.  The ceiling comes from the prime table,
+    which holds the sieving primes up to isqrt(hi); above it the call raises
+    SegmentTooLargeError, as it does past budget_bits odd integers.
+    """
     lo, hi = int(lo), int(hi)
     if lo > hi:
         raise InvalidRangeError(f"lo={lo} > hi={hi}")
@@ -103,20 +109,16 @@ def sieve_segment(lo, hi, budget_bits=DEFAULT_SEGMENT_BITS):
         raise SegmentTooLargeError(
             f"segment holds {n_odd} odd integers, budget is {budget_bits}"
         )
+    p = base_primes_upto(math.isqrt(hi))[1:]  # raises at hi >= 2^48
     flags = np.ones(n_odd, dtype=bool)
-    if n_odd and first_odd == 1:
-        flags[0] = False
-    root = math.isqrt(hi)
-    for p in base_primes_upto(root)[1:] if root >= 3 else []:
-        p = int(p)
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start > hi:
-            continue
-        flags[(start - first_odd) // 2 :: p] = False
-    # an odd prime <= root inside the segment survives: only proper
-    # multiples were struck (start >= p*p)
+    # first odd multiple of each p that is >= max(p*p, lo), in int64 (which
+    # hi < 2^48 keeps from overflowing); starting at p*p keeps an odd prime
+    # <= isqrt(hi) inside the segment unstruck
+    start = np.maximum(p * p, (lo + p - 1) // p * p)
+    start += p * (start % 2 == 0)
+    keep = start <= hi
+    for i, step in zip(((start[keep] - first_odd) // 2).tolist(), p[keep].tolist()):
+        flags[i::step] = False
     return SegmentTable(lo=lo, hi=hi, first_odd=first_odd, flags=flags)
 
 
@@ -187,10 +189,13 @@ def prime_count(x):
     return int(larges[0])
 
 
-def _bracket(n):
-    """Open enclosure (n log n, 2 n log n) for p_n, valid for n >= 3."""
-    ln = math.log(n)
-    return int(n * ln), int(2 * n * ln) + 2
+def _r_inverse(n):
+    """x with R(x) ~= n: Newton steps on Riemann's R, starting at n log n."""
+    x = n * math.log(n)
+    with mp.workdps(15):
+        for _ in range(_NEWTON_STEPS):
+            x -= (float(riemannr(x)) - n) * math.log(x)  # R'(x) ~ 1 / log x
+    return int(x)
 
 
 def nth_prime(n):
@@ -198,36 +203,24 @@ def nth_prime(n):
     n = int(n)
     if n < 1:
         raise InvalidRangeError("nth_prime requires n >= 1")
-    if n == 1:
-        return 2
-    if n == 2:
-        return 3
-    lo, hi = _bracket(n)
-    if hi <= _BASE_SIEVE_CAP:
-        _grow_base_sieve(hi)
-        return int(_base_primes[n - 1])
-    return _nth_prime_by_count(n)
-
-
-def _nth_prime_by_count(n):
-    """Bracket + interpolation search on prime_count + final segment sieve."""
-    lo, hi = _bracket(n)
-    clo = prime_count(lo)  # < n since p_n > n log n
-    chi = prime_count(hi)  # >= n since p_n < 2 n log n
-    while hi - lo > _FINAL_SPAN:
-        span = hi - lo
-        # secant guess, clamped away from the ends to guarantee progress
-        guess = lo + (n - clo) * span // max(1, chi - clo)
-        guess = min(max(guess, lo + span // 20), hi - span // 20)
-        c = prime_count(guess)
-        if c >= n:
-            hi, chi = guess, c
-        else:
-            lo, clo = guess, c
-    seg = sieve_segment(lo + 1, hi)
-    want = n - clo
-    for p in seg.primes():
-        want -= 1
-        if want == 0:
-            return p
-    raise AssertionError("bracket invariant violated")  # pragma: no cover
+    table = _prime_table()
+    if n <= len(table):
+        return int(table[n - 1])
+    # R only picks where to start; the exact count and the sieve decide.
+    # If c < n, p_n is the (n - c)th prime above x, else the (c - n + 1)th
+    # prime counting down from x.  x >= 2 keeps the prime 2, which the
+    # odd-only windows omit, out of the walk.
+    x = max(_r_inverse(n), 2)
+    c = prime_count(x)
+    up = c < n
+    need = n - c if up else c - n + 1
+    width = _WINDOW
+    while True:
+        lo, hi = (x + 1, x + width) if up else (max(x - width + 1, 2), x)
+        seg = sieve_segment(lo, hi)
+        found = np.flatnonzero(seg.flags)
+        if need <= len(found):
+            return seg.first_odd + 2 * int(found[need - 1 if up else -need])
+        need -= len(found)
+        x = hi if up else lo - 1
+        width *= 2

@@ -15,7 +15,8 @@ from primeth import (
     prime_count,
     sieve_segment,
 )
-from primeth.engine import _nth_prime_by_count
+from primeth import engine
+from primeth.cli import main
 
 from oracle import pi_by_sieve, sieve_primes, trial_isprime
 
@@ -48,6 +49,22 @@ class TestSieveSegment:
     def test_budget(self):
         with pytest.raises(SegmentTooLargeError):
             sieve_segment(3, 1000, budget_bits=10)
+
+    def test_ceiling(self):
+        # sieving primes come from the 2^24 table, so hi must stay below 2^48
+        top = 2**48 - 1
+        assert list(sieve_segment(top - 58, top).primes()) == [
+            m for m in range(top - 58, top + 1) if sympy.isprime(m)
+        ]
+        with pytest.raises(SegmentTooLargeError):
+            sieve_segment(2**48, 2**48 + 10)
+
+    def test_ceiling_exits_2_from_cli(self, monkeypatch, capsys):
+        # a walk that crosses the ceiling is resource exhaustion: exit 2
+        monkeypatch.setattr(engine, "_r_inverse", lambda n: 2**48 - 100)
+        monkeypatch.setattr(engine, "prime_count", lambda x: 0)
+        assert main(["nth", str(10**8)]) == 2
+        assert capsys.readouterr().err.startswith("budget exhausted: sieving primes")
 
     def test_against_trial_division(self):
         seg = sieve_segment(1000, 1500)
@@ -121,9 +138,43 @@ class TestNthPrime:
         with pytest.raises(InvalidRangeError):
             nth_prime(0)
 
-    def test_bisection_path_agrees_with_cached_path(self):
-        for n in (3, 100, 1000, 54321):
-            assert _nth_prime_by_count(n) == nth_prime(n)
+    def test_seed_never_decides_the_answer(self, monkeypatch):
+        # seeds below p_n (just past the table, or inside it) and far above
+        # it walk both ways through doubling windows to the same prime
+        primes = sieve_primes(33_000_000)
+        table_size = len(engine._prime_table())
+        for n in (table_size + 1, 2_000_000):
+            p = int(primes[n - 1])
+            for seed in (engine._TABLE_LIMIT + 1, 1000, 3 * p):
+                monkeypatch.setattr(engine, "_r_inverse", lambda n, s=seed: s)
+                assert nth_prime(n) == p
+
+    def test_table_edge(self):
+        primes = sieve_primes(17_000_000)
+        n = len(engine._prime_table())
+        assert nth_prime(n) == primes[n - 1] == 16777213  # largest p < 2^24
+        assert nth_prime(n + 1) == primes[n] == 16777259
+
+    def test_independent_values(self):
+        assert nth_prime(10**7) == 179424673
+        assert nth_prime(10**8) == 2038074743
+
+    def test_straddles_ten_billion(self):
+        assert nth_prime(455052511) == 9999999967
+        assert nth_prime(455052512) == 10000000019
+
+    def test_one_exact_count_per_lookup(self, monkeypatch):
+        xs = []
+
+        def counting(x):
+            xs.append(x)
+            return prime_count(x)
+
+        monkeypatch.setattr(engine, "prime_count", counting)
+        nth_prime(1000)
+        assert xs == []
+        nth_prime(3_000_000)
+        assert len(xs) == 1
 
     @given(st.integers(min_value=1, max_value=10_000))
     @settings(max_examples=60, deadline=None)
