@@ -129,18 +129,6 @@ class BoundReport:
         return all(c.holds for c in self.checks if c.applicable)
 
 
-def _strict_less_value_bound(value, bound_fn, prec):
-    """value < bound, deciding near-ties at escalated precision."""
-    sign, evaluated = compare_int(value, bound_fn, prec)
-    return sign > 0, evaluated
-
-
-def _strict_greater_value_bound(value, bound_fn, prec):
-    """value > bound."""
-    sign, evaluated = compare_int(value, bound_fn, prec)
-    return sign < 0, evaluated
-
-
 def check_bounds(n, k, value, prec=DEFAULT_PREC):
     """Report every bound of the paper trail against one tower value."""
     n, k, value = int(n), int(k), int(value)
@@ -148,46 +136,36 @@ def check_bounds(n, k, value, prec=DEFAULT_PREC):
 
     # n log n < p_n (k = 1, n >= 2)
     if k == 1 and n >= 2:
-        holds, lhs = _strict_greater_value_bound(
-            value, lambda: n * mp.log(n), prec
-        )
-        checks.append(BoundCheck("rosser_lower", lhs, value, True, holds))
+        sign, lhs = compare_int(value, lambda: n * mp.log(n), prec)
+        checks.append(BoundCheck("rosser_lower", lhs, value, True, sign < 0))
     else:
         checks.append(BoundCheck("rosser_lower", None, None, False, None))
 
     # p_n < 2 n log n (k = 1, n >= 3)
     if k == 1 and n >= 3:
-        holds, rhs = _strict_less_value_bound(
-            value, lambda: 2 * n * mp.log(n), prec
-        )
-        checks.append(BoundCheck("rosser_upper", value, rhs, True, holds))
+        sign, rhs = compare_int(value, lambda: 2 * n * mp.log(n), prec)
+        checks.append(BoundCheck("rosser_upper", value, rhs, True, sign > 0))
     else:
         checks.append(BoundCheck("rosser_upper", None, None, False, None))
 
     # p_n^(k) < 2^(2k-1) n (k-1)! (log max(k,n))^k  (n >= 9)
     if n >= 9:
-        holds, rhs = _strict_less_value_bound(
-            value, lambda: upper_bound_L1(n, k, mp.dps), prec
-        )
-        checks.append(BoundCheck("iter_upper", value, rhs, True, holds))
+        sign, rhs = compare_int(value, lambda: upper_bound_L1(n, k, mp.dps), prec)
+        checks.append(BoundCheck("iter_upper", value, rhs, True, sign > 0))
     else:
         checks.append(BoundCheck("iter_upper", None, None, False, None))
 
     # p_n^(k) < (4 k log k)^k  (k >= n, intended for n >= 9)
     if n >= 9 and k >= n:
-        holds, rhs = _strict_less_value_bound(
-            value, lambda: upper_bound_L1_simple(k, mp.dps), prec
-        )
-        checks.append(BoundCheck("iter_upper_simple", value, rhs, True, holds))
+        sign, rhs = compare_int(value, lambda: upper_bound_L1_simple(k, mp.dps), prec)
+        checks.append(BoundCheck("iter_upper_simple", value, rhs, True, sign > 0))
     else:
         checks.append(BoundCheck("iter_upper_simple", None, None, False, None))
 
     # p_n^(k) > n (log n)^k  (n >= 2)
     if n >= 2:
-        holds, lhs = _strict_greater_value_bound(
-            value, lambda: lower_bound_simple(n, k, mp.dps), prec
-        )
-        checks.append(BoundCheck("iter_lower", lhs, value, True, holds))
+        sign, lhs = compare_int(value, lambda: lower_bound_simple(n, k, mp.dps), prec)
+        checks.append(BoundCheck("iter_lower", lhs, value, True, sign < 0))
     else:
         checks.append(BoundCheck("iter_lower", None, None, False, None))
 

@@ -13,12 +13,6 @@ DEFAULT_PREC = 50
 MAX_ESCALATION_PREC = 4096
 
 
-def eval_at(fn, prec):
-    """Evaluate ``fn()`` with ``prec`` significant digits and round the result."""
-    with mp.workdps(prec):
-        return +fn()
-
-
 def compare_int(value, fn, prec, max_prec=MAX_ESCALATION_PREC):
     """Sign of ``fn() - value`` for an exact integer ``value``.
 

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -116,11 +118,62 @@ class TestPrimeCount:
         with pytest.raises(InvalidRangeError):
             prime_count(-1)
 
-    @given(st.integers(min_value=0, max_value=200_000))
+    @given(st.integers(min_value=0, max_value=10**7))
     @settings(max_examples=60, deadline=None)
-    def test_matches_sieve(self, x):
-        primes = sieve_primes(200_000)
-        assert prime_count(x) == pi_by_sieve(x, primes)
+    def test_matches_sieve(self, primes_1e7, x):
+        assert prime_count(x) == pi_by_sieve(x, primes_1e7)
+
+    def test_decades(self):
+        # pi(10^k) for k = 7..11, OEIS A006880
+        expected = [664579, 5761455, 50847534, 455052511, 4118054813]
+        assert [prime_count(10**k) for k in range(7, 12)] == expected
+
+    def test_switch_points(self, primes_1e7):
+        # prime p joins the loop at x = p^2, its smalls-gather branch runs
+        # from x = 2 p^2 on, and its smalls update from x = p^4 on
+        for p in (2, 3, 5, 7, 11, 47, 53, 997, 2203, 3137):
+            for m in (p * p, 2 * p * p, p**4):
+                for x in (m - 1, m, m + 1):
+                    if x <= 10**7:
+                        assert prime_count(x) == pi_by_sieve(x, primes_1e7), x
+
+    def test_ceiling_before_allocating(self):
+        # isqrt(x) must stay inside the 2^24 prime table; past it the call
+        # raises before it builds any array
+        for x in (2**48, 2**62 - 1):
+            tracemalloc.start()
+            try:
+                with pytest.raises(UnsupportedRangeError):
+                    prime_count(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
+    def test_ceiling_exits_3_from_cli(self, capsys):
+        assert main(["pi", str(2**48)]) == 3
+        assert "2^48" in capsys.readouterr().err
+
+
+def _r_inverse_by_mpmath(n):
+    """Reference seed: the same Newton steps on mpmath's riemannr at 15 digits."""
+    x = n * math.log(n)
+    with mpmath.workdps(15):
+        for _ in range(2):
+            x -= (float(mpmath.riemannr(x)) - n) * math.log(x)
+    return int(x)
+
+
+class TestRiemannR:
+    def test_float_series_matches_mpmath(self):
+        for x in np.geomspace(1e7, 1e12, 11).tolist():
+            assert engine._riemann_r(x) == pytest.approx(
+                float(mpmath.riemannr(x)), rel=1e-12
+            )
+
+    def test_seed_matches_mpmath_seed(self):
+        for n in (1077872, 10**8, 455052512, 10**10):
+            assert abs(engine._r_inverse(n) - _r_inverse_by_mpmath(n)) <= 1
 
 
 class TestNthPrime:
