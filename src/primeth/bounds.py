@@ -1,19 +1,59 @@
 """Explicit bound formulas for p_n and p_n^(k), and bound-check reports.
 
-Every formula is evaluated exactly as stated, under its stated hypothesis;
-out-of-hypothesis requests are flagged inapplicable, never evaluated, since
-a bound can fail outside its hypothesis without meaning anything.  All
+``BOUNDS`` is the one table of checked bounds.  Each row holds the name, the
+suites that report it, the hypothesis on (n, k), the side (lower: formula <
+p_n^(k); upper: p_n^(k) < formula) and the formula, which runs at the
+working precision with logarithms memoised per (argument, precision).
+Out-of-hypothesis rows are flagged inapplicable, never evaluated, since a
+bound can fail outside its hypothesis without meaning anything.  All
 integer-vs-real comparisons escalate precision automatically so a verdict
 is never decided by rounding noise.
 """
 
 import csv
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
 from .errors import DomainError, HypothesisViolatedError, InapplicableIndexError
 from .hpreal import DEFAULT_PREC, compare_int, format_hp
+
+
+@functools.lru_cache(maxsize=256)
+def _log(x, prec):
+    """log x at ``prec`` bits."""
+    return mp.ln(x, prec=prec)
+
+
+Bound = namedtuple("Bound", "name suites applies side formula")
+
+BOUNDS = (
+    Bound("rosser_lower", ("rosser", "all"), lambda n, k: k == 1 and n >= 2, "lower",
+          lambda n, k: n * _log(n, mp.prec)),
+    Bound("rosser_upper", ("rosser", "all"), lambda n, k: k == 1 and n >= 3, "upper",
+          lambda n, k: 2 * n * _log(n, mp.prec)),
+    Bound("iter_upper", ("lemma1", "all"), lambda n, k: n >= 9, "upper",
+          lambda n, k: (
+              mpf(2) ** (2 * k - 1) * n * mp.factorial(k - 1) * _log(max(k, n), mp.prec) ** k
+          )),
+    # intended for k >= max(n, 9)
+    Bound("iter_upper_simple", ("lemma1", "all"), lambda n, k: n >= 9 and k >= n, "upper",
+          lambda n, k: (4 * k * _log(k, mp.prec)) ** k),
+    Bound("iter_lower", ("ineq3", "all"), lambda n, k: n >= 2, "lower",
+          lambda n, k: n * _log(n, mp.prec) ** k),
+    # needs n > e^4200, which no materialized n meets; the formula is
+    # lower_bound_L3, parameterized by log n
+    Bound("iter_lower_huge_n", ("all",), lambda n, k: False, "lower", None),
+)
+_ROW = {b.name: b for b in BOUNDS}
+SUITES = {s: tuple(r for r in BOUNDS if s in r.suites) for b in BOUNDS for s in b.suites}
+
+
+def _evaluate(name, n, k, prec):
+    with mp.workdps(prec):
+        return +_ROW[name].formula(n, k)
 
 
 def rosser_bracket(n, prec=DEFAULT_PREC):
@@ -25,9 +65,8 @@ def rosser_bracket(n, prec=DEFAULT_PREC):
     n = int(n)
     if n < 2:
         raise InapplicableIndexError("bracket needs n >= 2")
-    with mp.workdps(prec):
-        lower = +(n * mp.log(n))
-        upper = +(2 * n * mp.log(n)) if n >= 3 else None
+    lower = _evaluate("rosser_lower", n, 1, prec)
+    upper = _evaluate("rosser_upper", n, 1, prec) if n >= 3 else None
     return lower, upper
 
 
@@ -38,14 +77,7 @@ def upper_bound_L1(n, k, prec=DEFAULT_PREC):
         raise InapplicableIndexError("upper bound needs n >= 9")
     if k < 1:
         raise DomainError("upper bound needs k >= 1")
-    m = max(k, n)
-    with mp.workdps(prec):
-        return +(
-            mpf(2) ** (2 * k - 1)
-            * n
-            * mp.factorial(k - 1)
-            * mp.log(m) ** k
-        )
+    return _evaluate("iter_upper", n, k, prec)
 
 
 def upper_bound_L1_simple(k, prec=DEFAULT_PREC):
@@ -53,8 +85,7 @@ def upper_bound_L1_simple(k, prec=DEFAULT_PREC):
     k = int(k)
     if k < 2:
         raise DomainError("simple upper bound needs k >= 2 (log k > 0)")
-    with mp.workdps(prec):
-        return +((4 * k * mp.log(k)) ** k)
+    return _evaluate("iter_upper_simple", k, k, prec)
 
 
 def lower_bound_simple(n, k, prec=DEFAULT_PREC):
@@ -64,8 +95,7 @@ def lower_bound_simple(n, k, prec=DEFAULT_PREC):
         raise InapplicableIndexError("lower bound is vacuous at n = 1 (log 1 = 0)")
     if k < 1:
         raise DomainError("lower bound needs k >= 1")
-    with mp.workdps(prec):
-        return +(n * mp.log(n) ** k)
+    return _evaluate("iter_lower", n, k, prec)
 
 
 def lower_bound_L3(log_n, k, prec=DEFAULT_PREC):
@@ -129,50 +159,21 @@ class BoundReport:
         return all(c.holds for c in self.checks if c.applicable)
 
 
-def check_bounds(n, k, value, prec=DEFAULT_PREC):
-    """Report every bound of the paper trail against one tower value."""
+def check_bounds(n, k, value, prec=DEFAULT_PREC, suite="all"):
+    """Report the bounds of one verification suite against one tower value."""
     n, k, value = int(n), int(k), int(value)
+    if suite not in SUITES:
+        raise DomainError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
     checks = []
-
-    # n log n < p_n (k = 1, n >= 2)
-    if k == 1 and n >= 2:
-        sign, lhs = compare_int(value, lambda: n * mp.log(n), prec)
-        checks.append(BoundCheck("rosser_lower", lhs, value, True, sign < 0))
-    else:
-        checks.append(BoundCheck("rosser_lower", None, None, False, None))
-
-    # p_n < 2 n log n (k = 1, n >= 3)
-    if k == 1 and n >= 3:
-        sign, rhs = compare_int(value, lambda: 2 * n * mp.log(n), prec)
-        checks.append(BoundCheck("rosser_upper", value, rhs, True, sign > 0))
-    else:
-        checks.append(BoundCheck("rosser_upper", None, None, False, None))
-
-    # p_n^(k) < 2^(2k-1) n (k-1)! (log max(k,n))^k  (n >= 9)
-    if n >= 9:
-        sign, rhs = compare_int(value, lambda: upper_bound_L1(n, k, mp.dps), prec)
-        checks.append(BoundCheck("iter_upper", value, rhs, True, sign > 0))
-    else:
-        checks.append(BoundCheck("iter_upper", None, None, False, None))
-
-    # p_n^(k) < (4 k log k)^k  (k >= n, intended for n >= 9)
-    if n >= 9 and k >= n:
-        sign, rhs = compare_int(value, lambda: upper_bound_L1_simple(k, mp.dps), prec)
-        checks.append(BoundCheck("iter_upper_simple", value, rhs, True, sign > 0))
-    else:
-        checks.append(BoundCheck("iter_upper_simple", None, None, False, None))
-
-    # p_n^(k) > n (log n)^k  (n >= 2)
-    if n >= 2:
-        sign, lhs = compare_int(value, lambda: lower_bound_simple(n, k, mp.dps), prec)
-        checks.append(BoundCheck("iter_lower", lhs, value, True, sign < 0))
-    else:
-        checks.append(BoundCheck("iter_lower", None, None, False, None))
-
-    # huge-n lower bound: hypothesis n > e^4200 can never hold for a
-    # materialized n, so this row is always inapplicable here
-    checks.append(BoundCheck("iter_lower_huge_n", None, None, False, None))
-
+    for row in SUITES[suite]:
+        if not row.applies(n, k):
+            checks.append(BoundCheck(row.name, None, None, False, None))
+            continue
+        sign, bound = compare_int(value, functools.partial(row.formula, n, k), prec)
+        if row.side == "lower":
+            checks.append(BoundCheck(row.name, bound, value, True, sign < 0))
+        else:
+            checks.append(BoundCheck(row.name, value, bound, True, sign > 0))
     return BoundReport(n=n, k=k, value=value, checks=checks)
 
 

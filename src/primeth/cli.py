@@ -30,14 +30,6 @@ EXIT_VIOLATION = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
 
-_SUITE_CHECKS = {
-    "rosser": {"rosser_lower", "rosser_upper"},
-    "lemma1": {"iter_upper", "iter_upper_simple"},
-    "ineq3": {"iter_lower"},
-    "all": None,  # no filter
-}
-
-
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=iterated.DEFAULT_BUDGET,
@@ -76,7 +68,7 @@ def _build_parser():
                    help="diag: X; tower: N X")
 
     p = sub.add_parser("verify", parents=[common], help="bound verification suites")
-    p.add_argument("suite", choices=sorted(_SUITE_CHECKS))
+    p.add_argument("suite", choices=sorted(bounds.SUITES))
     p.add_argument("--n-max", type=int, default=100)
     p.add_argument("--k-max", type=int, default=5)
 
@@ -167,7 +159,6 @@ def _cmd_count(args, cache):
 
 
 def _cmd_verify(args, cache):
-    keep = _SUITE_CHECKS[args.suite]
     k_max = 1 if args.suite == "rosser" else args.k_max
     reports = []
     truncated = False
@@ -179,11 +170,10 @@ def _cmd_verify(args, cache):
             continue
         truncated = truncated or tower.truncated
         for k, value in enumerate(tower.values, start=1):
-            reports.append(bounds.check_bounds(n, k, value, prec=args.prec))
+            reports.append(bounds.check_bounds(n, k, value, args.prec, args.suite))
 
     applicable = held = inapplicable = 0
     for rep in reports:
-        rep.checks = [c for c in rep.checks if keep is None or c.name in keep]
         for c in rep.checks:
             if c.applicable:
                 applicable += 1
@@ -306,6 +296,8 @@ def main(argv=None):
     except PrimethError as exc:  # e.g. cache format
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        cache.close()
 
 
 if __name__ == "__main__":

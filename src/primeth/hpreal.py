@@ -7,10 +7,19 @@ unit in the last place of the evaluated side is re-run at doubled precision
 so rounding noise can never flip a verdict.
 """
 
+import functools
+
 from mpmath import mp, mpf
 
 DEFAULT_PREC = 50
 MAX_ESCALATION_PREC = 4096
+
+
+@functools.lru_cache(maxsize=64)
+def _ulp_factor(digits):
+    """10^(1 - digits), rounded at ``digits`` significant digits."""
+    with mp.workdps(digits):
+        return mpf(10) ** (1 - digits)
 
 
 def compare_int(value, fn, prec, max_prec=MAX_ESCALATION_PREC):
@@ -25,7 +34,7 @@ def compare_int(value, fn, prec, max_prec=MAX_ESCALATION_PREC):
         with mp.workdps(digits):
             approx = fn()
             diff = approx - value
-            ulp = abs(approx) * mpf(10) ** (1 - digits)
+            ulp = abs(approx) * _ulp_factor(digits)
             if abs(diff) > ulp or digits >= max_prec:
                 if diff > 0:
                     return 1, +approx

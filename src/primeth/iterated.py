@@ -25,12 +25,16 @@ class TowerCache:
 
     File format: one record per line, ``T <n> <level> <value>`` with
     decimal integers.  The file is loaded fully at construction and
-    appended on every store; malformed lines are a hard error.
+    appended on every store; malformed lines are a hard error.  Each
+    record goes out in one ``write`` to an ``O_APPEND`` descriptor, opened
+    on the first store and released by ``close``, so writers sharing the
+    file never split each other's lines.
     """
 
     def __init__(self, path=None):
         self.path = path
         self._store = {}
+        self._fd = None
         if path is not None and os.path.exists(path):
             self._load(path)
 
@@ -64,8 +68,17 @@ class TowerCache:
             return
         self._store[key] = value
         if self.path is not None:
-            with open(self.path, "a", encoding="ascii") as fh:
-                fh.write(f"T {n} {level} {value}\n")
+            if self._fd is None:
+                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            record = f"T {n} {level} {value}\n".encode("ascii")
+            if os.write(self._fd, record) != len(record):
+                raise OSError(f"{self.path}: short write of cache record {record!r}")
+
+    def close(self):
+        """Release the append descriptor; a later store opens it again."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     def __len__(self):
         return len(self._store)

@@ -173,6 +173,86 @@ class TestCheckBounds:
         assert lines[1].startswith("9,1,23,rosser_lower,")
 
 
+# Each row's formula as first written, evaluated straight from mpmath, and
+# each hypothesis as the paper states it.  The table must reproduce these
+# to the last bit at the requested precision.
+REFERENCE = {
+    "rosser_lower": lambda n, k: n * mp.log(n),
+    "rosser_upper": lambda n, k: 2 * n * mp.log(n),
+    "iter_upper": lambda n, k: (
+        mpf(2) ** (2 * k - 1) * n * mp.factorial(k - 1) * mp.log(max(k, n)) ** k
+    ),
+    "iter_upper_simple": lambda n, k: (4 * k * mp.log(k)) ** k,
+    "iter_lower": lambda n, k: n * mp.log(n) ** k,
+}
+HYPOTHESES = {
+    "rosser_lower": lambda n, k: k == 1 and n >= 2,
+    "rosser_upper": lambda n, k: k == 1 and n >= 3,
+    "iter_upper": lambda n, k: n >= 9,
+    "iter_upper_simple": lambda n, k: n >= 9 and k >= n,
+    "iter_lower": lambda n, k: n >= 2,
+    "iter_lower_huge_n": lambda n, k: False,
+}
+PUBLIC = {
+    "rosser_lower": lambda n, k, prec: rosser_bracket(n, prec)[0],
+    "rosser_upper": lambda n, k, prec: rosser_bracket(n, prec)[1],
+    "iter_upper": lambda n, k, prec: upper_bound_L1(n, k, prec),
+    "iter_upper_simple": lambda n, k, prec: upper_bound_L1_simple(k, prec),
+    "iter_lower": lambda n, k, prec: lower_bound_simple(n, k, prec),
+}
+LOWER_ROWS = {"rosser_lower", "iter_lower"}
+
+
+class TestBoundsTable:
+    def test_rows_equal_standalone_formulas(self):
+        # synthetic values far from every bound, so no comparison escalates;
+        # 15 digits first, then 50, so a log memo that ignored the precision
+        # would hand 15-digit logarithms to the 50-digit rows
+        evaluated = set()
+        for prec in (15, 50):
+            for n in range(1, 61):
+                for k in range(1, 13):
+                    for value in (2, 10**40):
+                        report = check_bounds(n, k, value, prec=prec)
+                        assert [c.name for c in report.checks] == list(HYPOTHESES)
+                        for c in report.checks:
+                            assert c.applicable == HYPOTHESES[c.name](n, k)
+                            if not c.applicable:
+                                assert (c.lhs, c.rhs, c.holds) == (None, None, None)
+                                continue
+                            lower = c.name in LOWER_ROWS
+                            bound, other = (c.lhs, c.rhs) if lower else (c.rhs, c.lhs)
+                            assert other == value
+                            assert c.holds == (bound < value if lower else value < bound)
+                            assert bound == PUBLIC[c.name](n, k, prec)
+                            with mp.workdps(prec):
+                                assert bound == REFERENCE[c.name](n, k)
+                            evaluated.add(c.name)
+        assert evaluated == set(REFERENCE)
+
+    def test_unknown_suite(self):
+        with pytest.raises(DomainError):
+            check_bounds(10, 1, 29, suite="lemma2")
+
+    def test_escalation_with_shared_log(self):
+        # n log n = 34538776394910685.26..., so floor(n log n) sits inside one
+        # ulp of n log n at 15 digits: the verdict needs 30 digits, and the
+        # 30-digit row must not reuse the 15-digit log(n)
+        n = 10**15
+        with mp.workdps(60):
+            exact = n * mp.log(n)
+        value = int(mp.floor(exact))
+        with mp.workdps(15):
+            at15 = n * mp.log(n)
+        with mp.workdps(30):
+            at30 = n * mp.log(n)
+        rows = {c.name: c for c in check_bounds(n, 1, value, prec=15).checks}
+        for name in ("rosser_lower", "iter_lower"):
+            assert rows[name].holds == (exact < value)
+            assert rows[name].lhs == at30 and rows[name].lhs != at15
+        assert rows["rosser_upper"].holds and rows["iter_upper"].holds
+
+
 class TestPrecisionEscalation:
     def test_tiny_margin_is_resolved(self):
         sign, _ = compare_int(2, lambda: mpf(2) + mpf(10) ** -80, prec=15)

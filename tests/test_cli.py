@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from primeth import bounds
 from primeth.cli import main
 
 
@@ -101,6 +104,60 @@ class TestVerify:
         )
         assert code == 0
         assert "violated=0" in err
+
+    @pytest.mark.parametrize(
+        "suite, digest",
+        [
+            ("all", "7e789e821fe99a820683bd7afd0e22124f19c1385277866d7c516445b5814889"),
+            ("ineq3", "054a5a3810ee2542f553fdd6ea70639e21956603a8b4bc8a266ef64da53679f2"),
+        ],
+    )
+    def test_output_pinned(self, capsys, suite, digest):
+        # SHA-256 of stdout recorded before bound checks moved into one table
+        code, out, _ = run(
+            capsys, "verify", suite, "--n-max", "150", "--k-max", "3",
+            "--prec", "100", "--no-timestamp",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "suite, names",
+        [
+            ("rosser", {"rosser_lower", "rosser_upper"}),
+            ("lemma1", {"iter_upper", "iter_upper_simple"}),
+            ("ineq3", {"iter_lower"}),
+        ],
+    )
+    def test_suite_is_a_subset_of_all(self, capsys, suite, names):
+        flags = ["--n-max", "30", "--k-max", "3", "--no-timestamp"]
+        _, everything, _ = run(capsys, "verify", "all", *flags)
+        code, out, _ = run(capsys, "verify", suite, *flags)
+        assert code == 0
+        header, *rows = everything.splitlines()
+        kept = [
+            row for row in rows
+            if row.split(",")[3] in names and (suite != "rosser" or row.split(",")[1] == "1")
+        ]
+        assert out.splitlines() == [header] + kept
+
+    def test_one_comparison_per_applicable_row(self, capsys, monkeypatch):
+        calls = []
+        compare_int = bounds.compare_int
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return compare_int(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "compare_int", counted)
+        code, out, err = run(
+            capsys, "verify", "ineq3", "--n-max", "50", "--k-max", "3",
+            "--no-timestamp",
+        )
+        assert code == 0
+        applicable = [row for row in out.splitlines()[1:] if ",yes," in row]
+        assert len(calls) == len(applicable) == 49 * 3
+        assert "applicable=147 " in err
 
     def test_budget_limited_range_exits_2(self, capsys):
         code, _, err = run(

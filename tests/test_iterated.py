@@ -149,6 +149,34 @@ class TestTowerCache:
             assert reloaded.get(5, level) == expected
             idx = expected
 
+    def test_two_writers_alternating_keep_whole_lines(self, tmp_path):
+        # both objects hold an append descriptor on the same file; a
+        # buffered writer would reorder or split records here
+        path = tmp_path / "towers.txt"
+        first, second = TowerCache(str(path)), TowerCache(str(path))
+        expected = []
+        for level in range(1, 301):
+            for n, cache in ((1, first), (2, second)):
+                value = 10**12 + 1000 * n + level
+                cache.put(n, level, value)
+                expected.append(f"T {n} {level} {value}")
+        first.close()
+        second.close()
+        assert path.read_text().splitlines() == expected
+        reloaded = TowerCache(str(path))
+        assert len(reloaded) == 600
+        assert reloaded.get(2, 300) == 10**12 + 2300
+
+    def test_store_after_close_reopens(self, tmp_path):
+        path = tmp_path / "towers.txt"
+        cache = TowerCache(str(path))
+        cache.put(3, 1, 5)
+        cache.close()
+        cache.close()
+        cache.put(3, 2, 11)
+        cache.close()
+        assert path.read_text() == "T 3 1 5\nT 3 2 11\n"
+
     def test_diagonal_reuses_tower_records(self):
         cache = TowerCache()
         iterate_prime(6, 6, cache=cache)
