@@ -12,23 +12,21 @@ import sys
 from datetime import datetime, timezone
 
 from . import bounds, certify, counting, engine, iterated
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    HypothesisViolatedError,
-    InapplicableIndexError,
-    InvalidRangeError,
-    PrimethError,
-    SegmentTooLargeError,
-    ThresholdViolatedError,
-    UnsupportedRangeError,
-)
+from .errors import BudgetExceededError, DomainError, PrimethError
 from .hpreal import format_hp
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
+
+# stderr prefix of an error, by the exit code its type carries
+_ERROR_PREFIX = {
+    EXIT_VIOLATION: "mathematical violation",
+    EXIT_BUDGET: "budget exhausted",
+    EXIT_USAGE: "error",
+}
+
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
@@ -51,26 +49,32 @@ def _build_parser():
 
     p = sub.add_parser("nth", parents=[common], help="the nth prime")
     p.add_argument("n", type=int)
+    p.set_defaults(func=_cmd_nth)
 
     p = sub.add_parser("pi", parents=[common], help="number of primes <= x")
     p.add_argument("x", type=int)
+    p.set_defaults(func=_cmd_pi)
 
     p = sub.add_parser("iter", parents=[common], help="tower p_n^(1..k)")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
+    p.set_defaults(func=_cmd_iter)
 
     p = sub.add_parser("diag", parents=[common], help="diagonal element p_k^(k)")
     p.add_argument("k", type=int)
+    p.set_defaults(func=_cmd_diag)
 
     p = sub.add_parser("count", parents=[common], help="exact counting functions")
     p.add_argument("kind", choices=["diag", "tower"])
     p.add_argument("args", type=int, nargs="+",
                    help="diag: X; tower: N X")
+    p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify", parents=[common], help="bound verification suites")
     p.add_argument("suite", choices=sorted(bounds.SUITES))
     p.add_argument("--n-max", type=int, default=100)
     p.add_argument("--k-max", type=int, default=5)
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("certify", parents=[common],
                        help="high-precision floor certification for L(x)")
@@ -78,6 +82,7 @@ def _build_parser():
     p.add_argument("--x-max", type=int, default=10**6)
     p.add_argument("--points", type=int, default=12)
     p.add_argument("--format", choices=["text", "csv"], default="text")
+    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("table", parents=[common],
                        help="count records, residuals, or diagonal ratios as CSV")
@@ -89,6 +94,7 @@ def _build_parser():
                    help="ratios p_n^(k)/p_k^(k) for k = 1..k-max")
     p.add_argument("--n", type=int, default=1, help="base index for --ratios")
     p.add_argument("--k-max", type=int, default=7)
+    p.set_defaults(func=_cmd_table)
 
     return parser
 
@@ -114,12 +120,12 @@ def _parse_int_list(text):
     return [int(part) for part in text.split(",") if part != ""]
 
 
-def _cmd_nth(args):
+def _cmd_nth(args, cache):
     print(engine.nth_prime(args.n))
     return EXIT_OK
 
 
-def _cmd_pi(args):
+def _cmd_pi(args, cache):
     print(engine.prime_count(args.x))
     return EXIT_OK
 
@@ -145,16 +151,12 @@ def _cmd_diag(args, cache):
 
 
 def _cmd_count(args, cache):
-    if args.kind == "diag":
-        if len(args.args) != 1:
-            raise DomainError("count diag takes exactly one argument: X")
-        (x,) = args.args
-        print(counting.count_diag(x, budget=args.budget, cache=cache))
-    else:
-        if len(args.args) != 2:
-            raise DomainError("count tower takes exactly two arguments: N X")
-        n, x = args.args
-        print(counting.count_tower(n, x, budget=args.budget, cache=cache))
+    if args.kind == "diag" and len(args.args) != 1:
+        raise DomainError("count diag takes exactly one argument: X")
+    if args.kind == "tower" and len(args.args) != 2:
+        raise DomainError("count tower takes exactly two arguments: N X")
+    count = counting.count_diag if args.kind == "diag" else counting.count_tower
+    print(count(*args.args, budget=args.budget, cache=cache))
     return EXIT_OK
 
 
@@ -198,7 +200,7 @@ def _cmd_verify(args, cache):
     return EXIT_OK
 
 
-def _cmd_certify(args):
+def _cmd_certify(args, cache):
     grid = certify.CertGrid.default(
         x_min=args.x_min, x_max=args.x_max, count=args.points,
         prec=max(args.prec, certify.CERT_PREC),
@@ -218,8 +220,8 @@ def _cmd_table(args, cache):
     with _open_out(args) as fh:
         _stamp(fh, args)
         digits = min(args.prec, 20)
+        writer = csv.writer(fh, lineterminator="\n")
         if args.residuals:
-            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["k", "value", "residual"])
             for k in range(3, args.k_max + 1):
                 try:
@@ -229,19 +231,12 @@ def _cmd_table(args, cache):
                 res = bounds.theorem4_residual(k, k, entry.value, prec=args.prec)
                 writer.writerow([k, entry.value, format_hp(res, digits)])
         elif args.ratios:
-            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["k", "numerator", "denominator", "ratio"])
-            pairs = iterated.ratio_to_diagonal(
+            rows = iterated.ratio_to_diagonal(
                 args.n, args.k_max, budget=args.budget, prec=args.prec, cache=cache
             )
-            tower = iterated.iterate_prime(
-                args.n, args.k_max, budget=args.budget, cache=cache
-            )
-            for k, ratio in pairs:
-                entry = iterated.diag_prime(k, budget=args.budget, cache=cache)
-                writer.writerow(
-                    [k, tower.values[k - 1], entry.value, format_hp(ratio, digits)]
-                )
+            for k, numerator, denominator, ratio in rows:
+                writer.writerow([k, numerator, denominator, format_hp(ratio, digits)])
         else:
             xs = _parse_int_list(args.xs)
             ns = _parse_int_list(args.ns)
@@ -259,45 +254,16 @@ def main(argv=None):
         parser.error("--budget must be >= 2")
     if args.prec < 15:
         parser.error("--prec must be >= 15")
-    cache = iterated.TowerCache(args.cache)
+    cache = None
     try:
-        if args.command == "nth":
-            return _cmd_nth(args)
-        if args.command == "pi":
-            return _cmd_pi(args)
-        if args.command == "iter":
-            return _cmd_iter(args, cache)
-        if args.command == "diag":
-            return _cmd_diag(args, cache)
-        if args.command == "count":
-            return _cmd_count(args, cache)
-        if args.command == "verify":
-            return _cmd_verify(args, cache)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "table":
-            return _cmd_table(args, cache)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (BudgetExceededError, SegmentTooLargeError) as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ThresholdViolatedError as exc:
-        print(f"mathematical violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except (
-        DomainError,
-        HypothesisViolatedError,
-        InapplicableIndexError,
-        InvalidRangeError,
-        UnsupportedRangeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PrimethError as exc:  # e.g. cache format
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        cache = iterated.TowerCache(args.cache)
+        return args.func(args, cache)
+    except PrimethError as exc:
+        print(f"{_ERROR_PREFIX[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
     finally:
-        cache.close()
+        if cache is not None:
+            cache.close()
 
 
 if __name__ == "__main__":

@@ -3,17 +3,21 @@
 count_diag(x) certifies its answer by locating the first diagonal element
 strictly above x, so one element PAST x is always computed; that bracketing
 element is the dominant cost.  The same holds for count_tower.  Neither
-function ever estimates.
+function ever estimates.  Both walk the towers with ``iterated.walk``:
+count_tower counts the levels of p_n^(k) <= x it yields, and count_diag
+advances k while the walk over base k yields k levels, so a level whose
+index idx has idx log idx > x is never computed.
 """
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 
 from mpmath import mp
 
 from .errors import BudgetExceededError, DomainError, InvalidRangeError
 from .hpreal import DEFAULT_PREC, format_hp
-from .iterated import DEFAULT_BUDGET, _level_value, _value_certainly_above
+from .iterated import DEFAULT_BUDGET, walk
 
 
 @dataclass
@@ -26,20 +30,6 @@ class CountRecord:
     comparator: object  # mpf, or None when x < 16
 
 
-def _tower_final_exceeds(n, depth, x, cache):
-    """True iff p_n^(depth) > x, aborting as soon as any level exceeds x."""
-    idx = n
-    for level in range(1, depth + 1):
-        cached = cache.get(n, level) if cache is not None else None
-        if cached is None and _value_certainly_above(idx, x):
-            return True  # monotone in level, so the final value exceeds too
-        value = cached if cached is not None else _level_value(n, level, idx, cache)
-        if value > x:
-            return True
-        idx = value
-    return False
-
-
 def count_diag(x, budget=DEFAULT_BUDGET, cache=None):
     """Number of k with p_k^(k) <= x."""
     x = int(x)
@@ -49,11 +39,10 @@ def count_diag(x, budget=DEFAULT_BUDGET, cache=None):
         raise BudgetExceededError(
             f"x={x} above budget {budget}: bracketing element not computable"
         )
-    k = 0
-    while True:
+    k = 1
+    while len(list(islice(walk(k, x, cache), k))) == k:
         k += 1
-        if _tower_final_exceeds(k, k, x, cache):
-            return k - 1
+    return k - 1
 
 
 def count_tower(n, x, budget=DEFAULT_BUDGET, cache=None):
@@ -65,19 +54,7 @@ def count_tower(n, x, budget=DEFAULT_BUDGET, cache=None):
         raise BudgetExceededError(
             f"x={x} above budget {budget}: bracketing element not computable"
         )
-    idx = n
-    count = 0
-    level = 0
-    while True:
-        level += 1
-        cached = cache.get(n, level) if cache is not None else None
-        if cached is None and _value_certainly_above(idx, x):
-            return count
-        value = cached if cached is not None else _level_value(n, level, idx, cache)
-        if value > x:
-            return count
-        count += 1
-        idx = value
+    return sum(1 for _ in walk(n, x, cache))
 
 
 def comparator(x, prec=DEFAULT_PREC):

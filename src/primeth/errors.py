@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all primeth modules."""
+"""Exception hierarchy of primeth; each class's ``exit_code`` is its CLI exit code."""
 
 
 class PrimethError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 3
 
 
 class InvalidRangeError(PrimethError):
@@ -11,6 +13,8 @@ class InvalidRangeError(PrimethError):
 
 class SegmentTooLargeError(PrimethError):
     """Requested segment exceeds the configured memory budget."""
+
+    exit_code = 2
 
 
 class UnsupportedRangeError(PrimethError):
@@ -23,6 +27,8 @@ class BudgetExceededError(PrimethError):
     ``deepest_level`` reports the last tower level that completed before
     the budget stopped the computation (0 when nothing completed).
     """
+
+    exit_code = 2
 
     def __init__(self, message, deepest_level=0):
         super().__init__(message)
@@ -51,3 +57,5 @@ class ThresholdViolatedError(PrimethError):
     This would contradict a proved inequality, so it is treated as a
     build-stopping defect rather than a reportable data point.
     """
+
+    exit_code = 1

@@ -3,21 +3,29 @@
 Each tower level is an nth_prime call on the previous level's value, so
 levels get expensive quickly; computed values go through a persistent
 append-only cache keyed by (base index, level).
+
+Towers, counts and ratios all walk the recursion with ``walk(n, cap, cache)``,
+which yields p_n^(1), p_n^(2), ... while they are <= cap.  It never computes
+an uncached level at index idx with idx log idx > cap, decided exactly:
+p_idx > idx log idx (Rosser) puts that level above cap.
 """
 
 import math
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 from mpmath import mp, mpf
 
 from .engine import nth_prime
 from .errors import BudgetExceededError, CacheFormatError, InvalidRangeError
-from .hpreal import DEFAULT_PREC
+from .hpreal import DEFAULT_PREC, compare_int
 
 # Bounds the VALUE of a prime, not its index; reaches the diagonal
 # through k = 9..10 in minutes.
 DEFAULT_BUDGET = 10**11
+
+_FLOAT_BAND = 2.0**-40
 
 
 class TowerCache:
@@ -105,20 +113,42 @@ class DiagEntry:
 
 
 def _value_certainly_above(idx, cap):
-    """True when p_idx > cap follows already from p_idx > idx log idx."""
-    # +1 margin absorbs float rounding of idx*log(idx)
-    return idx >= 2 and idx * math.log(idx) > cap + 1
+    """True when p_idx > cap follows already from p_idx > idx log idx (Rosser).
+
+    With a faithful libm log, idx*log(idx) in floats is within a relative
+    2^-50 of idx ln idx, so it decides when it is farther than _FLOAT_BAND
+    from cap; inside that band ``compare_int`` decides.
+    """
+    if idx < 2:
+        return False
+    approx = idx * math.log(idx)
+    if approx * (1 - _FLOAT_BAND) > cap:
+        return True
+    if approx * (1 + _FLOAT_BAND) < cap:
+        return False
+    return compare_int(cap, lambda: idx * mp.log(idx), 15)[0] > 0
 
 
-def _level_value(base_n, level, idx, cache):
-    """p_base_n^(level) where idx = p_base_n^(level-1) (or base_n at level 1)."""
-    cached = cache.get(base_n, level) if cache is not None else None
-    if cached is not None:
-        return cached
-    value = nth_prime(idx)
-    if cache is not None:
-        cache.put(base_n, level, value)
-    return value
+def walk(n, cap, cache=None):
+    """Yield p_n^(1), p_n^(2), ... while they are <= cap.
+
+    A cache miss ends the walk if ``_value_certainly_above`` holds; otherwise
+    the level is computed and stored, even when it lands above cap.
+    """
+    if cache is None:
+        cache = TowerCache()
+    idx, level = n, 1
+    while True:
+        value = cache.get(n, level)
+        if value is None:
+            if _value_certainly_above(idx, cap):
+                return
+            value = nth_prime(idx)
+            cache.put(n, level, value)
+        if value > cap:
+            return
+        yield value
+        idx, level = value, level + 1
 
 
 def iterate_prime(n, k, budget=DEFAULT_BUDGET, cache=None):
@@ -130,25 +160,10 @@ def iterate_prime(n, k, budget=DEFAULT_BUDGET, cache=None):
     n, k = int(n), int(k)
     if n < 1 or k < 1:
         raise InvalidRangeError("tower requires n >= 1 and k >= 1")
-    values = []
-    idx = n
-    for level in range(1, k + 1):
-        cached = cache.get(n, level) if cache is not None else None
-        if cached is None and _value_certainly_above(idx, budget):
-            value = None
-        else:
-            value = _level_value(n, level, idx, cache)
-            if value > budget:
-                value = None
-        if value is None:
-            if level == 1:
-                raise BudgetExceededError(
-                    f"p_{n} already exceeds budget {budget}", deepest_level=0
-                )
-            return Tower(n=n, requested_depth=k, values=values, truncated=True)
-        values.append(value)
-        idx = value
-    return Tower(n=n, requested_depth=k, values=values, truncated=False)
+    values = list(islice(walk(n, budget, cache), k))
+    if not values:
+        raise BudgetExceededError(f"p_{n} already exceeds budget {budget}", deepest_level=0)
+    return Tower(n=n, requested_depth=k, values=values, truncated=len(values) < k)
 
 
 def diag_prime(k, budget=DEFAULT_BUDGET, cache=None):
@@ -167,7 +182,7 @@ def diag_prime(k, budget=DEFAULT_BUDGET, cache=None):
 
 
 def ratio_to_diagonal(n, k_max, budget=DEFAULT_BUDGET, prec=DEFAULT_PREC, cache=None):
-    """Ratios p_n^(k) / p_k^(k) for each feasible k <= k_max.
+    """Rows (k, p_n^(k), p_k^(k), p_n^(k) / p_k^(k)) for each feasible k <= k_max.
 
     Stops at the first k where either side exceeds the budget; an
     infeasible base tower (p_n itself above budget) propagates.
@@ -177,11 +192,11 @@ def ratio_to_diagonal(n, k_max, budget=DEFAULT_BUDGET, prec=DEFAULT_PREC, cache=
         raise InvalidRangeError("ratio table requires n >= 1 and k_max >= 1")
     tower = iterate_prime(n, k_max, budget=budget, cache=cache)
     out = []
-    for k in range(1, tower.depth + 1):
+    for k, numerator in enumerate(tower.values, start=1):
         try:
-            diag = diag_prime(k, budget=budget, cache=cache)
+            denominator = diag_prime(k, budget=budget, cache=cache).value
         except BudgetExceededError:
             break
         with mp.workdps(prec):
-            out.append((k, mpf(tower.values[k - 1]) / diag.value))
+            out.append((k, numerator, denominator, mpf(numerator) / denominator))
     return out

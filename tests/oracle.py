@@ -59,3 +59,12 @@ def L_by_decimal(x, digits):
         value = exponent.exp()
         ctx.prec = digits
         return +value
+
+
+def n_log_n_by_decimal(n, digits):
+    """n ln n to ``digits`` significant digits, with stdlib ``decimal`` only."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 5
+        value = Decimal(n) * Decimal(n).ln()
+        ctx.prec = digits
+        return +value

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from primeth import bounds
+import primeth
+from primeth import PrimethError, bounds, engine, errors
 from primeth.cli import main
 
 
@@ -59,6 +64,50 @@ class TestExitCodes:
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "nth", "0")
         assert code == 3 and "error" in err
+
+    def test_bad_cache_exits_3(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("garbage\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(primeth.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "primeth", "iter", "1", "3", "--cache", str(bad)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    # exit codes and stderr prefixes as the README's exit-code contract states
+    DOCUMENTED = {
+        errors.PrimethError: (3, "error: "),
+        errors.InvalidRangeError: (3, "error: "),
+        errors.SegmentTooLargeError: (2, "budget exhausted: "),
+        errors.UnsupportedRangeError: (3, "error: "),
+        errors.BudgetExceededError: (2, "budget exhausted: "),
+        errors.CacheFormatError: (3, "error: "),
+        errors.DomainError: (3, "error: "),
+        errors.InapplicableIndexError: (3, "error: "),
+        errors.HypothesisViolatedError: (3, "error: "),
+        errors.ThresholdViolatedError: (1, "mathematical violation: "),
+    }
+
+    def test_every_error_type_is_documented(self):
+        assert set(PrimethError.__subclasses__()) | {PrimethError} == set(self.DOCUMENTED)
+
+    @pytest.mark.parametrize("error", list(DOCUMENTED), ids=lambda e: e.__name__)
+    def test_error_type_carries_exit_code(self, capsys, monkeypatch, error):
+        code, prefix = self.DOCUMENTED[error]
+        assert error.exit_code == code
+
+        def fail(n):
+            raise error("probe")
+
+        monkeypatch.setattr(engine, "nth_prime", fail)
+        assert main(["nth", "5"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == prefix + "probe\n"
+        assert captured.out == ""
 
     def test_config_invariants(self, capsys):
         with pytest.raises(SystemExit):
@@ -268,3 +317,29 @@ class TestDeterminismAndCache:
         assert main(args + ["--out", str(warm_out)]) == 0
         capsys.readouterr()
         assert cold_out.read_bytes() == warm_out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, out_digest, cache_digest",
+        [
+            (
+                ["iter", "3", "12", "--budget", "1000000000"], 2,
+                "52a7ba2734d489802a9fe92135338855649fae7ae16802eaa274be41c1317763",
+                "52f22097fbd2df72c9e742dcf2f25e09cfe6da757f119140b404bf33e8d36bf2",
+            ),
+            (
+                ["table", "--ratios", "--n", "2", "--k-max", "9", "--no-timestamp"], 0,
+                "ac46dcd349b0024cbb17267deeaa2b33cbd38fb96238321b0434f486168bf7cd",
+                "52900781bf5aae92564d8d4970a84b82c4b60c3f8b1cc31e91dfd8b8c504cc7f",
+            ),
+        ],
+        ids=["iter_truncated", "table_ratios"],
+    )
+    def test_output_and_cache_pinned(
+        self, capsys, tmp_path, argv, exit_code, out_digest, cache_digest
+    ):
+        # SHA-256 of stdout and of the cache file, recorded at d9494df
+        cache_path = tmp_path / "towers.txt"
+        code, out, _ = run(capsys, *argv, "--cache", str(cache_path))
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == cache_digest

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -7,6 +8,7 @@ from primeth import (
     BudgetExceededError,
     DomainError,
     InvalidRangeError,
+    TowerCache,
     comparator,
     count_diag,
     count_tower,
@@ -14,6 +16,7 @@ from primeth import (
     iterate_prime,
     ratio_series,
 )
+from primeth import iterated
 from primeth.counting import write_count_csv
 
 from oracle import tower_by_sieve
@@ -61,6 +64,12 @@ class TestCountTower:
                 assert count_tower(n, value, cache=cache) == k
                 assert count_tower(n, value - 1, cache=cache) == k - 1
 
+    def test_bracketing_level_is_cached(self):
+        # 31 log 31 < 110 < p_31 = 127: the level past x is computed and kept
+        cache = TowerCache()
+        assert count_tower(1, 110, cache=cache) == 5
+        assert cache.get(1, 6) == 127
+
     def test_monotone_in_x(self, cache):
         xs = [1, 2, 3, 10, 100, 5000, 10**5, 10**6]
         for n in (1, 3, 7):
@@ -75,6 +84,41 @@ class TestCountTower:
                 if x < p_nn:
                     continue
                 assert count_diag(x, cache=cache) <= count_tower(n, x, cache=cache)
+
+
+class TestTowerWork:
+    """The nth_prime arguments of each tower walk, pinned by count and SHA-256.
+
+    Recorded at d9494df, before the three tower loops became one walker, so
+    the walker must make exactly the same lookups in the same order.
+    """
+
+    @pytest.mark.parametrize(
+        "call, count, digest",
+        [
+            (lambda: count_diag(10**7), 35,
+             "a0b2dc5dbaca8cd1f0a9644ac4b2e590fc894063ff08aee7642343730f696754"),
+            (lambda: count_tower(1, 10**10), 13,
+             "1d1c9de39aa245b58fb1dd218422e12224223c8f0caff2538ff74567df51a282"),
+            (lambda: iterate_prime(50, 9), 8,
+             "c5c1ab773f428d23d080db1b35e1c4441d2881ba2eadf17922c57ecf8257ee34"),
+            (lambda: iterate_prime(1, 20, budget=10**9), 12,
+             "e9f3d227d5023b9288ef3bbbde79c068986ce21b755db8b45878ea3f387ba440"),
+        ],
+        ids=["count_diag", "count_tower", "iterate_prime", "iterate_prime_truncated"],
+    )
+    def test_nth_prime_calls_pinned(self, monkeypatch, call, count, digest):
+        calls = []
+        nth_prime = iterated.nth_prime
+
+        def recorded(idx):
+            calls.append(idx)
+            return nth_prime(idx)
+
+        monkeypatch.setattr(iterated, "nth_prime", recorded)
+        call()
+        assert len(calls) == count
+        assert hashlib.sha256(" ".join(map(str, calls)).encode()).hexdigest() == digest
 
 
 class TestComparator:

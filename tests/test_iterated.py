@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
 from primeth import (
     BudgetExceededError,
@@ -12,8 +14,10 @@ from primeth import (
     nth_prime,
     ratio_to_diagonal,
 )
+from primeth.hpreal import DEFAULT_PREC
+from primeth.iterated import _FLOAT_BAND, _value_certainly_above
 
-from oracle import tower_by_sieve
+from oracle import n_log_n_by_decimal, tower_by_sieve
 
 PRIMETH_RECURRENCE = [2, 3, 5, 11, 31, 127, 709, 5381, 52711]
 
@@ -65,6 +69,39 @@ class TestIteratePrime:
                 assert grid[n][k] < grid[n][k + 1]
 
 
+class TestValueCertainlyAbove:
+    """The walker's skip decides idx log idx > cap exactly, never by rounding."""
+
+    # from 10^15 on, the float product alone misjudges floor(x) or ceil(x)
+    @pytest.mark.parametrize("idx", [16, 10**6, 10**9, 10**12, 10**15, 10**16, 10**18])
+    def test_decided_at_the_integers_around_n_log_n(self, idx):
+        x = n_log_n_by_decimal(idx, 40)
+        assert _value_certainly_above(idx, math.floor(x))
+        assert not _value_certainly_above(idx, math.ceil(x))
+
+    def test_skip_implies_value_above_cap(self):
+        for idx in range(2, 20001):
+            p = nth_prime(idx)
+            for cap in (math.floor(n_log_n_by_decimal(idx, 20)), p):
+                if _value_certainly_above(idx, cap):
+                    assert p > cap
+
+    def test_agrees_with_oracle_at_the_float_band_edges(self):
+        for idx in sorted({int(10 ** (e / 20)) for e in range(7, 361)}):
+            x = n_log_n_by_decimal(idx, 40)
+            approx = idx * math.log(idx)
+            caps = {math.floor(x), math.ceil(x)}
+            for edge in (approx * (1 - _FLOAT_BAND), approx * (1 + _FLOAT_BAND)):
+                caps.update(range(int(edge) - 2, int(edge) + 3))
+            for cap in caps:
+                assert _value_certainly_above(idx, cap) == (x > cap), (idx, cap)
+
+
+    def test_cap_beyond_float_range(self):
+        # float-int comparisons are exact, so a cap past 1e308 cannot overflow
+        assert not _value_certainly_above(10**6, 10**400)
+        assert iterate_prime(1, 5, budget=10**400).values == [2, 3, 5, 11, 31]
+
 class TestDiagPrime:
     def test_examples(self, cache):
         assert diag_prime(1, cache=cache).value == 2
@@ -82,13 +119,28 @@ class TestDiagPrime:
         assert 0 < exc.value.deepest_level < 20
 
 
+def ratios_by_k(n, k_max, cache):
+    return {k: ratio for k, _, _, ratio in ratio_to_diagonal(n, k_max, cache=cache)}
+
+
 class TestRatioToDiagonal:
     def test_k1_is_one(self, cache):
-        [(k, ratio)] = ratio_to_diagonal(1, 1, cache=cache)
+        [(k, numerator, denominator, ratio)] = ratio_to_diagonal(1, 1, cache=cache)
         assert k == 1 and ratio == 1
+        assert numerator == denominator == 2
+
+    def test_rows_carry_both_sides(self, cache):
+        for n in (1, 2, 5):
+            rows = ratio_to_diagonal(n, 7, cache=cache)
+            assert [row[0] for row in rows] == list(range(1, 8))
+            for k, numerator, denominator, ratio in rows:
+                assert numerator == iterate_prime(n, k, cache=cache).values[k - 1]
+                assert denominator == diag_prime(k, cache=cache).value
+                with mp.workdps(DEFAULT_PREC):
+                    assert ratio == mpf(numerator) / denominator
 
     def test_small_ratios(self, cache):
-        ratios = dict(ratio_to_diagonal(1, 5, cache=cache))
+        ratios = ratios_by_k(1, 5, cache)
         assert abs(ratios[3] - float(Fraction(5, 31))) < 1e-12
         assert abs(ratios[5] - float(Fraction(31, 5381))) < 1e-12
 
@@ -98,7 +150,7 @@ class TestRatioToDiagonal:
         for n in (1, 2, 3):
             p_n = nth_prime(n)
             tower = iterate_prime(n, 9, cache=cache).values
-            ratios = dict(ratio_to_diagonal(n, 8, cache=cache))
+            ratios = ratios_by_k(n, 8, cache)
             for k in sorted(ratios):
                 if k <= p_n or k + 1 not in ratios:
                     continue
@@ -108,7 +160,7 @@ class TestRatioToDiagonal:
     def test_domination_at_n4(self, cache):
         # k = 8 > p_4 = 7: p_4^(8)/p_8^(8) < p_4^(8)/p_4^(9)
         tower = iterate_prime(4, 9, cache=cache).values
-        ratio = dict(ratio_to_diagonal(4, 8, cache=cache))[8]
+        ratio = ratios_by_k(4, 8, cache)[8]
         assert ratio < float(Fraction(tower[7], tower[8]))
 
 
