@@ -15,9 +15,10 @@ import os
 from dataclasses import dataclass
 from itertools import islice
 
+import numpy as np
 from mpmath import mp, mpf
 
-from .engine import nth_prime
+from .engine import _TABLE_LIMIT, base_primes_upto, is_prime, nth_prime
 from .errors import BudgetExceededError, CacheFormatError, InvalidRangeError
 from .hpreal import DEFAULT_PREC, compare_int
 
@@ -33,10 +34,11 @@ class TowerCache:
 
     File format: one record per line, ``T <n> <level> <value>`` with
     decimal integers.  The file is loaded fully at construction and
-    appended on every store; malformed lines are a hard error.  Each
-    record goes out in one ``write`` to an ``O_APPEND`` descriptor, opened
-    on the first store and released by ``close``, so writers sharing the
-    file never split each other's lines.
+    appended on every store.  Malformed lines, non-prime values, levels of a
+    base that do not rise from n on, and records or stores that contradict a
+    stored value are hard errors.  Each record goes out in one ``write`` to
+    an ``O_APPEND`` descriptor, opened on the first store and released by
+    ``close``, so writers sharing the file never split each other's lines.
     """
 
     def __init__(self, path=None):
@@ -61,11 +63,29 @@ class TowerCache:
                     raise CacheFormatError(
                         f"{path}:{lineno}: non-integer field in {line!r}"
                     ) from exc
-                if n < 1 or level < 1 or value < 2:
+                if n < 1 or level < 1 or not 2 <= value < 1 << 64:  # is_prime's range
                     raise CacheFormatError(
                         f"{path}:{lineno}: out-of-range field in {line!r}"
                     )
-                self._store[(n, level)] = value
+                if self._store.setdefault((n, level), value) != value:
+                    raise CacheFormatError(f"{path}:{lineno}: {line!r} contradicts a record")
+        self._check_levels(path)
+
+    def _check_levels(self, path):
+        """Each value is prime, and the levels of each base n rise from n on."""
+        # values below the table's limit are looked up in it in one numpy pass
+        table = base_primes_upto(_TABLE_LIMIT - 1)
+        small = np.array([v for v in self._store.values() if v < _TABLE_LIMIT], np.int64)
+        found = table[np.searchsorted(table, small, side="right") - 1] == small
+        composite = set(small[~found].tolist())
+        below = {}  # base n -> the value of its highest level so far
+        for n, level in sorted(self._store):
+            value, floor = self._store[n, level], below.get(n, n)
+            if value in composite or (value >= _TABLE_LIMIT and not is_prime(value)):
+                raise CacheFormatError(f"{path}: p_{n}^({level}) = {value} is not prime")
+            if value <= floor:
+                raise CacheFormatError(f"{path}: p_{n}^({level}) = {value} is not above {floor}")
+            below[n] = value
 
     def get(self, n, level):
         return self._store.get((n, level))
@@ -73,6 +93,8 @@ class TowerCache:
     def put(self, n, level, value):
         key = (n, level)
         if key in self._store:
+            if self._store[key] != value:
+                raise CacheFormatError(f"p_{n}^({level}) = {value} contradicts {self._store[key]}")
             return
         self._store[key] = value
         if self.path is not None:

@@ -78,6 +78,19 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_non_prime_cache_value_exits_3(self, tmp_path):
+        # "T 1 1 4" parses, but 4 is not prime; trusted, it gave 4, 7, 17
+        bad = tmp_path / "bad.txt"
+        bad.write_text("T 1 1 4\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(primeth.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "primeth", "iter", "1", "3", "--cache", str(bad)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [f"error: {bad}: p_1^(1) = 4 is not prime"]
+        assert proc.stdout == ""
+
     # exit codes and stderr prefixes as the README's exit-code contract states
     DOCUMENTED = {
         errors.PrimethError: (3, "error: "),

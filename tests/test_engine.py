@@ -20,7 +20,7 @@ from primeth import (
 from primeth import engine
 from primeth.cli import main
 
-from oracle import pi_by_sieve, sieve_primes, trial_isprime
+from oracle import pi_by_sieve, primes_in_window, sieve_primes, trial_isprime
 
 
 class TestSieveSegment:
@@ -129,13 +129,33 @@ class TestPrimeCount:
         assert [prime_count(10**k) for k in range(7, 12)] == expected
 
     def test_switch_points(self, primes_1e7):
-        # prime p joins the loop at x = p^2, its smalls-gather branch runs
-        # from x = 2 p^2 on, and its smalls update from x = p^4 on
+        # prime p joins the P2 sum at x = p^2, its smalls-gather branch runs
+        # from x = 2 p^2 on, it moves into the loop at x = p^3, and its
+        # smalls update runs from x = p^4 on
         for p in (2, 3, 5, 7, 11, 47, 53, 997, 2203, 3137):
-            for m in (p * p, 2 * p * p, p**4):
+            for m in (p * p, 2 * p * p, p**3, p**4):
                 for x in (m - 1, m, m + 1):
                     if x <= 10**7:
                         assert prime_count(x) == pi_by_sieve(x, primes_1e7), x
+
+    @pytest.mark.parametrize("p", [1009, 2003])
+    def test_window_at_loop_cut(self, p):
+        # the last 10^5 integers up to p^3 + 1, where p enters the loop
+        m = p**3
+        assert prime_count(m + 1) - prime_count(m - 10**5) == primes_in_window(
+            m - 10**5 + 1, m + 1
+        )
+
+    def test_pinned_1e12(self):
+        assert prime_count(10**12) == 37607912018  # OEIS A006880
+
+    def test_integer_cube_root(self):
+        # m <= 2^16 covers every x < 2^48, where the loop cut is taken
+        for m in range(1, 2**16 + 1):
+            c = m**3
+            assert (engine._icbrt(c - 1), engine._icbrt(c), engine._icbrt(c + 1)) == (
+                m - 1, m, m,
+            ), m
 
     def test_ceiling_before_allocating(self):
         # isqrt(x) must stay inside the 2^24 prime table; past it the call

@@ -17,7 +17,7 @@ from primeth import (
 from primeth.hpreal import DEFAULT_PREC
 from primeth.iterated import _FLOAT_BAND, _value_certainly_above
 
-from oracle import n_log_n_by_decimal, tower_by_sieve
+from oracle import n_log_n_by_decimal, sieve_primes, tower_by_sieve
 
 PRIMETH_RECURRENCE = [2, 3, 5, 11, 31, 127, 709, 5381, 52711]
 
@@ -182,13 +182,45 @@ class TestTowerCache:
 
     @pytest.mark.parametrize(
         "line",
-        ["X 1 1 2", "T 1 1", "T 1 1 2 3", "T a 1 2", "T 1 1 -5", "T 0 1 2"],
+        ["X 1 1 2", "T 1 1", "T 1 1 2 3", "T a 1 2", "T 1 1 -5", "T 0 1 2", f"T 1 1 {2**64}"],
     )
     def test_malformed_lines_are_hard_errors(self, tmp_path, line):
         path = tmp_path / "towers.txt"
         path.write_text(line + "\n")
         with pytest.raises(CacheFormatError):
             TowerCache(str(path))
+
+    @pytest.mark.parametrize(
+        "lines, reason",
+        [
+            (["T 1 1 4"], "is not prime"),
+            (["T 3 1 4294967297"], "is not prime"),  # 641 * 6700417, above the table
+            (["T 5 1 11", "T 5 2 7"], "is not above 11"),
+            (["T 5 1 11", "T 5 3 11"], "is not above 11"),
+            (["T 13 1 13"], "is not above 13"),
+            (["T 2 1 3", "T 2 1 5"], "contradicts a record"),
+        ],
+    )
+    def test_records_that_are_no_tower_are_hard_errors(self, tmp_path, lines, reason):
+        path = tmp_path / "towers.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CacheFormatError, match=reason):
+            TowerCache(str(path))
+
+    def test_valid_records_load(self, tmp_path):
+        # levels may be missing, records repeat, and bases interleave
+        path = tmp_path / "towers.txt"
+        path.write_text("T 3 1 5\nT 1 1 2\nT 3 3 31\nT 3 1 5\nT 1 2 3\nT 2 1 3\n")
+        cache = TowerCache(str(path))
+        assert len(cache) == 5 and cache.get(3, 3) == 31
+
+    def test_store_that_contradicts_a_record(self, tmp_path):
+        cache = TowerCache()
+        cache.put(3, 1, 5)
+        cache.put(3, 1, 5)
+        with pytest.raises(CacheFormatError, match="= 7 contradicts 5"):
+            cache.put(3, 1, 7)
+        assert cache.get(3, 1) == 5
 
     def test_cached_levels_match_rederivation(self, tmp_path):
         path = tmp_path / "towers.txt"
@@ -203,13 +235,17 @@ class TestTowerCache:
 
     def test_two_writers_alternating_keep_whole_lines(self, tmp_path):
         # both objects hold an append descriptor on the same file; a
-        # buffered writer would reorder or split records here
+        # buffered writer would reorder or split records here.  The values
+        # are primes that rise with the level, so the file reloads.
+        primes = sieve_primes(1_010_000)
+        chosen = primes[primes > 10**6][:600].tolist()
+        values = iter(chosen)
         path = tmp_path / "towers.txt"
         first, second = TowerCache(str(path)), TowerCache(str(path))
         expected = []
         for level in range(1, 301):
             for n, cache in ((1, first), (2, second)):
-                value = 10**12 + 1000 * n + level
+                value = next(values)
                 cache.put(n, level, value)
                 expected.append(f"T {n} {level} {value}")
         first.close()
@@ -217,7 +253,7 @@ class TestTowerCache:
         assert path.read_text().splitlines() == expected
         reloaded = TowerCache(str(path))
         assert len(reloaded) == 600
-        assert reloaded.get(2, 300) == 10**12 + 2300
+        assert reloaded.get(2, 300) == chosen[-1]
 
     def test_store_after_close_reopens(self, tmp_path):
         path = tmp_path / "towers.txt"
