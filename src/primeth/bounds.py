@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import DomainError, HypothesisViolatedError, InapplicableIndexError
-from .hpreal import DEFAULT_PREC, compare_int, format_hp
+from .hpreal import DEFAULT_PREC, compare_int
 
 
 @functools.lru_cache(maxsize=256)
@@ -98,6 +98,16 @@ def lower_bound_simple(n, k, prec=DEFAULT_PREC):
     return _evaluate("iter_lower", n, k, prec)
 
 
+def _l3_log_n(log_n, k):
+    """log n as an mpf, once the hypothesis of lower_bound_L3 is checked."""
+    log_n = mpf(log_n)
+    if not log_n > 4200:
+        raise HypothesisViolatedError("needs log n > 4200")
+    if k < mp.floor(log_n):
+        raise HypothesisViolatedError("needs k >= floor(log n)")
+    return log_n
+
+
 def lower_bound_L3(log_n, k, prec=DEFAULT_PREC):
     """(e k log k / log log n)^k, parameterized by log n.
 
@@ -108,11 +118,7 @@ def lower_bound_L3(log_n, k, prec=DEFAULT_PREC):
     """
     k = int(k)
     with mp.workdps(prec):
-        log_n = mpf(log_n)
-        if not log_n > 4200:
-            raise HypothesisViolatedError("needs log n > 4200")
-        if k < mp.floor(log_n):
-            raise HypothesisViolatedError("needs k >= floor(log n)")
+        log_n = _l3_log_n(log_n, k)
         return +((mp.e * k * mp.log(k) / mp.log(log_n)) ** k)
 
 
@@ -120,11 +126,7 @@ def log_lower_bound_L3(log_n, k, prec=DEFAULT_PREC):
     """Logarithm of lower_bound_L3, summed termwise: k(1 + log k + log log k - log log log n)."""
     k = int(k)
     with mp.workdps(prec):
-        log_n = mpf(log_n)
-        if not log_n > 4200:
-            raise HypothesisViolatedError("needs log n > 4200")
-        if k < mp.floor(log_n):
-            raise HypothesisViolatedError("needs k >= floor(log n)")
+        log_n = _l3_log_n(log_n, k)
         return +(k * (1 + mp.log(k) + mp.log(mp.log(k)) - mp.log(mp.log(log_n))))
 
 
@@ -182,13 +184,13 @@ CSV_HEADER = ["n", "k", "value", "bound", "lhs", "rhs", "applicable", "holds"]
 
 def write_report_csv(reports, fh, digits=15):
     """Serialize BoundReports: columns n,k,value,bound,lhs,rhs,applicable,holds."""
+    def fmt(v):
+        return "" if v is None else (str(v) if isinstance(v, int) else mp.nstr(v, digits))
+
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for rep in reports:
         for c in rep.checks:
-            fmt = lambda v: (
-                "" if v is None else (str(v) if isinstance(v, int) else format_hp(v, digits))
-            )
             writer.writerow(
                 [
                     rep.n,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import DomainError, ThresholdViolatedError
-from .hpreal import format_hp
 
 THRESHOLD = mpf("0.32627")
 HYPOTHESIS_X_MIN = 4200
@@ -87,8 +86,6 @@ class CertGrid:
     """Sample points for the certification run."""
 
     points: list
-    x_min: int = HYPOTHESIS_X_MIN
-    x_max: int = 10**6
     prec: int = CERT_PREC
 
     @classmethod
@@ -105,7 +102,7 @@ class CertGrid:
             pts.add(int(round(v)))
             v *= ratio
         pts.add(x_max)
-        return cls(points=sorted(pts), x_min=x_min, x_max=x_max, prec=prec)
+        return cls(points=sorted(pts), prec=prec)
 
 
 @dataclass
@@ -117,7 +114,6 @@ class CertReport:
     h_increasing: bool
     g_of_h_4200: object
     exp_threshold_ok: bool  # e^(e/0.32627) <= 4200
-    in_hypothesis: bool
     prec: int
 
     @property
@@ -131,9 +127,9 @@ class CertReport:
         for x, lval, margin, passed in self.rows:
             writer.writerow(
                 [
-                    format_hp(mpf(x), digits),
-                    format_hp(lval, digits),
-                    format_hp(margin, digits),
+                    mp.nstr(mpf(x), digits),
+                    mp.nstr(lval, digits),
+                    mp.nstr(margin, digits),
                     "yes" if passed else "no",
                 ]
             )
@@ -143,21 +139,21 @@ class CertReport:
         lines = []
         lines.append(f"threshold: L(x) > {THRESHOLD} for x >= {HYPOTHESIS_X_MIN}")
         lines.append(
-            "closed-form floor constant: " + format_hp(self.floor_constant, digits)
+            "closed-form floor constant: " + mp.nstr(self.floor_constant, digits)
         )
         lines.append(f"f monotone increasing on grid: {'yes' if self.f_increasing else 'no'}")
         lines.append(f"g monotone increasing on grid: {'yes' if self.g_increasing else 'no'}")
         lines.append(f"h monotone increasing on grid: {'yes' if self.h_increasing else 'no'}")
         lines.append(
-            "g(h(4200)) = " + format_hp(self.g_of_h_4200, digits) + " (must lie in (0,1))"
+            "g(h(4200)) = " + mp.nstr(self.g_of_h_4200, digits) + " (must lie in (0,1))"
         )
         lines.append(
             "e^(e/threshold) <= 4200: " + ("yes" if self.exp_threshold_ok else "no")
         )
         for x, lval, margin, passed in self.rows:
             lines.append(
-                f"x={format_hp(mpf(x), 12):>16}  L={format_hp(lval, digits)}  "
-                f"margin={format_hp(margin, digits)}  {'pass' if passed else 'FAIL'}"
+                f"x={mp.nstr(mpf(x), 12):>16}  L={mp.nstr(lval, digits)}  "
+                f"margin={mp.nstr(margin, digits)}  {'pass' if passed else 'FAIL'}"
             )
         lines.append("verdict: " + ("pass" if self.all_pass else "FAIL"))
         return "\n".join(lines)
@@ -178,7 +174,7 @@ def certify_threshold(grid):
         passed = margin > 0
         if not passed and x >= HYPOTHESIS_X_MIN:
             raise ThresholdViolatedError(
-                f"L({x}) = {format_hp(lval, 20)} <= {THRESHOLD}: "
+                f"L({x}) = {mp.nstr(lval, 20)} <= {THRESHOLD}: "
                 "contradicts the proved floor; build-stopping defect"
             )
         rows.append((x, lval, margin, passed))
@@ -206,6 +202,5 @@ def certify_threshold(grid):
         h_increasing=h_increasing,
         g_of_h_4200=g_of_h,
         exp_threshold_ok=exp_threshold_ok,
-        in_hypothesis=grid.points[0] >= HYPOTHESIS_X_MIN if grid.points else True,
         prec=prec,
     )

@@ -11,72 +11,85 @@ import csv
 import sys
 from datetime import datetime, timezone
 
+from mpmath import mp
+
 from . import bounds, certify, counting, engine, iterated
 from .errors import BudgetExceededError, DomainError, PrimethError
-from .hpreal import format_hp
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
 
-# stderr prefix of an error, by the exit code its type carries
-_ERROR_PREFIX = {
-    EXIT_VIOLATION: "mathematical violation",
-    EXIT_BUDGET: "budget exhausted",
-    EXIT_USAGE: "error",
-}
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 3, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _int_list(text):
+    """argparse type of --xs and --ns: comma-separated integers."""
+    try:
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=iterated.DEFAULT_BUDGET,
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=iterated.DEFAULT_BUDGET,
                         help="largest permissible prime value (default 10^11)")
-    common.add_argument("--prec", type=int, default=50,
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache", metavar="PATH", default=None,
+                       help="persistent tower cache file")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--prec", type=int, default=50,
                         help="significant decimal digits (default 50)")
-    common.add_argument("--cache", metavar="PATH", default=None,
-                        help="persistent tower cache file")
-    common.add_argument("--out", metavar="PATH", default=None,
+    report.add_argument("--out", metavar="PATH", default=None,
                         help="write CSV/report here instead of stdout")
-    common.add_argument("--no-timestamp", action="store_true",
+    report.add_argument("--no-timestamp", action="store_true",
                         help="omit the generated-at comment line")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="primeth",
         description="iterated primes, their counting functions, and explicit bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("nth", parents=[common], help="the nth prime")
+    p = sub.add_parser("nth", parents=[budget], help="the nth prime")
     p.add_argument("n", type=int)
     p.set_defaults(func=_cmd_nth)
 
-    p = sub.add_parser("pi", parents=[common], help="number of primes <= x")
+    p = sub.add_parser("pi", parents=[budget], help="number of primes <= x")
     p.add_argument("x", type=int)
     p.set_defaults(func=_cmd_pi)
 
-    p = sub.add_parser("iter", parents=[common], help="tower p_n^(1..k)")
+    p = sub.add_parser("iter", parents=[budget, cache], help="tower p_n^(1..k)")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.set_defaults(func=_cmd_iter)
 
-    p = sub.add_parser("diag", parents=[common], help="diagonal element p_k^(k)")
+    p = sub.add_parser("diag", parents=[budget, cache], help="diagonal element p_k^(k)")
     p.add_argument("k", type=int)
     p.set_defaults(func=_cmd_diag)
 
-    p = sub.add_parser("count", parents=[common], help="exact counting functions")
+    p = sub.add_parser("count", parents=[budget, cache], help="exact counting functions")
     p.add_argument("kind", choices=["diag", "tower"])
     p.add_argument("args", type=int, nargs="+",
                    help="diag: X; tower: N X")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("verify", parents=[common], help="bound verification suites")
+    p = sub.add_parser("verify", parents=[budget, cache, report],
+                       help="bound verification suites")
     p.add_argument("suite", choices=sorted(bounds.SUITES))
     p.add_argument("--n-max", type=int, default=100)
     p.add_argument("--k-max", type=int, default=5)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[report],
                        help="high-precision floor certification for L(x)")
     p.add_argument("--x-min", type=int, default=certify.HYPOTHESIS_X_MIN)
     p.add_argument("--x-max", type=int, default=10**6)
@@ -84,14 +97,15 @@ def _build_parser():
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("table", parents=[common],
+    p = sub.add_parser("table", parents=[budget, cache, report],
                        help="count records, residuals, or diagonal ratios as CSV")
-    p.add_argument("--xs", default=None, help="comma-separated x values")
-    p.add_argument("--ns", default="", help="comma-separated tower bases")
-    p.add_argument("--residuals", action="store_true",
-                   help="diagonal growth residuals for k = 3..k-max")
-    p.add_argument("--ratios", action="store_true",
-                   help="ratios p_n^(k)/p_k^(k) for k = 1..k-max")
+    p.add_argument("--xs", type=_int_list, default=[], help="comma-separated x values")
+    p.add_argument("--ns", type=_int_list, default=[], help="comma-separated tower bases")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--residuals", action="store_true",
+                      help="diagonal growth residuals for k = 3..k-max")
+    mode.add_argument("--ratios", action="store_true",
+                      help="ratios p_n^(k)/p_k^(k) for k = 1..k-max")
     p.add_argument("--n", type=int, default=1, help="base index for --ratios")
     p.add_argument("--k-max", type=int, default=7)
     p.set_defaults(func=_cmd_table)
@@ -112,12 +126,6 @@ def _stamp(fh, args):
     if not args.no_timestamp:
         now = datetime.now(timezone.utc).isoformat(timespec="seconds")
         fh.write(f"# generated: {now}\n")
-
-
-def _parse_int_list(text):
-    if not text:
-        return []
-    return [int(part) for part in text.split(",") if part != ""]
 
 
 def _cmd_nth(args, cache):
@@ -163,6 +171,7 @@ def _cmd_count(args, cache):
 def _cmd_verify(args, cache):
     k_max = 1 if args.suite == "rosser" else args.k_max
     reports = []
+    tally = dict.fromkeys((True, False, None), 0)  # checks by holds; None: inapplicable
     truncated = False
     for n in range(1, args.n_max + 1):
         try:
@@ -173,24 +182,17 @@ def _cmd_verify(args, cache):
         truncated = truncated or tower.truncated
         for k, value in enumerate(tower.values, start=1):
             reports.append(bounds.check_bounds(n, k, value, args.prec, args.suite))
-
-    applicable = held = inapplicable = 0
-    for rep in reports:
-        for c in rep.checks:
-            if c.applicable:
-                applicable += 1
-                held += 1 if c.holds else 0
-            else:
-                inapplicable += 1
+            for c in reports[-1].checks:
+                tally[c.holds] += 1
 
     with _open_out(args) as fh:
         _stamp(fh, args)
         bounds.write_report_csv(reports, fh, digits=min(args.prec, 20))
 
-    violations = applicable - held
+    held, violations = tally[True], tally[False]
     print(
-        f"suite={args.suite} applicable={applicable} held={held} "
-        f"violated={violations} inapplicable={inapplicable}",
+        f"suite={args.suite} applicable={held + violations} held={held} "
+        f"violated={violations} inapplicable={tally[None]}",
         file=sys.stderr,
     )
     if violations:
@@ -229,19 +231,17 @@ def _cmd_table(args, cache):
                 except BudgetExceededError:
                     break
                 res = bounds.theorem4_residual(k, k, entry.value, prec=args.prec)
-                writer.writerow([k, entry.value, format_hp(res, digits)])
+                writer.writerow([k, entry.value, mp.nstr(res, digits)])
         elif args.ratios:
             writer.writerow(["k", "numerator", "denominator", "ratio"])
             rows = iterated.ratio_to_diagonal(
                 args.n, args.k_max, budget=args.budget, prec=args.prec, cache=cache
             )
             for k, numerator, denominator, ratio in rows:
-                writer.writerow([k, numerator, denominator, format_hp(ratio, digits)])
+                writer.writerow([k, numerator, denominator, mp.nstr(ratio, digits)])
         else:
-            xs = _parse_int_list(args.xs)
-            ns = _parse_int_list(args.ns)
             records = counting.ratio_series(
-                xs, ns, budget=args.budget, prec=args.prec, cache=cache
+                args.xs, args.ns, budget=args.budget, prec=args.prec, cache=cache
             )
             counting.write_count_csv(records, fh, digits=digits)
     return EXIT_OK
@@ -250,16 +250,15 @@ def _cmd_table(args, cache):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.budget < 2:
-        parser.error("--budget must be >= 2")
-    if args.prec < 15:
-        parser.error("--prec must be >= 15")
+    for option, least in (("budget", 2), ("prec", 15)):  # where the subcommand takes it
+        if getattr(args, option, least) < least:
+            parser.error(f"--{option} must be >= {least}")
     cache = None
     try:
-        cache = iterated.TowerCache(args.cache)
+        cache = iterated.TowerCache(getattr(args, "cache", None))
         return args.func(args, cache)
     except PrimethError as exc:
-        print(f"{_ERROR_PREFIX[exc.exit_code]}: {exc}", file=sys.stderr)
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
     finally:
         if cache is not None:

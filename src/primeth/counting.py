@@ -16,7 +16,7 @@ from itertools import islice
 from mpmath import mp
 
 from .errors import BudgetExceededError, DomainError, InvalidRangeError
-from .hpreal import DEFAULT_PREC, format_hp
+from .hpreal import DEFAULT_PREC
 from .iterated import DEFAULT_BUDGET, walk
 
 
@@ -93,7 +93,7 @@ def write_count_csv(records, fh, digits=15):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["x", "diag_count", "tower_n", "tower_count", "comparator"])
     for rec in records:
-        comp = format_hp(rec.comparator, digits) if rec.comparator is not None else ""
+        comp = mp.nstr(rec.comparator, digits) if rec.comparator is not None else ""
         if rec.tower_counts:
             for n in sorted(rec.tower_counts):
                 writer.writerow([rec.x, rec.diag_count, n, rec.tower_counts[n], comp])

@@ -24,8 +24,8 @@ from .errors import (
     UnsupportedRangeError,
 )
 
-# Segment budget counts tracked odd integers (one bit each).
-DEFAULT_SEGMENT_BITS = 1 << 26
+# Most odd integers one sieve segment tracks, at one byte of flags each.
+_SEGMENT_ODDS = 1 << 26
 # The prime table covers [2, _TABLE_LIMIT]; it also supplies the sieving
 # primes of sieve_segment, which therefore needs isqrt(hi) < _TABLE_LIMIT.
 _TABLE_LIMIT = 1 << 24
@@ -55,8 +55,8 @@ def _prime_table():
 def base_primes_upto(limit):
     """Ascending primes covering [2, limit], for limit < _TABLE_LIMIT."""
     if limit >= _TABLE_LIMIT:
-        raise SegmentTooLargeError(
-            f"sieving primes are tabled below {_TABLE_LIMIT}, asked for {limit}"
+        raise UnsupportedRangeError(
+            f"sieving primes are tabled below 2^24 (ranges below 2^48), asked for {limit}"
         )
     table = _prime_table()
     return table[: np.searchsorted(table, limit, side="right")]
@@ -92,12 +92,13 @@ class SegmentTable:
         return bool(self.flags[(m - self.first_odd) // 2])
 
 
-def sieve_segment(lo, hi, budget_bits=DEFAULT_SEGMENT_BITS):
+def sieve_segment(lo, hi):
     """Sieve the closed range [lo, hi], 2 <= lo <= hi < 2^48.
 
     flags exactly mark the primes.  The ceiling comes from the prime table,
     which holds the sieving primes up to isqrt(hi); above it the call raises
-    SegmentTooLargeError, as it does past budget_bits odd integers.
+    UnsupportedRangeError.  Past _SEGMENT_ODDS odd integers it raises
+    SegmentTooLargeError.  Both are raised before the flags are allocated.
     """
     lo, hi = int(lo), int(hi)
     if lo > hi:
@@ -106,9 +107,9 @@ def sieve_segment(lo, hi, budget_bits=DEFAULT_SEGMENT_BITS):
         raise InvalidRangeError(f"lo={lo} < 2")
     first_odd = lo if lo % 2 else lo + 1
     n_odd = max(0, (hi - first_odd) // 2 + 1)
-    if n_odd > budget_bits:
+    if n_odd > _SEGMENT_ODDS:
         raise SegmentTooLargeError(
-            f"segment holds {n_odd} odd integers, budget is {budget_bits}"
+            f"segment holds {n_odd} odd integers, the limit is {_SEGMENT_ODDS}"
         )
     p = base_primes_upto(math.isqrt(hi))[1:]  # raises at hi >= 2^48
     flags = np.ones(n_odd, dtype=bool)

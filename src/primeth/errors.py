@@ -1,10 +1,11 @@
-"""Exception hierarchy of primeth; each class's ``exit_code`` is its CLI exit code."""
+"""primeth's exceptions; each class carries its CLI ``exit_code`` and stderr ``prefix``."""
 
 
 class PrimethError(Exception):
     """Base class for all library errors."""
 
     exit_code = 3
+    prefix = "error"
 
 
 class InvalidRangeError(PrimethError):
@@ -12,13 +13,14 @@ class InvalidRangeError(PrimethError):
 
 
 class SegmentTooLargeError(PrimethError):
-    """Requested segment exceeds the configured memory budget."""
+    """A sieve segment would hold more odd integers than its size limit."""
 
     exit_code = 2
+    prefix = "budget exhausted"
 
 
 class UnsupportedRangeError(PrimethError):
-    """Input lies beyond the deterministic regime (e.g. primality above 2^64)."""
+    """Input lies beyond the supported range (primality from 2^64, counts and sieves from 2^48)."""
 
 
 class BudgetExceededError(PrimethError):
@@ -29,6 +31,7 @@ class BudgetExceededError(PrimethError):
     """
 
     exit_code = 2
+    prefix = "budget exhausted"
 
     def __init__(self, message, deepest_level=0):
         super().__init__(message)
@@ -59,3 +62,4 @@ class ThresholdViolatedError(PrimethError):
     """
 
     exit_code = 1
+    prefix = "mathematical violation"

@@ -22,12 +22,12 @@ def _ulp_factor(digits):
         return mpf(10) ** (1 - digits)
 
 
-def compare_int(value, fn, prec, max_prec=MAX_ESCALATION_PREC):
+def compare_int(value, fn, prec):
     """Sign of ``fn() - value`` for an exact integer ``value``.
 
     Returns ``(sign, evaluated)`` where sign is -1, 0 or +1.  Precision is
-    doubled (up to ``max_prec``) while the margin is below one ulp of the
-    evaluated side.
+    doubled (up to MAX_ESCALATION_PREC digits) while the margin is below one
+    ulp of the evaluated side.
     """
     digits = max(prec, 15)
     while True:
@@ -35,15 +35,10 @@ def compare_int(value, fn, prec, max_prec=MAX_ESCALATION_PREC):
             approx = fn()
             diff = approx - value
             ulp = abs(approx) * _ulp_factor(digits)
-            if abs(diff) > ulp or digits >= max_prec:
+            if abs(diff) > ulp or digits >= MAX_ESCALATION_PREC:
                 if diff > 0:
                     return 1, +approx
                 if diff < 0:
                     return -1, +approx
                 return 0, +approx
-        digits = min(digits * 2, max_prec)
-
-
-def format_hp(x, digits=15):
-    """Render an mpf in mantissa-exponent form with the given digit count."""
-    return mp.nstr(x, digits)
+        digits = min(digits * 2, MAX_ESCALATION_PREC)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import subprocess
@@ -8,13 +9,86 @@ import pytest
 
 import primeth
 from primeth import PrimethError, bounds, engine, errors
-from primeth.cli import main
+from primeth.cli import _build_parser, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_code(capsys, *argv):
+    """Exit code and stderr of one CLI call, whether it returns or exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+class TestOptions:
+    # the options each subcommand takes; every one of them is read
+    OPTIONS = {
+        "nth": {"--budget"},
+        "pi": {"--budget"},
+        "iter": {"--budget", "--cache"},
+        "diag": {"--budget", "--cache"},
+        "count": {"--budget", "--cache"},
+        "verify": {"--budget", "--cache", "--prec", "--out", "--no-timestamp",
+                   "--n-max", "--k-max"},
+        "certify": {"--prec", "--out", "--no-timestamp",
+                    "--x-min", "--x-max", "--points", "--format"},
+        "table": {"--budget", "--cache", "--prec", "--out", "--no-timestamp",
+                  "--xs", "--ns", "--residuals", "--ratios", "--n", "--k-max"},
+    }
+
+    def test_option_sets_pinned(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: {
+                option
+                for action in p._actions
+                if not isinstance(action, argparse._HelpAction)
+                for option in action.option_strings
+            }
+            for name, p in sub.choices.items()
+        }
+        assert options == self.OPTIONS
+        assert sum(map(len, options.values())) == 33
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pi", "100", "--prec", "80"],
+            ["iter", "1", "3", "--budget", "1"],
+            ["table", "--xs", "1,a"],
+            ["table", "--residuals", "--ratios"],
+            ["nth", "0"],
+            ["count", "diag", "1", "2"],
+            ["count", "tower", "5"],
+            ["frobnicate"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_request_exits_3(self, capsys, argv):
+        code, err = exit_code(capsys, *argv)
+        assert code == 3
+        assert "error: " in err
+        assert "Traceback" not in err
+
+    def test_usage_error_exits_3_from_process(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(primeth.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "primeth", "pi", "100", "--prec", "80"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines()[-1] == (
+            "primeth: error: unrecognized arguments: --prec 80"
+        )
+        assert proc.stdout == ""
 
 
 class TestScalarCommands:
@@ -123,12 +197,8 @@ class TestExitCodes:
         assert captured.out == ""
 
     def test_config_invariants(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["nth", "5", "--budget", "1"])
-        capsys.readouterr()
-        with pytest.raises(SystemExit):
-            main(["nth", "5", "--prec", "10"])
-        capsys.readouterr()
+        assert exit_code(capsys, "nth", "5", "--budget", "1")[0] == 3
+        assert exit_code(capsys, "verify", "all", "--prec", "10")[0] == 3
 
 
 class TestVerify:
@@ -227,6 +297,33 @@ class TestVerify:
             "--budget", "10000", "--no-timestamp",
         )
         assert code == 2
+
+    def test_base_above_budget_exits_2(self, capsys):
+        # p_5 = 11 exceeds the budget, so the tower over n = 5 is empty
+        code, out, err = run(
+            capsys, "verify", "ineq3", "--n-max", "5", "--k-max", "1",
+            "--budget", "10", "--no-timestamp",
+        )
+        assert code == 2
+        assert [row.split(",")[:3] for row in out.splitlines()[1:]] == [
+            ["1", "1", "2"], ["2", "1", "3"], ["3", "1", "5"], ["4", "1", "7"],
+        ]
+        assert "applicable=3 held=3 violated=0 inapplicable=1" in err
+
+    def test_violated_bound_exits_1(self, capsys, monkeypatch):
+        def violated(n, k, value, prec, suite):
+            check = bounds.BoundCheck("iter_lower", value + 1, value, True, False)
+            return bounds.BoundReport(n=n, k=k, value=value, checks=[check])
+
+        monkeypatch.setattr(bounds, "check_bounds", violated)
+        code, out, err = run(
+            capsys, "verify", "ineq3", "--n-max", "2", "--k-max", "1", "--no-timestamp",
+        )
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "1,1,2,iter_lower,3,2,yes,no", "2,1,3,iter_lower,4,3,yes,no",
+        ]
+        assert "applicable=2 held=0 violated=2 inapplicable=0" in err
 
 
 class TestCertifyCommand:

@@ -49,8 +49,16 @@ class TestSieveSegment:
             sieve_segment(1, 5)
 
     def test_budget(self):
-        with pytest.raises(SegmentTooLargeError):
-            sieve_segment(3, 1000, budget_bits=10)
+        # 2^26 + 1 odd integers, one past the segment limit; the call raises
+        # before it allocates the 64 MB of flags
+        tracemalloc.start()
+        try:
+            with pytest.raises(SegmentTooLargeError):
+                sieve_segment(3, 3 + 2**27)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_ceiling(self):
         # sieving primes come from the 2^24 table, so hi must stay below 2^48
@@ -58,15 +66,15 @@ class TestSieveSegment:
         assert list(sieve_segment(top - 58, top).primes()) == [
             m for m in range(top - 58, top + 1) if sympy.isprime(m)
         ]
-        with pytest.raises(SegmentTooLargeError):
+        with pytest.raises(UnsupportedRangeError):
             sieve_segment(2**48, 2**48 + 10)
 
-    def test_ceiling_exits_2_from_cli(self, monkeypatch, capsys):
-        # a walk that crosses the ceiling is resource exhaustion: exit 2
+    def test_ceiling_exits_3_from_cli(self, monkeypatch, capsys):
+        # a walk that crosses the ceiling is out of range, like a count above it
         monkeypatch.setattr(engine, "_r_inverse", lambda n: 2**48 - 100)
         monkeypatch.setattr(engine, "prime_count", lambda x: 0)
-        assert main(["nth", str(10**8)]) == 2
-        assert capsys.readouterr().err.startswith("budget exhausted: sieving primes")
+        assert main(["nth", str(10**8)]) == 3
+        assert capsys.readouterr().err.startswith("error: sieving primes")
 
     def test_against_trial_division(self):
         seg = sieve_segment(1000, 1500)
@@ -235,6 +243,18 @@ class TestNthPrime:
     def test_straddles_ten_billion(self):
         assert nth_prime(455052511) == 9999999967
         assert nth_prime(455052512) == 10000000019
+
+    def test_one_exit_code_either_side_of_the_ceiling(self, monkeypatch, capsys):
+        # a seed just below 2^48 makes the walk cross the ceiling; a seed at
+        # 2^48 makes the exact count refuse it; both are the same bad request
+        count = engine.prime_count
+        monkeypatch.setattr(engine, "prime_count", lambda x: 0 if x < 2**48 else count(x))
+        codes = []
+        for seed in (2**48 - 100, 2**48):
+            monkeypatch.setattr(engine, "_r_inverse", lambda n, s=seed: s)
+            codes.append(main(["nth", str(10**8)]))
+            assert "2^48" in capsys.readouterr().err
+        assert codes == [3, 3]
 
     def test_one_exact_count_per_lookup(self, monkeypatch):
         xs = []
