@@ -1,25 +1,31 @@
 """Numerical certification of the L(x) > 0.32627 floor for x >= 4200.
 
 L(x) = (x/(x+1))^(x+1) * (log x / log(x+1))^(x+1).  The verification is
-sampled, not interval-certified: every grid point is evaluated at high
-precision, the closed-form floor constant from the monotonicity argument
-is reproduced, and the auxiliary functions f, g, h are spot-checked for
-monotonicity on adjacent grid points.
+sampled, not interval-certified: L is evaluated at the fixed points
+CERT_POINTS in [4200, 10^6], and ``compare_int`` decides each verdict against
+the exact threshold.  The closed-form floor constant from the monotonicity
+argument is reproduced, and the auxiliary functions f, g, h are spot-checked
+for monotonicity on adjacent points.
 
 h(x) = log(x+1) / (log(x+1) - log x) loses about log10(x) digits to
 cancellation, so its denominator is computed with boosted precision.
 """
 
-import csv
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
 from .errors import DomainError, ThresholdViolatedError
+from .hpreal import compare_int
 
-THRESHOLD = mpf("0.32627")
+THRESHOLD = (32627, 10**5)  # the floor 0.32627, exactly, as numerator and denominator
 HYPOTHESIS_X_MIN = 4200
 CERT_PREC = 60
+# 12 points spaced geometrically from 4200 to 10^6, and 4201
+CERT_POINTS = (
+    4200, 4201, 6907, 11360, 18683, 30727, 50535,
+    83111, 136687, 224799, 369712, 608039, 1000000,
+)
 
 
 def eval_L(x, prec=CERT_PREC):
@@ -82,104 +88,58 @@ def closed_form_floor(prec=CERT_PREC):
 
 
 @dataclass
-class CertGrid:
-    """Sample points for the certification run."""
-
-    points: list
-    prec: int = CERT_PREC
-
-    @classmethod
-    def default(cls, x_min=HYPOTHESIS_X_MIN, x_max=10**6, count=12, prec=CERT_PREC):
-        """Geometric spacing from x_min up, plus both hypothesis-boundary points."""
-        pts = set()
-        if x_min <= HYPOTHESIS_X_MIN <= x_max:
-            pts.add(HYPOTHESIS_X_MIN)
-            if HYPOTHESIS_X_MIN + 1 <= x_max:
-                pts.add(HYPOTHESIS_X_MIN + 1)
-        ratio = (x_max / x_min) ** (1 / max(1, count - 1))
-        v = float(x_min)
-        for _ in range(count):
-            pts.add(int(round(v)))
-            v *= ratio
-        pts.add(x_max)
-        return cls(points=sorted(pts), prec=prec)
-
-
-@dataclass
 class CertReport:
-    rows: list  # (x, L, margin, passed)
+    rows: list  # (x, L, margin), each with L(x) > THRESHOLD
     floor_constant: object
     f_increasing: bool
     g_increasing: bool
     h_increasing: bool
     g_of_h_4200: object
-    exp_threshold_ok: bool  # e^(e/0.32627) <= 4200
+    exp_threshold_ok: bool  # e^(e/THRESHOLD) <= 4200
     prec: int
-
-    @property
-    def all_pass(self):
-        return all(passed for _, _, _, passed in self.rows)
-
-    def to_csv(self, fh, digits=None):
-        digits = digits or min(self.prec, 20)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "L", "margin", "pass"])
-        for x, lval, margin, passed in self.rows:
-            writer.writerow(
-                [
-                    mp.nstr(mpf(x), digits),
-                    mp.nstr(lval, digits),
-                    mp.nstr(margin, digits),
-                    "yes" if passed else "no",
-                ]
-            )
 
     def to_text(self):
         digits = min(self.prec, 20)
-        lines = []
-        lines.append(f"threshold: L(x) > {THRESHOLD} for x >= {HYPOTHESIS_X_MIN}")
-        lines.append(
-            "closed-form floor constant: " + mp.nstr(self.floor_constant, digits)
-        )
-        lines.append(f"f monotone increasing on grid: {'yes' if self.f_increasing else 'no'}")
-        lines.append(f"g monotone increasing on grid: {'yes' if self.g_increasing else 'no'}")
-        lines.append(f"h monotone increasing on grid: {'yes' if self.h_increasing else 'no'}")
-        lines.append(
-            "g(h(4200)) = " + mp.nstr(self.g_of_h_4200, digits) + " (must lie in (0,1))"
-        )
-        lines.append(
-            "e^(e/threshold) <= 4200: " + ("yes" if self.exp_threshold_ok else "no")
-        )
-        for x, lval, margin, passed in self.rows:
+        yes = {True: "yes", False: "no"}
+        lines = [
+            f"threshold: L(x) > {THRESHOLD[0] / THRESHOLD[1]} for x >= {HYPOTHESIS_X_MIN}",
+            "closed-form floor constant: " + mp.nstr(self.floor_constant, digits),
+            f"f monotone increasing on grid: {yes[self.f_increasing]}",
+            f"g monotone increasing on grid: {yes[self.g_increasing]}",
+            f"h monotone increasing on grid: {yes[self.h_increasing]}",
+            f"g(h(4200)) = {mp.nstr(self.g_of_h_4200, digits)} (must lie in (0,1))",
+            f"e^(e/threshold) <= 4200: {yes[self.exp_threshold_ok]}",
+        ]
+        for x, lval, margin in self.rows:
             lines.append(
                 f"x={mp.nstr(mpf(x), 12):>16}  L={mp.nstr(lval, digits)}  "
-                f"margin={mp.nstr(margin, digits)}  {'pass' if passed else 'FAIL'}"
+                f"margin={mp.nstr(margin, digits)}  pass"
             )
-        lines.append("verdict: " + ("pass" if self.all_pass else "FAIL"))
+        lines.append("verdict: pass")
         return "\n".join(lines)
 
 
-def certify_threshold(grid):
-    """Evaluate L over the grid and corroborate the floor's supporting facts.
+def certify_threshold(prec=CERT_PREC):
+    """Evaluate L at CERT_POINTS and corroborate the floor's supporting facts.
 
-    A violation at a point inside the hypothesis (x >= 4200) contradicts a
-    proved inequality and raises; points below 4200 merely report.
+    Every point lies inside the hypothesis (x >= 4200), so a point at or
+    below the threshold contradicts a proved inequality and raises.
     """
-    prec = grid.prec
+    num, den = THRESHOLD
     rows = []
-    for x in grid.points:
-        lval = eval_L(x, prec)
+    for x in CERT_POINTS:
+        # sign of den L(x) - num, that is of L(x) - THRESHOLD
+        sign, scaled = compare_int(num, lambda: den * eval_L(x, mp.dps), prec)
         with mp.workdps(prec):
-            margin = +(lval - THRESHOLD)
-        passed = margin > 0
-        if not passed and x >= HYPOTHESIS_X_MIN:
-            raise ThresholdViolatedError(
-                f"L({x}) = {mp.nstr(lval, 20)} <= {THRESHOLD}: "
-                "contradicts the proved floor; build-stopping defect"
-            )
-        rows.append((x, lval, margin, passed))
+            lval = scaled / den
+            if sign <= 0:
+                raise ThresholdViolatedError(
+                    f"L({x}) = {mp.nstr(lval, 20)} <= {num / den}: "
+                    "contradicts the proved floor; build-stopping defect"
+                )
+            rows.append((x, lval, (scaled - num) / den))
 
-    f_vals = [eval_f(x, prec) for x in grid.points]
+    f_vals = [eval_f(x, prec) for x in CERT_POINTS]
     f_increasing = all(a < b for a, b in zip(f_vals, f_vals[1:]))
 
     # g and h checked on their own logarithmic grids above their domains
@@ -191,8 +151,8 @@ def certify_threshold(grid):
 
     g_of_h = eval_g(eval_h(HYPOTHESIS_X_MIN, prec), prec)
 
-    with mp.workdps(prec):
-        exp_threshold_ok = mp.exp(mp.e / THRESHOLD) <= HYPOTHESIS_X_MIN
+    # e^(e/THRESHOLD) = e^(e den/num)
+    exp_sign, _ = compare_int(HYPOTHESIS_X_MIN, lambda: mp.exp(mp.e * den / num), prec)
 
     return CertReport(
         rows=rows,
@@ -201,6 +161,6 @@ def certify_threshold(grid):
         g_increasing=g_increasing,
         h_increasing=h_increasing,
         g_of_h_4200=g_of_h,
-        exp_threshold_ok=exp_threshold_ok,
+        exp_threshold_ok=exp_sign <= 0,
         prec=prec,
     )

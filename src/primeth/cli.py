@@ -8,6 +8,7 @@ usage or out-of-domain arguments.
 import argparse
 import contextlib
 import csv
+import io
 import sys
 from datetime import datetime, timezone
 
@@ -91,10 +92,6 @@ def _build_parser():
 
     p = sub.add_parser("certify", parents=[report],
                        help="high-precision floor certification for L(x)")
-    p.add_argument("--x-min", type=int, default=certify.HYPOTHESIS_X_MIN)
-    p.add_argument("--x-max", type=int, default=10**6)
-    p.add_argument("--points", type=int, default=12)
-    p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("table", parents=[budget, cache, report],
@@ -128,6 +125,13 @@ def _stamp(fh, args):
         fh.write(f"# generated: {now}\n")
 
 
+def _truncated(depth, k, budget):
+    """Note on stderr that the budget stopped a run after level ``depth`` of ``k``."""
+    print(f"truncated at level {depth} of {k}: next value exceeds budget {budget}",
+          file=sys.stderr)
+    return EXIT_BUDGET
+
+
 def _cmd_nth(args, cache):
     print(engine.nth_prime(args.n))
     return EXIT_OK
@@ -143,12 +147,7 @@ def _cmd_iter(args, cache):
     for v in tower.values:
         print(v)
     if tower.truncated:
-        print(
-            f"truncated at level {tower.depth} of {args.k}: "
-            f"next value exceeds budget {args.budget}",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
+        return _truncated(tower.depth, args.k, args.budget)
     return EXIT_OK
 
 
@@ -203,48 +202,46 @@ def _cmd_verify(args, cache):
 
 
 def _cmd_certify(args, cache):
-    grid = certify.CertGrid.default(
-        x_min=args.x_min, x_max=args.x_max, count=args.points,
-        prec=max(args.prec, certify.CERT_PREC),
-    )
-    report = certify.certify_threshold(grid)
+    report = certify.certify_threshold(max(args.prec, certify.CERT_PREC))
     with _open_out(args) as fh:
-        if args.format == "csv":
-            _stamp(fh, args)
-            report.to_csv(fh)
-        else:
-            fh.write(report.to_text() + "\n")
-    # failures below x = 4200 are outside the hypothesis, not defects
+        _stamp(fh, args)
+        fh.write(report.to_text() + "\n")
     return EXIT_OK
 
 
 def _cmd_table(args, cache):
+    digits = min(args.prec, 20)
+    buf = io.StringIO()  # filled before --out is opened, so a bad request leaves it
+    writer = csv.writer(buf, lineterminator="\n")
+    depth = None  # the last level written, when the budget cut the table short
+    if args.residuals:
+        writer.writerow(["k", "value", "residual"])
+        for k in range(3, args.k_max + 1):
+            try:
+                entry = iterated.diag_prime(k, budget=args.budget, cache=cache)
+            except BudgetExceededError:
+                depth = k - 1
+                break
+            res = bounds.theorem4_residual(k, k, entry.value, prec=args.prec)
+            writer.writerow([k, entry.value, mp.nstr(res, digits)])
+    elif args.ratios:
+        writer.writerow(["k", "numerator", "denominator", "ratio"])
+        rows = iterated.ratio_to_diagonal(
+            args.n, args.k_max, budget=args.budget, prec=args.prec, cache=cache
+        )
+        for k, numerator, denominator, ratio in rows:
+            writer.writerow([k, numerator, denominator, mp.nstr(ratio, digits)])
+        if len(rows) < args.k_max:
+            depth = len(rows)
+    else:
+        records = counting.ratio_series(
+            args.xs, args.ns, budget=args.budget, prec=args.prec, cache=cache
+        )
+        counting.write_count_csv(records, buf, digits=digits)
     with _open_out(args) as fh:
         _stamp(fh, args)
-        digits = min(args.prec, 20)
-        writer = csv.writer(fh, lineterminator="\n")
-        if args.residuals:
-            writer.writerow(["k", "value", "residual"])
-            for k in range(3, args.k_max + 1):
-                try:
-                    entry = iterated.diag_prime(k, budget=args.budget, cache=cache)
-                except BudgetExceededError:
-                    break
-                res = bounds.theorem4_residual(k, k, entry.value, prec=args.prec)
-                writer.writerow([k, entry.value, mp.nstr(res, digits)])
-        elif args.ratios:
-            writer.writerow(["k", "numerator", "denominator", "ratio"])
-            rows = iterated.ratio_to_diagonal(
-                args.n, args.k_max, budget=args.budget, prec=args.prec, cache=cache
-            )
-            for k, numerator, denominator, ratio in rows:
-                writer.writerow([k, numerator, denominator, mp.nstr(ratio, digits)])
-        else:
-            records = counting.ratio_series(
-                args.xs, args.ns, budget=args.budget, prec=args.prec, cache=cache
-            )
-            counting.write_count_csv(records, fh, digits=digits)
-    return EXIT_OK
+        fh.write(buf.getvalue())
+    return EXIT_OK if depth is None else _truncated(depth, args.k_max, args.budget)
 
 
 def main(argv=None):

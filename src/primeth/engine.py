@@ -159,23 +159,21 @@ def is_prime(n):
 def prime_count(x):
     """Exact number of primes <= x, for 0 <= x < 2^48, by Meissel's split.
 
-    The ceiling keeps isqrt(x) inside the prime table; above it the call
-    raises UnsupportedRangeError before it allocates anything.
+    The ceiling keeps isqrt(x) inside the prime table; above it
+    base_primes_upto raises UnsupportedRangeError before anything is allocated.
     """
     x = int(x)
     if x < 0:
         raise InvalidRangeError("prime_count requires x >= 0")
-    if x >= _TABLE_LIMIT * _TABLE_LIMIT:
-        raise UnsupportedRangeError("prime_count limited to x < 2^48")
     if x < 2:
         return 0
     v = math.isqrt(x)
+    primes = base_primes_upto(v)  # raises at x >= 2^48
     # after sieving by the primes below p, smalls[m] (m <= v) and larges[i]
     # count the integers in [2, m] and [2, x // (i+1)] that none divides
     hi = x // np.arange(1, v + 1, dtype=np.int64)  # hi[i] = x // (i+1)
     smalls = np.arange(-1, v, dtype=np.int64)
     larges = hi - 1
-    primes = base_primes_upto(v)
     a = int(np.searchsorted(primes, _icbrt(x), side="right"))  # p^3 <= x
     for sp, p in enumerate(primes[:a].tolist()):  # sp primes below p
         # the count for x // (p*(i+1)) is larges[p*(i+1) - 1] while

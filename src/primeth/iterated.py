@@ -35,8 +35,9 @@ class TowerCache:
     File format: one record per line, ``T <n> <level> <value>`` with
     decimal integers.  The file is loaded fully at construction and
     appended on every store.  Malformed lines, non-prime values, levels of a
-    base that do not rise from n on, and records or stores that contradict a
-    stored value are hard errors.  Each record goes out in one ``write`` to
+    base that do not rise from n on, values that are not the tabled prime
+    their index names, and records or stores that contradict a stored value
+    are hard errors.  Each record goes out in one ``write`` to
     an ``O_APPEND`` descriptor, opened on the first store and released by
     ``close``, so writers sharing the file never split each other's lines.
     """
@@ -72,13 +73,19 @@ class TowerCache:
         self._check_levels(path)
 
     def _check_levels(self, path):
-        """Each value is prime, and the levels of each base n rise from n on."""
+        """Each value is prime, and the levels of each base n rise from n on.
+
+        A record's index is n at level 1 and the stored value of the level
+        below otherwise; where that index is known and tabled, the value
+        must be the tabled prime.
+        """
         # values below the table's limit are looked up in it in one numpy pass
         table = base_primes_upto(_TABLE_LIMIT - 1)
         small = np.array([v for v in self._store.values() if v < _TABLE_LIMIT], np.int64)
         found = table[np.searchsorted(table, small, side="right") - 1] == small
         composite = set(small[~found].tolist())
         below = {}  # base n -> the value of its highest level so far
+        indexed = []  # (n, level, index) of the records whose index is tabled
         for n, level in sorted(self._store):
             value, floor = self._store[n, level], below.get(n, n)
             if value in composite or (value >= _TABLE_LIMIT and not is_prime(value)):
@@ -86,6 +93,15 @@ class TowerCache:
             if value <= floor:
                 raise CacheFormatError(f"{path}: p_{n}^({level}) = {value} is not above {floor}")
             below[n] = value
+            idx = n if level == 1 else self._store.get((n, level - 1), 0)
+            if 0 < idx <= len(table):
+                indexed.append((n, level, idx))
+        tabled = table[np.array([idx for _, _, idx in indexed], np.int64) - 1].tolist()
+        for (n, level, idx), p in zip(indexed, tabled):
+            if self._store[n, level] != p:
+                raise CacheFormatError(
+                    f"{path}: p_{n}^({level}) = {self._store[n, level]} is not p_{idx} = {p}"
+                )
 
     def get(self, n, level):
         return self._store.get((n, level))

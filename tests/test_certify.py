@@ -1,11 +1,9 @@
-import io
 import math
 
 import pytest
 from mpmath import mp, mpf
 
 from primeth import (
-    CertGrid,
     DomainError,
     ThresholdViolatedError,
     certify_threshold,
@@ -106,38 +104,43 @@ class TestClosedFormFloor:
 
 class TestCertifyThreshold:
     def test_default_grid_passes(self):
-        report = certify_threshold(CertGrid.default())
-        assert report.all_pass
+        report = certify_threshold()
         assert report.f_increasing
         assert report.g_increasing
         assert report.h_increasing
         assert 0 < report.g_of_h_4200 < 1
         assert report.exp_threshold_ok  # e^(e/0.32627) <= 4200
-        assert {4200, 4201} <= {x for x, *_ in report.rows}
-
-    def test_out_of_hypothesis_points_report_without_raising(self):
-        grid = CertGrid.default(x_min=2, x_max=10, count=5)
-        report = certify_threshold(grid)
-        assert not report.all_pass
-        assert all(x < 4200 for x, *_ in report.rows)
+        assert [x for x, *_ in report.rows] == list(certify_mod.CERT_POINTS)
+        assert {4200, 4201, 10**6} <= set(certify_mod.CERT_POINTS)
+        assert min(certify_mod.CERT_POINTS) >= certify_mod.HYPOTHESIS_X_MIN
+        assert all(margin > 0 for _, _, margin in report.rows)
 
     def test_in_hypothesis_violation_is_build_stopping(self, monkeypatch):
-        monkeypatch.setattr(certify_mod, "THRESHOLD", mpf("0.5"))
+        monkeypatch.setattr(certify_mod, "THRESHOLD", (1, 2))
         with pytest.raises(ThresholdViolatedError):
-            certify_threshold(CertGrid.default(x_max=5000, count=3))
+            certify_threshold()
 
-    def test_csv_and_text_forms(self):
-        report = certify_threshold(CertGrid.default(x_max=10**4, count=4))
-        buf = io.StringIO()
-        report.to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "x,L,margin,pass"
-        assert all(line.endswith(",yes") for line in lines[1:])
-        text = report.to_text()
-        assert "verdict: pass" in text
+    def test_verdict_decided_below_working_precision(self, monkeypatch):
+        # L(4200) = 0.32628147205393321740026...; thresholds 3e-23 either
+        # side of it are decided exactly right at 20 digits
+        monkeypatch.setattr(certify_mod, "THRESHOLD", (3262814720539332174002, 10**22))
+        assert certify_threshold(prec=20).rows[0][0] == 4200
+        monkeypatch.setattr(certify_mod, "THRESHOLD", (3262814720539332174003, 10**22))
+        with pytest.raises(ThresholdViolatedError, match=r"L\(4200\)"):
+            certify_threshold(prec=20)
+
+    def test_text_form(self):
+        text = certify_threshold().to_text()
+        lines = text.splitlines()
+        assert lines[0] == "threshold: L(x) > 0.32627 for x >= 4200"
         assert "0.3262768" in text
+        assert lines[-1] == "verdict: pass"
+        rows = [line for line in lines if line.startswith("x=")]
+        assert len(rows) == len(certify_mod.CERT_POINTS)
+        assert all(line.endswith("  pass") for line in rows)
 
     def test_verdict_is_precision_invariant(self):
-        lo = certify_threshold(CertGrid.default(x_max=10**4, count=4, prec=30))
-        hi = certify_threshold(CertGrid.default(x_max=10**4, count=4, prec=100))
-        assert lo.all_pass and hi.all_pass
+        lo = certify_threshold(prec=30)
+        hi = certify_threshold(prec=100)
+        assert [x for x, *_ in lo.rows] == [x for x, *_ in hi.rows]
+        assert lo.exp_threshold_ok and hi.exp_threshold_ok

@@ -1,15 +1,19 @@
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import primeth
-from primeth import PrimethError, bounds, engine, errors
+from primeth import PrimethError, bounds, certify, engine, errors
 from primeth.cli import _build_parser, main
+
+from oracle import L_by_decimal
 
 
 def run(capsys, *argv):
@@ -37,8 +41,7 @@ class TestOptions:
         "count": {"--budget", "--cache"},
         "verify": {"--budget", "--cache", "--prec", "--out", "--no-timestamp",
                    "--n-max", "--k-max"},
-        "certify": {"--prec", "--out", "--no-timestamp",
-                    "--x-min", "--x-max", "--points", "--format"},
+        "certify": {"--prec", "--out", "--no-timestamp"},
         "table": {"--budget", "--cache", "--prec", "--out", "--no-timestamp",
                   "--xs", "--ns", "--residuals", "--ratios", "--n", "--k-max"},
     }
@@ -56,7 +59,7 @@ class TestOptions:
             for name, p in sub.choices.items()
         }
         assert options == self.OPTIONS
-        assert sum(map(len, options.values())) == 33
+        assert sum(map(len, options.values())) == 29
 
     @pytest.mark.parametrize(
         "argv",
@@ -68,6 +71,9 @@ class TestOptions:
             ["nth", "0"],
             ["count", "diag", "1", "2"],
             ["count", "tower", "5"],
+            ["certify", "--x-min", "0"],
+            ["certify", "--points", "4"],
+            ["certify", "--format", "csv"],
             ["frobnicate"],
         ],
         ids=" ".join,
@@ -164,6 +170,25 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [f"error: {bad}: p_1^(1) = 4 is not prime"]
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "records, argv, message",
+        [
+            # trusted, these printed 3 5 11 31 and 11 37 157
+            ("T 1 1 3\n", ["iter", "1", "4"], "p_1^(1) = 3 is not p_1 = 2"),
+            ("T 5 1 11\nT 5 2 37\n", ["iter", "5", "3"], "p_5^(2) = 37 is not p_11 = 31"),
+        ],
+        ids=["level_1", "level_2"],
+    )
+    def test_cache_value_not_its_indexed_prime_exits_3(
+        self, capsys, tmp_path, records, argv, message
+    ):
+        path = tmp_path / "towers.txt"
+        path.write_text(records)
+        code, out, err = run(capsys, *argv, "--cache", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
 
     # exit codes and stderr prefixes as the README's exit-code contract states
     DOCUMENTED = {
@@ -328,37 +353,51 @@ class TestVerify:
 
 class TestCertifyCommand:
     def test_default_pass(self, capsys):
-        code, out, _ = run(
-            capsys, "certify", "--x-max", "100000", "--points", "5",
-            "--no-timestamp",
-        )
+        code, out, _ = run(capsys, "certify", "--no-timestamp")
         assert code == 0
         assert "verdict: pass" in out
         assert "0.3262768" in out
 
     def test_more_digits_same_verdict(self, capsys):
-        code, out, _ = run(
-            capsys, "certify", "--x-max", "100000", "--points", "5",
-            "--prec", "100", "--no-timestamp",
-        )
+        code, out, _ = run(capsys, "certify", "--prec", "100", "--no-timestamp")
         assert code == 0
         assert "verdict: pass" in out
 
-    def test_csv_form(self, capsys):
-        code, out, _ = run(
-            capsys, "certify", "--x-max", "10000", "--points", "4",
-            "--format", "csv", "--no-timestamp",
+    def test_report_pinned_but_margins(self, capsys, tmp_path):
+        # SHA-256 of the report with its margins blanked, recorded at 73fb60b,
+        # before the margins were taken from the exact threshold
+        path = tmp_path / "report.txt"
+        code, out, _ = run(capsys, "certify", "--no-timestamp", "--out", str(path))
+        assert code == 0 and out == ""
+        blanked = re.sub(r"margin=\S+", "margin=", path.read_text())
+        assert hashlib.sha256(blanked.encode()).hexdigest() == (
+            "16a1abe1acd88487e03eda52d47e5a417019e8ffc80ffd486376abf74f721fd7"
         )
-        assert code == 0
-        assert out.splitlines()[0] == "x,L,margin,pass"
 
-    def test_out_of_hypothesis_region(self, capsys):
-        code, out, _ = run(
-            capsys, "certify", "--x-min", "2", "--x-max", "10", "--points", "4",
-            "--no-timestamp",
-        )
-        assert code == 0  # not a defect: the floor's hypothesis excludes x < 4200
-        assert "FAIL" in out
+    def test_margins_match_decimal_oracle(self, capsys):
+        # every printed digit of L and of L - 0.32627, against stdlib decimal
+        code, out, _ = run(capsys, "certify", "--no-timestamp")
+        assert code == 0
+        rows = re.findall(r"x=\s*(\S+)\s+L=(\S+)\s+margin=(\S+)\s+pass", out)
+        assert len(rows) == 13
+        for x, lval, margin in rows:
+            exact_l = L_by_decimal(int(float(x)), 50)
+            for printed, exact in ((lval, exact_l), (margin, exact_l - Decimal("0.32627"))):
+                printed = Decimal(printed)
+                # half a unit in the 20th significant digit
+                half_ulp = Decimal(5).scaleb(exact.adjusted() - 20)
+                assert abs(printed - exact) <= half_ulp, (x, printed, exact)
+
+    def test_timestamp_toggle(self, capsys):
+        _, out, _ = run(capsys, "certify")
+        assert out.splitlines()[0].startswith("# generated:")
+
+    def test_raised_threshold_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(certify, "THRESHOLD", (1, 2))
+        code, out, err = run(capsys, "certify", "--no-timestamp")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("mathematical violation: L(4200) = 0.3262814720539332174 <= 0.5")
 
 
 class TestTable:
@@ -402,6 +441,28 @@ class TestTable:
     def test_timestamp_toggle(self, capsys):
         _, out, _ = run(capsys, "table", "--xs", "100", "--ns", "1")
         assert out.splitlines()[0].startswith("# generated:")
+
+    @pytest.mark.parametrize(
+        "argv, rows, note",
+        [
+            (["--residuals", "--k-max", "7"], 4, "truncated at level 6 of 7"),
+            (["--ratios", "--n", "3", "--k-max", "11"], 6, "truncated at level 6 of 11"),
+        ],
+        ids=["residuals", "ratios"],
+    )
+    def test_budget_cut_exits_2(self, capsys, argv, rows, note):
+        # p_6^(6) = 87803 fits the budget and p_7^(7) = 2269733 does not
+        code, out, err = run(capsys, "table", *argv, "--budget", "100000", "--no-timestamp")
+        assert code == 2
+        assert len(out.splitlines()) == 1 + rows
+        assert err == f"{note}: next value exceeds budget 100000\n"
+
+    def test_bad_request_leaves_out_file(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"kept\n")
+        code, err = exit_code(capsys, "table", "--ratios", "--n", "0", "--out", str(path))
+        assert code == 3 and err.startswith("error: ")
+        assert path.read_bytes() == b"kept\n"
 
 
 class TestDeterminismAndCache:

@@ -199,6 +199,7 @@ class TestTowerCache:
             (["T 5 1 11", "T 5 3 11"], "is not above 11"),
             (["T 13 1 13"], "is not above 13"),
             (["T 2 1 3", "T 2 1 5"], "contradicts a record"),
+            (["T 1 2 3", "T 1 3 7"], "is not p_3 = 5"),  # level 1 absent
         ],
     )
     def test_records_that_are_no_tower_are_hard_errors(self, tmp_path, lines, reason):
@@ -213,6 +214,12 @@ class TestTowerCache:
         path.write_text("T 3 1 5\nT 1 1 2\nT 3 3 31\nT 3 1 5\nT 1 2 3\nT 2 1 3\n")
         cache = TowerCache(str(path))
         assert len(cache) == 5 and cache.get(3, 3) == 31
+
+    def test_indices_past_the_table_keep_the_prime_and_order_checks(self, tmp_path):
+        # p_2000000 = 32452843; past the table, the next prime is not refused
+        path = tmp_path / "towers.txt"
+        path.write_text("T 2000000 1 32452867\n")
+        assert TowerCache(str(path)).get(2000000, 1) == 32452867
 
     def test_store_that_contradicts_a_record(self, tmp_path):
         cache = TowerCache()
@@ -235,25 +242,22 @@ class TestTowerCache:
 
     def test_two_writers_alternating_keep_whole_lines(self, tmp_path):
         # both objects hold an append descriptor on the same file; a
-        # buffered writer would reorder or split records here.  The values
-        # are primes that rise with the level, so the file reloads.
-        primes = sieve_primes(1_010_000)
-        chosen = primes[primes > 10**6][:600].tolist()
-        values = iter(chosen)
+        # buffered writer would reorder or split records here.  The records
+        # are genuine, (n, 1, p_n), so the file reloads.
+        primes = sieve_primes(10_000).tolist()
         path = tmp_path / "towers.txt"
         first, second = TowerCache(str(path)), TowerCache(str(path))
         expected = []
-        for level in range(1, 301):
-            for n, cache in ((1, first), (2, second)):
-                value = next(values)
-                cache.put(n, level, value)
-                expected.append(f"T {n} {level} {value}")
+        for n in range(1, 601):
+            cache = first if n % 2 else second
+            cache.put(n, 1, primes[n - 1])
+            expected.append(f"T {n} 1 {primes[n - 1]}")
         first.close()
         second.close()
         assert path.read_text().splitlines() == expected
         reloaded = TowerCache(str(path))
         assert len(reloaded) == 600
-        assert reloaded.get(2, 300) == chosen[-1]
+        assert reloaded.get(600, 1) == primes[599]
 
     def test_store_after_close_reopens(self, tmp_path):
         path = tmp_path / "towers.txt"
