@@ -4,8 +4,9 @@ L(x) = (x/(x+1))^(x+1) * (log x / log(x+1))^(x+1).  The verification is
 sampled, not interval-certified: L is evaluated at the fixed points
 CERT_POINTS in [4200, 10^6], and ``compare_int`` decides each verdict against
 the exact threshold.  The closed-form floor constant from the monotonicity
-argument is reproduced, and the auxiliary functions f, g, h are spot-checked
-for monotonicity on adjacent points.
+argument is reproduced and decided against the threshold the same way, and
+the auxiliary functions f, g, h are spot-checked for monotonicity on
+adjacent points.
 
 h(x) = log(x+1) / (log(x+1) - log x) loses about log10(x) digits to
 cancellation, so its denominator is computed with boosted precision.
@@ -91,12 +92,25 @@ def closed_form_floor(prec=CERT_PREC):
 class CertReport:
     rows: list  # (x, L, margin), each with L(x) > THRESHOLD
     floor_constant: object
+    floor_above_threshold: bool  # decided by compare_int
     f_increasing: bool
     g_increasing: bool
     h_increasing: bool
     g_of_h_4200: object
     exp_threshold_ok: bool  # e^(e/THRESHOLD) <= 4200
     prec: int
+
+    def failed_facts(self):
+        """The supporting facts of the floor argument that fail, by name."""
+        facts = {
+            "closed-form floor constant > threshold": self.floor_above_threshold,
+            "f monotone increasing on grid": self.f_increasing,
+            "g monotone increasing on grid": self.g_increasing,
+            "h monotone increasing on grid": self.h_increasing,
+            "g(h(4200)) in (0,1)": 0 < self.g_of_h_4200 < 1,
+            "e^(e/threshold) <= 4200": self.exp_threshold_ok,
+        }
+        return [fact for fact, holds in facts.items() if not holds]
 
     def to_text(self):
         digits = min(self.prec, 20)
@@ -115,15 +129,17 @@ class CertReport:
                 f"x={mp.nstr(mpf(x), 12):>16}  L={mp.nstr(lval, digits)}  "
                 f"margin={mp.nstr(margin, digits)}  pass"
             )
-        lines.append("verdict: pass")
+        failed = self.failed_facts()
+        lines.append("verdict: " + (f"fail ({'; '.join(failed)})" if failed else "pass"))
         return "\n".join(lines)
 
 
 def certify_threshold(prec=CERT_PREC):
-    """Evaluate L at CERT_POINTS and corroborate the floor's supporting facts.
+    """Evaluate L at CERT_POINTS and check the floor's supporting facts.
 
     Every point lies inside the hypothesis (x >= 4200), so a point at or
-    below the threshold contradicts a proved inequality and raises.
+    below the threshold contradicts a proved inequality and raises; a
+    supporting fact that fails is recorded (``CertReport.failed_facts``).
     """
     num, den = THRESHOLD
     rows = []
@@ -153,10 +169,12 @@ def certify_threshold(prec=CERT_PREC):
 
     # e^(e/THRESHOLD) = e^(e den/num)
     exp_sign, _ = compare_int(HYPOTHESIS_X_MIN, lambda: mp.exp(mp.e * den / num), prec)
+    floor_sign, _ = compare_int(num, lambda: den * closed_form_floor(mp.dps), prec)
 
     return CertReport(
         rows=rows,
         floor_constant=closed_form_floor(prec),
+        floor_above_threshold=floor_sign > 0,
         f_increasing=f_increasing,
         g_increasing=g_increasing,
         h_increasing=h_increasing,

@@ -8,14 +8,13 @@ usage or out-of-domain arguments.
 import argparse
 import contextlib
 import csv
-import io
 import sys
 from datetime import datetime, timezone
 
-from mpmath import mp
+from mpmath import mp, mpf
 
 from . import bounds, certify, counting, engine, iterated
-from .errors import BudgetExceededError, DomainError, PrimethError
+from .errors import BudgetExceededError, DomainError, PrimethError, ThresholdViolatedError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -24,7 +23,10 @@ EXIT_USAGE = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors exit 3, not argparse's 2."""
+    """An ArgumentParser that takes only flags spelled in full; usage errors exit 3, not 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -32,9 +34,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text):
-    """argparse type of --xs and --ns: comma-separated integers."""
+    """argparse type of table's inputs: comma-separated integers, none empty."""
     try:
-        return [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
@@ -95,16 +97,10 @@ def _build_parser():
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("table", parents=[budget, cache, report],
-                       help="count records, residuals, or diagonal ratios as CSV")
-    p.add_argument("--xs", type=_int_list, default=[], help="comma-separated x values")
-    p.add_argument("--ns", type=_int_list, default=[], help="comma-separated tower bases")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--residuals", action="store_true",
-                      help="diagonal growth residuals for k = 3..k-max")
-    mode.add_argument("--ratios", action="store_true",
-                      help="ratios p_n^(k)/p_k^(k) for k = 1..k-max")
-    p.add_argument("--n", type=int, default=1, help="base index for --ratios")
-    p.add_argument("--k-max", type=int, default=7)
+                       help="count, residual or ratio rows as CSV")
+    p.add_argument("kind", choices=["counts", "residuals", "ratios"])
+    p.add_argument("args", type=_int_list, nargs="+",
+                   help="counts: XS [NS]; residuals: K; ratios: N K (XS, NS comma-separated)")
     p.set_defaults(func=_cmd_table)
 
     return parser
@@ -203,6 +199,8 @@ def _cmd_verify(args, cache):
 
 def _cmd_certify(args, cache):
     report = certify.certify_threshold(max(args.prec, certify.CERT_PREC))
+    if failed := report.failed_facts():
+        raise ThresholdViolatedError("supporting fact of the floor fails: " + "; ".join(failed))
     with _open_out(args) as fh:
         _stamp(fh, args)
         fh.write(report.to_text() + "\n")
@@ -210,38 +208,45 @@ def _cmd_certify(args, cache):
 
 
 def _cmd_table(args, cache):
-    digits = min(args.prec, 20)
-    buf = io.StringIO()  # filled before --out is opened, so a bad request leaves it
-    writer = csv.writer(buf, lineterminator="\n")
+    try:  # XS and NS are lists, N and K single integers
+        if args.kind == "counts":
+            xs, ns = args.args if len(args.args) > 1 else (*args.args, [])
+        elif args.kind == "residuals":
+            [[k_max]] = args.args
+        else:
+            [n], [k_max] = args.args
+    except ValueError:
+        form = {"counts": "XS [NS]", "residuals": "K", "ratios": "N K"}[args.kind]
+        raise DomainError(f"table {args.kind} takes {form}") from None
     depth = None  # the last level written, when the budget cut the table short
-    if args.residuals:
-        writer.writerow(["k", "value", "residual"])
-        for k in range(3, args.k_max + 1):
+    if args.kind == "counts":
+        header = ["x", "diag_count", "tower_n", "tower_count", "comparator"]
+        rows = counting.ratio_series(xs, ns, budget=args.budget, prec=args.prec, cache=cache)
+    elif args.kind == "residuals":
+        header = ["k", "value", "residual"]
+        rows = []
+        for k in range(3, k_max + 1):
             try:
                 entry = iterated.diag_prime(k, budget=args.budget, cache=cache)
             except BudgetExceededError:
                 depth = k - 1
                 break
-            res = bounds.theorem4_residual(k, k, entry.value, prec=args.prec)
-            writer.writerow([k, entry.value, mp.nstr(res, digits)])
-    elif args.ratios:
-        writer.writerow(["k", "numerator", "denominator", "ratio"])
-        rows = iterated.ratio_to_diagonal(
-            args.n, args.k_max, budget=args.budget, prec=args.prec, cache=cache
-        )
-        for k, numerator, denominator, ratio in rows:
-            writer.writerow([k, numerator, denominator, mp.nstr(ratio, digits)])
-        if len(rows) < args.k_max:
-            depth = len(rows)
+            rows.append((k, entry.value, bounds.theorem4_residual(k, k, entry.value, args.prec)))
     else:
-        records = counting.ratio_series(
-            args.xs, args.ns, budget=args.budget, prec=args.prec, cache=cache
+        header = ["k", "numerator", "denominator", "ratio"]
+        rows = iterated.ratio_to_diagonal(
+            n, k_max, budget=args.budget, prec=args.prec, cache=cache
         )
-        counting.write_count_csv(records, buf, digits=digits)
-    with _open_out(args) as fh:
+        if len(rows) < k_max:
+            depth = len(rows)
+    digits = min(args.prec, 20)
+    with _open_out(args) as fh:  # only now, so an error above leaves --out as it was
         _stamp(fh, args)
-        fh.write(buf.getvalue())
-    return EXIT_OK if depth is None else _truncated(depth, args.k_max, args.budget)
+        writer = csv.writer(fh, lineterminator="\n")  # None is written as ""
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(mp.nstr(v, digits) if isinstance(v, mpf) else v for v in row)
+    return EXIT_OK if depth is None else _truncated(depth, k_max, args.budget)
 
 
 def main(argv=None):

@@ -9,8 +9,6 @@ advances k while the walk over base k yields k levels, so a level whose
 index idx has idx log idx > x is never computed.
 """
 
-import csv
-from dataclasses import dataclass
 from itertools import islice
 
 from mpmath import mp
@@ -18,16 +16,6 @@ from mpmath import mp
 from .errors import BudgetExceededError, DomainError, InvalidRangeError
 from .hpreal import DEFAULT_PREC
 from .iterated import DEFAULT_BUDGET, walk
-
-
-@dataclass
-class CountRecord:
-    """One ratio-table row: counts at x plus the asymptotic comparator."""
-
-    x: int
-    diag_count: int
-    tower_counts: dict
-    comparator: object  # mpf, or None when x < 16
 
 
 def count_diag(x, budget=DEFAULT_BUDGET, cache=None):
@@ -68,34 +56,21 @@ def comparator(x, prec=DEFAULT_PREC):
 
 
 def ratio_series(xs, ns, budget=DEFAULT_BUDGET, prec=DEFAULT_PREC, cache=None):
-    """One CountRecord per x; tabulates only, never asserts convergence."""
+    """Rows (x, diag_count, n, tower_count, comparator); tabulates only.
+
+    One row per x and distinct n, in ascending n, or per x with n and
+    tower_count None when ns is empty; comparator is None when x < 16.
+    Tower counts run in the order ns is given, which orders the cache file.
+    """
     xs = [int(x) for x in xs]
     ns = [int(n) for n in ns]
     if any(a > b for a, b in zip(xs, xs[1:])):
         raise InvalidRangeError("xs must be sorted ascending")
-    records = []
+    rows = []
     for x in xs:
-        records.append(
-            CountRecord(
-                x=x,
-                diag_count=count_diag(x, budget=budget, cache=cache),
-                tower_counts={
-                    n: count_tower(n, x, budget=budget, cache=cache) for n in ns
-                },
-                comparator=comparator(x, prec=prec) if x >= 16 else None,
-            )
-        )
-    return records
-
-
-def write_count_csv(records, fh, digits=15):
-    """CSV form: one row per (x, n) pair; header always present."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["x", "diag_count", "tower_n", "tower_count", "comparator"])
-    for rec in records:
-        comp = mp.nstr(rec.comparator, digits) if rec.comparator is not None else ""
-        if rec.tower_counts:
-            for n in sorted(rec.tower_counts):
-                writer.writerow([rec.x, rec.diag_count, n, rec.tower_counts[n], comp])
-        else:
-            writer.writerow([rec.x, rec.diag_count, "", "", comp])
+        diag = count_diag(x, budget=budget, cache=cache)
+        towers = {n: count_tower(n, x, budget=budget, cache=cache) for n in ns}
+        comp = comparator(x, prec=prec) if x >= 16 else None
+        for n in sorted(towers) or [None]:
+            rows.append((x, diag, n, towers.get(n), comp))
+    return rows

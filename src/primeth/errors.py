@@ -55,7 +55,7 @@ class HypothesisViolatedError(PrimethError):
 
 
 class ThresholdViolatedError(PrimethError):
-    """A sampled point at or above 4200 fell below the certified floor.
+    """A sampled point at or above 4200, or a supporting fact, fails the certified floor.
 
     This would contradict a proved inequality, so it is treated as a
     build-stopping defect rather than a reportable data point.

@@ -34,12 +34,13 @@ class TowerCache:
 
     File format: one record per line, ``T <n> <level> <value>`` with
     decimal integers.  The file is loaded fully at construction and
-    appended on every store.  Malformed lines, non-prime values, levels of a
-    base that do not rise from n on, values that are not the tabled prime
-    their index names, and records or stores that contradict a stored value
-    are hard errors.  Each record goes out in one ``write`` to
-    an ``O_APPEND`` descriptor, opened on the first store and released by
-    ``close``, so writers sharing the file never split each other's lines.
+    appended on every store.  Malformed lines, a torn last line (no newline:
+    the next store would extend it), non-prime values, levels of a base that
+    do not rise from n on, values that are not the tabled prime their index
+    names, and records or stores that contradict a stored value are hard
+    errors.  Each record goes out in one ``write`` to an ``O_APPEND``
+    descriptor, opened on the first store and released by ``close``, so
+    writers sharing the file never split each other's lines.
     """
 
     def __init__(self, path=None):
@@ -51,10 +52,12 @@ class TowerCache:
 
     def _load(self, path):
         with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
                 if not line:
                     continue
+                if not raw.endswith("\n"):  # only the last line can lack one
+                    raise CacheFormatError(f"{path}:{lineno}: torn record {line!r}")
                 parts = line.split()
                 if len(parts) != 4 or parts[0] != "T":
                     raise CacheFormatError(f"{path}:{lineno}: bad record {line!r}")

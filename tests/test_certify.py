@@ -115,6 +115,18 @@ class TestCertifyThreshold:
         assert min(certify_mod.CERT_POINTS) >= certify_mod.HYPOTHESIS_X_MIN
         assert all(margin > 0 for _, _, margin in report.rows)
 
+    def test_default_report_has_no_failed_fact(self):
+        assert certify_threshold().failed_facts() == []
+
+    def test_floor_below_threshold_is_a_failed_fact(self, monkeypatch):
+        # every sampled L(x) exceeds 0.32628; the floor 0.3262768... does not
+        monkeypatch.setattr(certify_mod, "THRESHOLD", (32628, 10**5))
+        report = certify_threshold()
+        assert report.failed_facts() == ["closed-form floor constant > threshold"]
+        assert report.to_text().splitlines()[-1] == (
+            "verdict: fail (closed-form floor constant > threshold)"
+        )
+
     def test_in_hypothesis_violation_is_build_stopping(self, monkeypatch):
         monkeypatch.setattr(certify_mod, "THRESHOLD", (1, 2))
         with pytest.raises(ThresholdViolatedError):

@@ -2,12 +2,14 @@ import argparse
 import hashlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from mpmath import mpf
 
 import primeth
 from primeth import PrimethError, bounds, certify, engine, errors
@@ -42,8 +44,7 @@ class TestOptions:
         "verify": {"--budget", "--cache", "--prec", "--out", "--no-timestamp",
                    "--n-max", "--k-max"},
         "certify": {"--prec", "--out", "--no-timestamp"},
-        "table": {"--budget", "--cache", "--prec", "--out", "--no-timestamp",
-                  "--xs", "--ns", "--residuals", "--ratios", "--n", "--k-max"},
+        "table": {"--budget", "--cache", "--prec", "--out", "--no-timestamp"},
     }
 
     def test_option_sets_pinned(self):
@@ -59,15 +60,33 @@ class TestOptions:
             for name, p in sub.choices.items()
         }
         assert options == self.OPTIONS
-        assert sum(map(len, options.values())) == 29
+        assert sum(map(len, options.values())) == 23
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["pi", "100", "--prec", "80"],
             ["iter", "1", "3", "--budget", "1"],
-            ["table", "--xs", "1,a"],
-            ["table", "--residuals", "--ratios"],
+            ["table", "counts", "1,a"],
+            ["table", "residuals", "ratios"],
+            ["table"],
+            # a flag of another table kind, or no longer taken by any
+            ["table", "ratios", "1", "2", "--xs", "100"],
+            ["table", "counts", "100", "--n", "5"],
+            ["table", "residuals", "7", "--ratios"],
+            # the wrong number or shape of inputs
+            ["table", "ratios", "1"],
+            ["table", "residuals", "3,4"],
+            ["table", "counts", "1", "2", "3"],
+            # an empty item in XS or NS
+            ["table", "counts", "1,,2"],
+            ["table", "counts", "1,2,"],
+            ["table", "counts", ""],
+            ["table", "counts", "100", "1,,2"],
+            # abbreviated flags
+            ["verify", "all", "--n-m", "3", "--k-m", "1", "--no-t"],
+            ["pi", "100", "--bud", "5"],
+            ["table", "ratios", "1", "3", "--n"],
             ["nth", "0"],
             ["count", "diag", "1", "2"],
             ["count", "tower", "5"],
@@ -170,6 +189,17 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [f"error: {bad}: p_1^(1) = 4 is not prime"]
         assert proc.stdout == ""
+
+    def test_torn_final_record_exits_3(self, capsys, tmp_path):
+        # trusted, this run appended "T 1 3 5" to the torn line, and only the
+        # next run failed, on the record "T 1 2 3T 1 3 5"
+        path = tmp_path / "towers.txt"
+        path.write_text("T 1 1 2\nT 1 2 3")
+        code, out, err = run(capsys, "iter", "1", "4", "--cache", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {path}:2: torn record 'T 1 2 3'\n"
+        assert path.read_text() == "T 1 1 2\nT 1 2 3"
 
     @pytest.mark.parametrize(
         "records, argv, message",
@@ -399,12 +429,31 @@ class TestCertifyCommand:
         assert out == ""
         assert err.startswith("mathematical violation: L(4200) = 0.3262814720539332174 <= 0.5")
 
+    def test_failed_monotone_fact_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(certify, "eval_f", lambda x, prec: mpf(-1))
+        code, out, err = run(capsys, "certify", "--no-timestamp")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "mathematical violation: supporting fact of the floor fails: "
+            "f monotone increasing on grid\n"
+        )
+
+    def test_floor_below_threshold_exits_1(self, capsys, monkeypatch):
+        # every sampled L(x) exceeds 0.32628, but the floor 0.3262768... does not
+        monkeypatch.setattr(certify, "THRESHOLD", (32628, 10**5))
+        code, out, err = run(capsys, "certify", "--no-timestamp")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "mathematical violation: supporting fact of the floor fails: "
+            "closed-form floor constant > threshold\n"
+        )
+
 
 class TestTable:
     def test_count_records(self, capsys):
-        code, out, _ = run(
-            capsys, "table", "--xs", "100,10000", "--ns", "1", "--no-timestamp"
-        )
+        code, out, _ = run(capsys, "table", "counts", "100,10000", "1", "--no-timestamp")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "x,diag_count,tower_n,tower_count,comparator"
@@ -412,15 +461,8 @@ class TestTable:
         assert lines[1].startswith("100,3,1,5,")
         assert lines[2].startswith("10000,5,1,8,")
 
-    def test_empty_xs_header_only(self, capsys):
-        code, out, _ = run(capsys, "table", "--no-timestamp")
-        assert code == 0
-        assert out.splitlines() == ["x,diag_count,tower_n,tower_count,comparator"]
-
     def test_residuals(self, capsys):
-        code, out, _ = run(
-            capsys, "table", "--residuals", "--k-max", "6", "--no-timestamp"
-        )
+        code, out, _ = run(capsys, "table", "residuals", "6", "--no-timestamp")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "k,value,residual"
@@ -428,25 +470,27 @@ class TestTable:
         assert lines[1].split(",")[1] == "31"
         assert lines[4].split(",")[1] == "87803"
 
+    def test_residuals_below_3_header_only(self, capsys):
+        code, out, _ = run(capsys, "table", "residuals", "2", "--no-timestamp")
+        assert code == 0
+        assert out == "k,value,residual\n"
+
     def test_ratios(self, capsys):
-        code, out, _ = run(
-            capsys, "table", "--ratios", "--n", "1", "--k-max", "5",
-            "--no-timestamp",
-        )
+        code, out, _ = run(capsys, "table", "ratios", "1", "5", "--no-timestamp")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "k,numerator,denominator,ratio"
         assert lines[3].startswith("3,5,31,")
 
     def test_timestamp_toggle(self, capsys):
-        _, out, _ = run(capsys, "table", "--xs", "100", "--ns", "1")
+        _, out, _ = run(capsys, "table", "counts", "100", "1")
         assert out.splitlines()[0].startswith("# generated:")
 
     @pytest.mark.parametrize(
         "argv, rows, note",
         [
-            (["--residuals", "--k-max", "7"], 4, "truncated at level 6 of 7"),
-            (["--ratios", "--n", "3", "--k-max", "11"], 6, "truncated at level 6 of 11"),
+            (["residuals", "7"], 4, "truncated at level 6 of 7"),
+            (["ratios", "3", "11"], 6, "truncated at level 6 of 11"),
         ],
         ids=["residuals", "ratios"],
     )
@@ -460,7 +504,7 @@ class TestTable:
     def test_bad_request_leaves_out_file(self, capsys, tmp_path):
         path = tmp_path / "f.csv"
         path.write_bytes(b"kept\n")
-        code, err = exit_code(capsys, "table", "--ratios", "--n", "0", "--out", str(path))
+        code, err = exit_code(capsys, "table", "ratios", "0", "7", "--out", str(path))
         assert code == 3 and err.startswith("error: ")
         assert path.read_bytes() == b"kept\n"
 
@@ -478,7 +522,7 @@ class TestDeterminismAndCache:
     def test_cold_and_warm_cache_identical(self, capsys, tmp_path):
         cache_path = tmp_path / "towers.txt"
         args = [
-            "table", "--xs", "100,10000", "--ns", "1,2", "--no-timestamp",
+            "table", "counts", "100,10000", "1,2", "--no-timestamp",
             "--cache", str(cache_path),
         ]
         cold_out = tmp_path / "cold.csv"
@@ -490,27 +534,84 @@ class TestDeterminismAndCache:
         assert cold_out.read_bytes() == warm_out.read_bytes()
 
     @pytest.mark.parametrize(
-        "argv, exit_code, out_digest, cache_digest",
+        "argv, exit_code, out_digest, cache_digest, err",
         [
             (
                 ["iter", "3", "12", "--budget", "1000000000"], 2,
                 "52a7ba2734d489802a9fe92135338855649fae7ae16802eaa274be41c1317763",
                 "52f22097fbd2df72c9e742dcf2f25e09cfe6da757f119140b404bf33e8d36bf2",
+                "truncated at level 10 of 12: next value exceeds budget 1000000000\n",
             ),
             (
-                ["table", "--ratios", "--n", "2", "--k-max", "9", "--no-timestamp"], 0,
+                ["table", "ratios", "2", "9", "--no-timestamp"], 0,
                 "ac46dcd349b0024cbb17267deeaa2b33cbd38fb96238321b0434f486168bf7cd",
-                "52900781bf5aae92564d8d4970a84b82c4b60c3f8b1cc31e91dfd8b8c504cc7f",
+                "52900781bf5aae92564d8d4970a84b82c4b60c3f8b1cc31e91dfd8b8c504cc7f", "",
+            ),
+            # recorded at 5eab9cd in the old flag syntax, as table
+            # --xs 100,10000,1000000 --ns 2,1,2; --xs 2,100 --ns 1;
+            # --residuals --k-max 9; --residuals --k-max 7 --budget 100000;
+            # --ratios --n 3 --k-max 11 --budget 100000
+            (
+                ["table", "counts", "100,10000,1000000", "2,1,2", "--no-timestamp"], 0,
+                "04ec2699d763bae92c426caf9357f3ff2c5a171c8905346642c40c557e6a3f93",
+                "e3622139c7a6eaec629463c4adf80bdc8e095b85cc055e4fd28db2ab35a0bea4", "",
+            ),
+            (
+                ["table", "counts", "2,100", "1", "--no-timestamp"], 0,
+                "09ee0f298d486b967464be4806837c12f7efe8bb04feb125fcbc6e07da4e6de1",
+                "93be5ea0374f0ddb884c4aaf4049d574c9b09f1b739d670a104ae85bafcbdfe1", "",
+            ),
+            (
+                ["table", "residuals", "9", "--no-timestamp"], 0,
+                "e627c210596659890b471df83e568e02299ab119bf4aff4f327e87e4f0298d81",
+                "1f8f5a2aa794f1d6638533a3582ca897e410efe29b6f3b78a5c22fb048e529e1", "",
+            ),
+            (
+                ["table", "residuals", "7", "--budget", "100000", "--no-timestamp"], 2,
+                "588207f6278d91177fdd820a3f4f6e73098bb2c7a6e6e96bf46585f35d10df01",
+                "d03ac7786cde645fdd88ee0c4c4cfc068fc417a6169732546e26cbbdd39b3de0",
+                "truncated at level 6 of 7: next value exceeds budget 100000\n",
+            ),
+            (
+                ["table", "ratios", "3", "11", "--budget", "100000", "--no-timestamp"], 2,
+                "e4d3a174ffb7f1ef763bda0288c6505f2a4f9ff0e9d4561bdf9021480d48a346",
+                "d52b1b917cd0259e97cef6fe5c489e604efbbe68112517898e3885298954708e",
+                "truncated at level 6 of 11: next value exceeds budget 100000\n",
             ),
         ],
-        ids=["iter_truncated", "table_ratios"],
+        ids=[
+            "iter_truncated", "table_ratios", "table_counts", "table_counts_below_16",
+            "table_residuals", "table_residuals_budget", "table_ratios_budget",
+        ],
     )
     def test_output_and_cache_pinned(
-        self, capsys, tmp_path, argv, exit_code, out_digest, cache_digest
+        self, capsys, tmp_path, argv, exit_code, out_digest, cache_digest, err
     ):
         # SHA-256 of stdout and of the cache file, recorded at d9494df
         cache_path = tmp_path / "towers.txt"
-        code, out, _ = run(capsys, *argv, "--cache", str(cache_path))
+        code, out, stderr = run(capsys, *argv, "--cache", str(cache_path))
         assert code == exit_code
+        assert stderr == err
         assert hashlib.sha256(out.encode()).hexdigest() == out_digest
         assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == cache_digest
+
+
+def _readme_cli_lines():
+    """The ``primeth`` lines of the README's CLI block: argv and trailing comment."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("primeth "):
+            argv = shlex.split(command)[1:]
+            lines.append(pytest.param(argv, comment.strip(), id=" ".join(argv)))
+    return lines
+
+
+@pytest.mark.parametrize("argv, comment", _readme_cli_lines())
+def test_readme_cli_examples(capsys, argv, comment):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if comment.isdigit():
+        assert out == comment + "\n"

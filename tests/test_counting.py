@@ -1,5 +1,4 @@
 import hashlib
-import io
 import math
 
 import pytest
@@ -17,7 +16,7 @@ from primeth import (
     ratio_series,
 )
 from primeth import iterated
-from primeth.counting import write_count_csv
+from primeth.cli import main
 
 from oracle import tower_by_sieve
 
@@ -143,36 +142,31 @@ class TestComparator:
 
 class TestRatioSeries:
     def test_single_record(self, cache):
-        [rec] = ratio_series([100], [1], cache=cache)
-        assert rec.diag_count == 3
-        assert rec.tower_counts == {1: 5}
-        assert rec.comparator is not None
+        [row] = ratio_series([100], [1], cache=cache)
+        x, diag_count, n, tower_count, comp = row
+        assert (x, diag_count, n, tower_count) == (100, 3, 1, 5)
+        assert comp is not None
 
     def test_no_tower_bases(self, cache):
-        [rec] = ratio_series([2], [], cache=cache)
-        assert rec.diag_count == 1
-        assert rec.tower_counts == {}
-        assert rec.comparator is None  # x < 16: log log x not positive
+        [row] = ratio_series([2], [], cache=cache)
+        # x < 16: log log x not positive, so no comparator
+        assert row == (2, 1, None, None, None)
 
     def test_two_bases(self, cache):
-        [rec] = ratio_series([10**4], [1, 2], cache=cache)
-        assert rec.diag_count == 5
-        assert rec.tower_counts == {1: 8, 2: 7}
+        rows = ratio_series([10**4], [2, 1, 2], cache=cache)
+        assert [row[:4] for row in rows] == [(10**4, 5, 1, 8), (10**4, 5, 2, 7)]
 
     def test_requires_sorted_xs(self, cache):
         with pytest.raises(InvalidRangeError):
             ratio_series([100, 10], [], cache=cache)
 
-    def test_csv_layout(self, cache):
-        records = ratio_series([100, 10**4], [1, 2], cache=cache)
-        buf = io.StringIO()
-        write_count_csv(records, buf)
-        lines = buf.getvalue().splitlines()
+    def test_csv_layout(self, capsys):
+        assert main(["table", "counts", "100,10000", "1,2", "--no-timestamp"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "x,diag_count,tower_n,tower_count,comparator"
         assert len(lines) == 1 + 4  # one row per (x, n)
         assert lines[1].startswith("100,3,1,5,")
 
-    def test_csv_empty_bases(self, cache):
-        buf = io.StringIO()
-        write_count_csv(ratio_series([2], [], cache=cache), buf)
-        assert buf.getvalue().splitlines()[1] == "2,1,,,"
+    def test_csv_empty_bases(self, capsys):
+        assert main(["table", "counts", "2", "--no-timestamp"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "2,1,,,"
