@@ -157,6 +157,56 @@ class TestPrimeCount:
     def test_pinned_1e12(self):
         assert prime_count(10**12) == 37607912018  # OEIS A006880
 
+    def test_pinned_1e13(self):
+        assert prime_count(10**13) == 346065536839  # OEIS A006880
+
+    @staticmethod
+    def _check_around(m):
+        # pi(x) - pi(lo) against a sieve of (lo, x], for x = m - 1, m, m + 1
+        lo = m - 10**5
+        base = prime_count(lo)
+        for x in (m - 1, m, m + 1):
+            assert prime_count(x) - base == primes_in_window(lo + 1, x), x
+
+    @given(st.integers(min_value=10**9, max_value=2**40))
+    @settings(max_examples=8, deadline=None)
+    def test_rough_sieve_window(self, x):
+        lo = x - 10**5
+        assert prime_count(x) - prime_count(lo) == primes_in_window(lo + 1, x)
+
+    @pytest.mark.parametrize("p", [331, 1009, 2003])
+    def test_rough_entry_leaves_window(self, p):
+        # the count of a prime d > p stops changing once x // p^2 < d, so
+        # it leaves the rough sieve's window at x = p^2 d
+        d = sympy.nextprime(10**10 // p**2)
+        assert d <= math.isqrt(p * p * d)
+        self._check_around(p * p * d)
+
+    @pytest.mark.parametrize("p", [131, 317])
+    def test_rough_sieve_stops_dropping_multiples(self, p):
+        # the rough sieve drops the multiples of p from its set while p^4 <= x
+        self._check_around(p**4)
+
+    def test_rough_read_switches_to_smalls(self):
+        # the stage of p reads the count of p*d back while p*d <= isqrt(x)
+        self._check_around((101 * 991) ** 2)
+
+    def test_both_sides_of_the_rough_crossover(self):
+        # isqrt(x) = _ROUGH_FROM - 1 sieves densely, isqrt(x) = _ROUGH_FROM roughly
+        self._check_around(engine._ROUGH_FROM**2)
+
+    def test_small_query_builds_a_small_table(self):
+        # sieving primes come from the table for the power of two above
+        # isqrt(x), here 2^10, not from the 2^24 table nth_prime indexes
+        engine._prime_table.cache_clear()
+        tracemalloc.start()
+        try:
+            assert prime_count(10**6) == 78498
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_integer_cube_root(self):
         # m <= 2^16 covers every x < 2^48, where the loop cut is taken
         for m in range(1, 2**16 + 1):
@@ -223,8 +273,7 @@ class TestNthPrime:
         # seeds below p_n (just past the table, or inside it) and far above
         # it walk both ways through doubling windows to the same prime
         primes = sieve_primes(33_000_000)
-        table_size = len(engine._prime_table())
-        for n in (table_size + 1, 2_000_000):
+        for n in (engine._TABLE_PRIMES + 1, 2_000_000):
             p = int(primes[n - 1])
             for seed in (engine._TABLE_LIMIT + 1, 1000, 3 * p):
                 monkeypatch.setattr(engine, "_r_inverse", lambda n, s=seed: s)
@@ -232,9 +281,23 @@ class TestNthPrime:
 
     def test_table_edge(self):
         primes = sieve_primes(17_000_000)
-        n = len(engine._prime_table())
+        n = len(engine._prime_table(engine._TABLE_LIMIT))
+        assert n == engine._TABLE_PRIMES
         assert nth_prime(n) == primes[n - 1] == 16777213  # largest p < 2^24
         assert nth_prime(n + 1) == primes[n] == 16777259
+
+    def test_lookup_past_the_table_skips_it(self):
+        # n > pi(2^24) is decided before the 2^24 table (16 MB) is built; the
+        # count and the sieve walk use small tables
+        p = int(sieve_primes(33_000_000)[2_000_000 - 1])
+        engine._prime_table.cache_clear()
+        tracemalloc.start()
+        try:
+            assert nth_prime(2_000_000) == p
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_independent_values(self):
         assert nth_prime(10**7) == 179424673
