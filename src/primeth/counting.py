@@ -1,21 +1,40 @@
 """Exact counting functions for the diagonal and tower sequences.
 
-count_diag(x) certifies its answer by locating the first diagonal element
-strictly above x, so one element PAST x is always computed; that bracketing
-element is the dominant cost.  The same holds for count_tower.  Neither
-function ever estimates.  Both walk the towers with ``iterated.walk``:
-count_tower counts the levels of p_n^(k) <= x it yields, and count_diag
-advances k while the walk over base k yields k levels, so a level whose
-index idx has idx log idx > x is never computed.
+count_tower(n, x) counts the k with p_n^(k) <= x, and count_diag(x) the k
+with p_k^(k) <= x: it advances k while all k levels of base k are <= x.
+Both decide each level from its proved bracket ``iterated.brackets``: a
+level with hi <= x counts, and one with lo > x ends the count, as every
+level above it is larger still.  Only when x lies inside a bracket does the
+count run the exact ``iterated.walk`` for that base, which computes the
+levels up to one past x and stores them.  So most counts compute no prime
+past a small table, and neither function ever estimates: the only facts
+taken on trust are Dusart's two bounds on p_m.
 """
 
 from itertools import islice
 
 from mpmath import mp
 
-from .errors import BudgetExceededError, DomainError, InvalidRangeError
+from .errors import BudgetExceededError, DomainError, InvalidRangeError, UnsupportedRangeError
 from .hpreal import DEFAULT_PREC
-from .iterated import DEFAULT_BUDGET, walk
+from .iterated import DEFAULT_BUDGET, EXACT_LIMIT, brackets, walk
+
+
+def _count_levels(n, x, levels, cache):
+    """Number of the levels p_n^(1..levels) that are <= x; levels None: all of them."""
+    count = 0
+    for lo, hi in islice(brackets(n, cache), levels):
+        if lo > x:
+            break
+        if hi > x:  # only the exact value decides this level
+            if lo >= EXACT_LIMIT:  # the walk would reach it and fail there
+                raise UnsupportedRangeError(
+                    f"x={x} lies in [{lo}, {hi}], the bracket of p_{n}^({count + 1}), "
+                    "whose exact value is past 2^48"
+                )
+            return sum(1 for _ in islice(walk(n, x, cache), levels))
+        count += 1
+    return count
 
 
 def count_diag(x, budget=DEFAULT_BUDGET, cache=None):
@@ -28,7 +47,7 @@ def count_diag(x, budget=DEFAULT_BUDGET, cache=None):
             f"x={x} above budget {budget}: bracketing element not computable"
         )
     k = 1
-    while len(list(islice(walk(k, x, cache), k))) == k:
+    while _count_levels(k, x, k, cache) == k:
         k += 1
     return k - 1
 
@@ -42,7 +61,7 @@ def count_tower(n, x, budget=DEFAULT_BUDGET, cache=None):
         raise BudgetExceededError(
             f"x={x} above budget {budget}: bracketing element not computable"
         )
-    return sum(1 for _ in walk(n, x, cache))
+    return _count_levels(n, x, None, cache)
 
 
 def comparator(x, prec=DEFAULT_PREC):

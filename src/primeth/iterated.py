@@ -4,10 +4,16 @@ Each tower level is an nth_prime call on the previous level's value, so
 levels get expensive quickly; computed values go through a persistent
 append-only cache keyed by (base index, level).
 
-Towers, counts and ratios all walk the recursion with ``walk(n, cap, cache)``,
-which yields p_n^(1), p_n^(2), ... while they are <= cap.  It never computes
-an uncached level at index idx with idx log idx > cap, decided exactly:
-p_idx > idx log idx (Rosser) puts that level above cap.
+Towers, ratios and the exact part of counts walk the recursion with
+``walk(n, cap, cache)``, which yields p_n^(1), p_n^(2), ... while they are
+<= cap.  It never computes an uncached level at index idx with
+idx log idx > cap, decided exactly: p_idx > idx log idx (Rosser) puts that
+level above cap.
+
+``brackets(n, cache)`` encloses the same levels without computing them: a
+level is exact while its index is tabled or the level cached, and past that
+Dusart's bounds on p_m, applied to the ends of its index's bracket, give
+integers lo <= p_n^(k) <= hi.
 """
 
 import math
@@ -18,7 +24,7 @@ from itertools import islice
 import numpy as np
 from mpmath import mp, mpf
 
-from .engine import _TABLE_LIMIT, base_primes_upto, is_prime, nth_prime
+from .engine import _TABLE_LIMIT, _prime_table, base_primes_upto, is_prime, nth_prime
 from .errors import BudgetExceededError, CacheFormatError, InvalidRangeError
 from .hpreal import DEFAULT_PREC, compare_int
 
@@ -27,6 +33,14 @@ from .hpreal import DEFAULT_PREC, compare_int
 DEFAULT_BUDGET = 10**11
 
 _FLOAT_BAND = 2.0**-40
+
+# Dusart (Math. Comp. 68 (1999)) proves m (ln m + ln ln m - 1) <= p_m for
+# m >= 2 and p_m <= m (ln m + ln ln m - 0.9484) for m >= 39017.  brackets
+# reads p_m from the table of the primes up to 2^19 for m <= pi(2^19) =
+# 43390, so both bounds hold wherever it applies them.
+_DUSART_TABLE = 1 << 19
+# prime_count and sieve_segment stop below 2^48, so no exact level reaches it.
+EXACT_LIMIT = _TABLE_LIMIT**2
 
 
 class TowerCache:
@@ -190,6 +204,47 @@ def walk(n, cap, cache=None):
             return
         yield value
         idx, level = value, level + 1
+
+
+def _dusart(a, b):
+    """Integers lo <= a (ln a + ln ln a - 1) and hi >= b (ln b + ln ln b - 0.9484).
+
+    For a, b >= 39017 each factor is a float above 11, within a few units in
+    its last place (a relative 2^-50) of the exact one, with libm's log taken
+    as faithful as in _value_certainly_above; 0.9484 as a float is off by
+    2^-54.  Scaled by 1 -+ _FLOAT_BAND, it lies safely below or above the
+    exact factor, and it is multiplied exactly as the ratio of two integers.
+    """
+
+    def factor(m, c, scale):
+        f = math.log(m)
+        return ((f + math.log(f) - c) * scale).as_integer_ratio()
+
+    num, den = factor(a, 1, 1 - _FLOAT_BAND)
+    lo = a * num // den
+    num, den = factor(b, 0.9484, 1 + _FLOAT_BAND)
+    return lo, -(-b * num // den)
+
+
+def brackets(n, cache=None):
+    """Yield (lo, hi) with lo <= p_n^(k) <= hi for k = 1, 2, ..., without end.
+
+    A level is exact (lo == hi) when the cache holds it or its index is
+    exact and tabled.  Otherwise its index lies in [a, b], above the table
+    (an inexact bracket starts above it), and Dusart's bounds, both
+    increasing, put the level in [a (ln a + ln ln a - 1), b (ln b + ln ln b
+    - 0.9484)], rounded outward to integers.
+    """
+    table = _prime_table(_DUSART_TABLE)
+    a = b = n
+    level = 1
+    while True:
+        value = cache.get(n, level) if cache is not None else None
+        if value is None and b <= len(table):
+            value = int(table[b - 1])
+        a, b = (value, value) if value is not None else _dusart(a, b)
+        yield a, b
+        level += 1
 
 
 def iterate_prime(n, k, budget=DEFAULT_BUDGET, cache=None):

@@ -15,7 +15,7 @@ import primeth
 from primeth import PrimethError, bounds, certify, engine, errors
 from primeth.cli import _build_parser, main
 
-from oracle import L_by_decimal
+from oracle import L_by_decimal, tower_by_sieve
 
 
 def run(capsys, *argv):
@@ -159,6 +159,14 @@ class TestExitCodes:
     def test_count_above_budget(self, capsys):
         code, _, err = run(capsys, "count", "diag", "10000000", "--budget", "1000")
         assert code == 2
+
+    def test_count_inside_a_bracket_past_2_48_exits_3(self, capsys):
+        # 5.5e15 lies in the bracket of p_13^(13), whose exact value is past 2^48
+        code, out, err = run(
+            capsys, "count", "diag", "5500000000000000", "--budget", "10000000000000000"
+        )
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "nth", "0")
@@ -521,8 +529,10 @@ class TestDeterminismAndCache:
 
     def test_cold_and_warm_cache_identical(self, capsys, tmp_path):
         cache_path = tmp_path / "towers.txt"
+        # x = p_7^(7) lies inside the bracket of p_7^(7), so the cold run
+        # computes and stores base 7, and the warm run reads it back
         args = [
-            "table", "counts", "100,10000", "1,2", "--no-timestamp",
+            "table", "counts", "100,10000,2269733", "1,2", "--no-timestamp",
             "--cache", str(cache_path),
         ]
         cold_out = tmp_path / "cold.csv"
@@ -547,19 +557,26 @@ class TestDeterminismAndCache:
                 "ac46dcd349b0024cbb17267deeaa2b33cbd38fb96238321b0434f486168bf7cd",
                 "52900781bf5aae92564d8d4970a84b82c4b60c3f8b1cc31e91dfd8b8c504cc7f", "",
             ),
-            # recorded at 5eab9cd in the old flag syntax, as table
+            # stdout recorded at 5eab9cd in the old flag syntax, as table
             # --xs 100,10000,1000000 --ns 2,1,2; --xs 2,100 --ns 1;
             # --residuals --k-max 9; --residuals --k-max 7 --budget 100000;
-            # --ratios --n 3 --k-max 11 --budget 100000
+            # --ratios --n 3 --k-max 11 --budget 100000.  Brackets decide
+            # every count in the first two table counts runs, so they write
+            # no cache file (None); the third's stdout was recorded at a9ce604
             (
                 ["table", "counts", "100,10000,1000000", "2,1,2", "--no-timestamp"], 0,
                 "04ec2699d763bae92c426caf9357f3ff2c5a171c8905346642c40c557e6a3f93",
-                "e3622139c7a6eaec629463c4adf80bdc8e095b85cc055e4fd28db2ab35a0bea4", "",
+                None, "",
             ),
             (
                 ["table", "counts", "2,100", "1", "--no-timestamp"], 0,
                 "09ee0f298d486b967464be4806837c12f7efe8bb04feb125fcbc6e07da4e6de1",
-                "93be5ea0374f0ddb884c4aaf4049d574c9b09f1b739d670a104ae85bafcbdfe1", "",
+                None, "",
+            ),
+            (
+                ["table", "counts", "100,2269733", "1,7", "--no-timestamp"], 0,
+                "a7d469483ae00025af70a5f908180d0851c584b0d7f8189369bde8f98fbed12b",
+                "4a3aab4242498517d51b1de793a10bd62c13d666a39712de1c4603dc6ac15a12", "",
             ),
             (
                 ["table", "residuals", "9", "--no-timestamp"], 0,
@@ -581,19 +598,28 @@ class TestDeterminismAndCache:
         ],
         ids=[
             "iter_truncated", "table_ratios", "table_counts", "table_counts_below_16",
-            "table_residuals", "table_residuals_budget", "table_ratios_budget",
+            "table_counts_inside", "table_residuals", "table_residuals_budget", "table_ratios_budget",
         ],
     )
     def test_output_and_cache_pinned(
-        self, capsys, tmp_path, argv, exit_code, out_digest, cache_digest, err
+        self, capsys, tmp_path, primes_3e6, argv, exit_code, out_digest, cache_digest, err
     ):
-        # SHA-256 of stdout and of the cache file, recorded at d9494df
+        # SHA-256 of stdout and of the cache file, recorded at d9494df unless
+        # noted; the table counts cache digests were recorded at the change
+        # that decides counts from brackets
         cache_path = tmp_path / "towers.txt"
         code, out, stderr = run(capsys, *argv, "--cache", str(cache_path))
         assert code == exit_code
         assert stderr == err
         assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+        if cache_digest is None:
+            assert not cache_path.exists()
+            return
         assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == cache_digest
+        if argv[:2] == ["table", "counts"]:  # each stored level is the sieved one
+            for record in cache_path.read_text().splitlines():
+                n, level, value = map(int, record.split()[1:])
+                assert tower_by_sieve(n, level, primes_3e6)[-1] == value
 
 
 def _readme_cli_lines():
