@@ -167,15 +167,16 @@ def check_bounds(n, k, value, prec=DEFAULT_PREC, suite="all"):
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
     checks = []
-    for row in SUITES[suite]:
-        if not row.applies(n, k):
-            checks.append(BoundCheck(row.name, None, None, False, None))
-            continue
-        sign, bound = compare_int(value, functools.partial(row.formula, n, k), prec)
-        if row.side == "lower":
-            checks.append(BoundCheck(row.name, bound, value, True, sign < 0))
-        else:
-            checks.append(BoundCheck(row.name, value, bound, True, sign > 0))
+    with mp.workdps(max(prec, 15)):  # compare_int's digits: one context for all rows
+        for row in SUITES[suite]:
+            if not row.applies(n, k):
+                checks.append(BoundCheck(row.name, None, None, False, None))
+                continue
+            sign, bound = compare_int(value, functools.partial(row.formula, n, k), prec)
+            if row.side == "lower":
+                checks.append(BoundCheck(row.name, bound, value, True, sign < 0))
+            else:
+                checks.append(BoundCheck(row.name, value, bound, True, sign > 0))
     return BoundReport(n=n, k=k, value=value, checks=checks)
 
 

@@ -264,9 +264,11 @@ def _sieve_smalls(smalls, v, p, sp):
 
 
 def _icbrt(x):
-    """The integer cube root floor(x^(1/3)), exact for 0 <= x < 2^53."""
-    r = round(x ** (1 / 3))
-    return r - (r**3 > x)
+    """floor(x^(1/3)) for any integer x >= 0: Newton steps down from 2^ceil(bits/3)."""
+    r = 1 << -(-x.bit_length() // 3)
+    while r and (s := (2 * r + x // (r * r)) // 3) < r:  # r = 0 only for x = 0
+        r = s
+    return r
 
 
 @functools.cache

@@ -1,44 +1,51 @@
 """High-precision real helpers built on mpmath.
 
 Precision is expressed everywhere in significant decimal digits.  The one
-non-obvious piece is ``compare_int``: bound checks compare an exact integer
-against a transcendental expression, and a comparison decided within one
-unit in the last place of the evaluated side is re-run at doubled precision
+non-obvious piece is ``compare_int``: it takes the sign of an mpf ``approx``
+minus an exact integer from the mpf's mantissa and exponent, in integers, and
+re-runs at doubled precision iff |approx - value| <= |approx| * 10^(1 - digits),
 so rounding noise can never flip a verdict.
 """
 
 import functools
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp
 
 DEFAULT_PREC = 50
 MAX_ESCALATION_PREC = 4096
 
 
 @functools.lru_cache(maxsize=64)
-def _ulp_factor(digits):
-    """10^(1 - digits), rounded at ``digits`` significant digits."""
+def _scale(digits):
+    """10^(digits - 1): a margin times it at most |approx| escalates."""
+    return 10 ** (digits - 1)
+
+
+def _eval_at(fn, digits):
+    """fn() and its value rounded to ``digits``; a context is entered only if needed."""
+    if mp.prec == libmp.dps_to_prec(digits):
+        return (raw := fn()), +raw
     with mp.workdps(digits):
-        return mpf(10) ** (1 - digits)
+        return _eval_at(fn, digits)
 
 
 def compare_int(value, fn, prec):
     """Sign of ``fn() - value`` for an exact integer ``value``.
 
-    Returns ``(sign, evaluated)`` where sign is -1, 0 or +1.  Precision is
-    doubled (up to MAX_ESCALATION_PREC digits) while the margin is below one
-    ulp of the evaluated side.
+    Returns ``(sign, evaluated)``: sign is -1, 0 or +1 (+-1 for an infinity;
+    nan raises ValueError), evaluated is fn() at the digits that decided.
+    Precision doubles (to MAX_ESCALATION_PREC digits) while the margin is at
+    most one unit in the last digit of the evaluated side.
     """
     digits = max(prec, 15)
     while True:
-        with mp.workdps(digits):
-            approx = fn()
-            diff = approx - value
-            ulp = abs(approx) * _ulp_factor(digits)
-            if abs(diff) > ulp or digits >= MAX_ESCALATION_PREC:
-                if diff > 0:
-                    return 1, +approx
-                if diff < 0:
-                    return -1, +approx
-                return 0, +approx
+        raw, approx = _eval_at(fn, digits)
+        s, man, exp, bc = raw._mpf_
+        if not man and bc:  # mpf specials: +-inf and nan
+            if raw != raw:
+                raise ValueError("compare_int: fn() is nan, so no sign exists")
+            return (-1 if s else 1), approx
+        a, v = (-man if s else man) << max(exp, 0), int(value) << max(-exp, 0)
+        if abs(a - v) * _scale(digits) > abs(a) or digits >= MAX_ESCALATION_PREC:
+            return (a > v) - (a < v), approx
         digits = min(digits * 2, MAX_ESCALATION_PREC)

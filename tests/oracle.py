@@ -93,3 +93,27 @@ def dusart_by_decimal(n, digits=60):
         lower, upper = n * (s - 1), n * (s - Decimal("0.9484"))
         ctx.prec = digits
         return +lower, +upper
+
+
+def bound_by_decimal(name, n, k, digits):
+    """The explicit bound ``name`` on p_n^(k) to ``digits`` significant digits.
+
+    Covers rosser_lower (n ln n), rosser_upper (2 n ln n), iter_upper
+    (2^(2k-1) n (k-1)! (ln max(k, n))^k) and iter_lower (n (ln n)^k), with
+    stdlib ``decimal`` only.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        if name == "rosser_lower":
+            value = Decimal(n) * Decimal(n).ln()
+        elif name == "rosser_upper":
+            value = 2 * Decimal(n) * Decimal(n).ln()
+        elif name == "iter_upper":
+            log = Decimal(max(k, n)).ln()
+            value = Decimal(2) ** (2 * k - 1) * n * math.factorial(k - 1) * log**k
+        elif name == "iter_lower":
+            value = Decimal(n) * Decimal(n).ln() ** k
+        else:
+            raise ValueError(f"no decimal oracle for {name}")
+        ctx.prec = digits
+        return +value

@@ -2,6 +2,8 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from primeth import (
@@ -19,7 +21,7 @@ from primeth import (
     upper_bound_L1_simple,
 )
 from primeth.bounds import write_report_csv
-from primeth.hpreal import compare_int
+from primeth.hpreal import MAX_ESCALATION_PREC, compare_int
 
 
 class TestRosserBracket:
@@ -263,3 +265,77 @@ class TestPrecisionEscalation:
     def test_exact_tie(self):
         sign, _ = compare_int(7, lambda: mpf(7), prec=15)
         assert sign == 0
+
+    @given(
+        st.integers(min_value=-(2**200), max_value=2**200),
+        st.integers(min_value=1, max_value=13_000),
+        st.sampled_from([-1, 1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sign_of_a_tiny_offset(self, value, j, side):
+        # value + side * 2^-j is exact once the precision holds 201 + j bits,
+        # and its margin 2^-j clears the escalation rule inside 4096 digits
+        sign, _ = compare_int(value, lambda: mpf(value) + mp.ldexp(side, -j), prec=15)
+        assert sign == side
+
+    @pytest.mark.parametrize("offset, sign, evals", [(-1, 1, 4), (1, -1, 4), (0, 0, 10)])
+    def test_nonnegative_exponent(self, offset, sign, evals):
+        # 2^300 is man = 1, exp = 300; a margin of 1 needs 10^(digits-1) > 2^300,
+        # first met at 120 digits (15, 30, 60, 120); a tie runs on to the cap
+        calls = []
+        got, approx = compare_int(2**300 + offset, lambda: calls.append(1) or mpf(2) ** 300, 15)
+        assert (got, len(calls), approx) == (sign, evals, 2**300)
+
+    def test_negative_approximation(self):
+        tiny = mpf(10) ** -80
+        assert compare_int(-7, lambda: -mpf(7) - tiny, 15)[0] == -1
+        assert compare_int(-7, lambda: -mpf(7) + tiny, 15)[0] == 1
+        assert compare_int(-8, lambda: -mpf(7) - tiny, 15)[0] == 1
+        assert compare_int(-6, lambda: -mpf(7), 15)[0] == -1
+
+    def test_exact_tie_runs_to_the_cap(self):
+        calls = []
+
+        def fn():
+            calls.append(mp.dps)
+            return mpf(7)
+
+        assert compare_int(7, fn, 15)[0] == 0
+        assert calls == [15, 30, 60, 120, 240, 480, 960, 1920, 3840, MAX_ESCALATION_PREC]
+
+    @pytest.mark.parametrize(
+        "value, evals",
+        [
+            (10**14 - 2, 1),  # margin 1, |approx| 10^14 - 1: 1 * 10^14 > 10^14 - 1
+            (10**14 - 1, 2),  # |approx| 10^14: 1 * 10^14 = |approx| escalates
+            (10**14, 2),  # |approx| 10^14 + 1: below it
+        ],
+    )
+    def test_escalation_edge_at_15_digits(self, value, evals):
+        # a re-run happens iff |approx - value| * 10^(digits - 1) <= |approx|
+        calls = []
+        sign, _ = compare_int(value, lambda: calls.append(1) or mpf(value + 1), 15)
+        assert (sign, len(calls)) == (1, evals)
+
+    @pytest.mark.parametrize("special, sign", [(mp.inf, 1), (-mp.inf, -1)])
+    def test_infinity_has_its_sign(self, special, sign):
+        calls = []
+        got, approx = compare_int(10**100, lambda: calls.append(1) or special, 15)
+        assert (got, approx, len(calls)) == (sign, special, 1)
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError, match="nan"):
+            compare_int(0, lambda: mp.nan, 15)
+
+    def test_fn_runs_at_the_digits_inside_or_outside_a_context(self):
+        seen = []
+
+        def fn():
+            seen.append(mp.dps)
+            return mpf(5) / 3
+
+        outside = compare_int(1, fn, 40)
+        with mp.workdps(40):
+            inside = compare_int(1, fn, 40)
+        assert seen == [40, 40] and outside == inside
+        assert mp.dps == 15

@@ -15,7 +15,7 @@ import primeth
 from primeth import PrimethError, bounds, certify, engine, errors
 from primeth.cli import _build_parser, main
 
-from oracle import L_by_decimal, tower_by_sieve
+from oracle import L_by_decimal, bound_by_decimal, tower_by_sieve
 
 
 def run(capsys, *argv):
@@ -317,6 +317,45 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
+        "suite, digest",
+        [
+            ("all", "a2040eebb9ccaa08cfabf5d1ca0e5faaa53cdc9bb2d6664de26a05b15d09939d"),
+            ("ineq3", "f74f11b864fce923a1550c4e945187e538ee3b634fee5c29c0fb3c89c0d613fe"),
+        ],
+    )
+    def test_output_pinned_to_n_2000(self, capsys, suite, digest):
+        # SHA-256 of stdout recorded at 3473ce9, before compare_int decided
+        # its sign and its escalation in integer arithmetic
+        code, out, _ = run(
+            capsys, "verify", suite, "--n-max", "2000", "--k-max", "3",
+            "--prec", "100", "--no-timestamp",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_rows_match_decimal_oracle(self, capsys):
+        # each verdict against a 60-digit stdlib-decimal bound, and each
+        # printed bound (20 digits at the default --prec 50) within half a
+        # unit in its 20th digit of that bound
+        code, out, _ = run(
+            capsys, "verify", "all", "--n-max", "300", "--k-max", "3", "--no-timestamp",
+        )
+        assert code == 0
+        checked = set()
+        for row in out.splitlines()[1:]:
+            n, k, value, name, lhs, rhs, applicable, holds = row.split(",")
+            if applicable == "no":
+                continue
+            exact = bound_by_decimal(name, int(n), int(k), 60)
+            lower = name.endswith("_lower")
+            printed = Decimal(lhs if lower else rhs)
+            assert (holds == "yes") == ((exact < int(value)) if lower else (int(value) < exact))
+            half_unit = Decimal(5).scaleb(exact.adjusted() - 20)
+            assert abs(printed - exact) <= half_unit, row
+            checked.add(name)
+        assert checked == {"rosser_lower", "rosser_upper", "iter_upper", "iter_lower"}
+
+    @pytest.mark.parametrize(
         "suite, names",
         [
             ("rosser", {"rosser_lower", "rosser_upper"}),
@@ -410,6 +449,15 @@ class TestCertifyCommand:
         blanked = re.sub(r"margin=\S+", "margin=", path.read_text())
         assert hashlib.sha256(blanked.encode()).hexdigest() == (
             "16a1abe1acd88487e03eda52d47e5a417019e8ffc80ffd486376abf74f721fd7"
+        )
+
+    def test_report_pinned_at_100_digits(self, capsys):
+        # SHA-256 of stdout recorded at 3473ce9, before compare_int decided
+        # its sign and its escalation in integer arithmetic
+        code, out, _ = run(capsys, "certify", "--prec", "100", "--no-timestamp")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "782e0a32af90c7c8bb13e6d8d1ef5ae20a3f2e7e126489ab8cfc1d7b21805f5b"
         )
 
     def test_margins_match_decimal_oracle(self, capsys):

@@ -215,6 +215,30 @@ class TestPrimeCount:
                 m - 1, m, m,
             ), m
 
+    def test_integer_cube_root_past_2_53(self):
+        # floats hold every integer only below 2^53 (m ~ 208064); past it the
+        # root must come from integers alone.  Every m to 2^21 + 1 would take
+        # seconds, so m runs densely around 2^53 and 2^63 and strided between;
+        # the last four m lie where a rounded float cube root is wrong
+        ms = [
+            *range(2**16, 2**21 + 2, 61),
+            *range(207_000, 209_000),
+            *range(2**21 - 1000, 2**21 + 2),
+            *(2**j + d for j in range(17, 22) for d in (-1, 0, 1)),
+            2**52 + 1, 2**60 + 1, 10**40 + 7, 3**200,
+        ]
+        for m in ms:
+            c = m**3
+            assert (engine._icbrt(c - 1), engine._icbrt(c), engine._icbrt(c + 1)) == (
+                m - 1, m, m,
+            ), m
+
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_cube_root_random(self, x):
+        r = engine._icbrt(x)
+        assert r**3 <= x < (r + 1) ** 3
+
     def test_ceiling_before_allocating(self):
         # isqrt(x) must stay inside the 2^24 prime table; past it the call
         # raises before it builds any array
