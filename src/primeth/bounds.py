@@ -2,47 +2,64 @@
 
 ``BOUNDS`` is the one table of checked bounds.  Each row holds the name, the
 suites that report it, the hypothesis on (n, k), the side (lower: formula <
-p_n^(k); upper: p_n^(k) < formula) and the formula, which runs at the
-working precision with logarithms memoised per (argument, precision).
+p_n^(k); upper: p_n^(k) < formula) and the formula, which runs on raw libmp
+values at the working precision, with powers of logarithms memoised per
+(argument, precision, power).  Each step is the libmp operation, with the
+rounding, that its mpf expression (noted beside it) calls, so the bound is
+that mpf bit for bit.
 Out-of-hypothesis rows are flagged inapplicable, never evaluated, since a
 bound can fail outside its hypothesis without meaning anything.  All
 integer-vs-real comparisons escalate precision automatically so a verdict
 is never decided by rounding noise.
 """
 
-import csv
 import functools
 from collections import namedtuple
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    from_int, ftwo, mpf_factorial, mpf_log, mpf_mul, mpf_mul_int, mpf_pow_int, to_str,
+)
 
 from .errors import DomainError, HypothesisViolatedError, InapplicableIndexError
-from .hpreal import DEFAULT_PREC, compare_int
+from .hpreal import DEFAULT_PREC, compare_int, working_digits
+
+_RND = "n"  # mpf arithmetic rounds to nearest
 
 
 @functools.lru_cache(maxsize=256)
-def _log(x, prec):
-    """log x at ``prec`` bits."""
-    return mp.ln(x, prec=prec)
+def _log(x, prec, k):
+    """(log x)^k at ``prec`` bits, as the raw libmp value of mp.ln(x, prec=prec) ** k."""
+    if k == 1:  # mpf ** 1 is the mpf itself
+        return mpf_log(from_int(x), prec, _RND)
+    return mpf_pow_int(_log(x, prec, 1), k, prec, _RND)
+
+
+def _formula(raw):
+    """The row formula (n, k) -> mpf of ``raw(n, k, p)``, a libmp value at p = mp.prec."""
+    return lambda n, k: mp.make_mpf(raw(n, k, mp.prec))
 
 
 Bound = namedtuple("Bound", "name suites applies side formula")
 
 BOUNDS = (
     Bound("rosser_lower", ("rosser", "all"), lambda n, k: k == 1 and n >= 2, "lower",
-          lambda n, k: n * _log(n, mp.prec)),
+          _formula(lambda n, k, p: mpf_mul_int(_log(n, p, 1), n, p, _RND))),  # n * log(n)
     Bound("rosser_upper", ("rosser", "all"), lambda n, k: k == 1 and n >= 3, "upper",
-          lambda n, k: 2 * n * _log(n, mp.prec)),
+          _formula(lambda n, k, p: mpf_mul_int(_log(n, p, 1), 2 * n, p, _RND))),  # 2 * n * log(n)
+    # mpf(2) ** (2 * k - 1) * n * mp.factorial(k - 1) * log(max(k, n)) ** k
     Bound("iter_upper", ("lemma1", "all"), lambda n, k: n >= 9, "upper",
-          lambda n, k: (
-              mpf(2) ** (2 * k - 1) * n * mp.factorial(k - 1) * _log(max(k, n), mp.prec) ** k
-          )),
-    # intended for k >= max(n, 9)
+          _formula(lambda n, k, p: mpf_mul(
+              mpf_mul(mpf_mul_int(mpf_pow_int(ftwo, 2 * k - 1, p, _RND), n, p, _RND),
+                      mpf_factorial(from_int(k - 1), p, _RND), p, _RND),
+              _log(max(k, n), p, k), p, _RND))),
+    # intended for k >= max(n, 9); (4 * k * log(k)) ** k
     Bound("iter_upper_simple", ("lemma1", "all"), lambda n, k: n >= 9 and k >= n, "upper",
-          lambda n, k: (4 * k * _log(k, mp.prec)) ** k),
-    Bound("iter_lower", ("ineq3", "all"), lambda n, k: n >= 2, "lower",
-          lambda n, k: n * _log(n, mp.prec) ** k),
+          _formula(lambda n, k, p: (
+              mpf_pow_int(mpf_mul_int(_log(k, p, 1), 4 * k, p, _RND), k, p, _RND)))),
+    Bound("iter_lower", ("ineq3", "all"), lambda n, k: n >= 2, "lower",  # n * log(n) ** k
+          _formula(lambda n, k, p: mpf_mul_int(_log(n, p, k), n, p, _RND))),
     # needs n > e^4200, which no materialized n meets; the formula is
     # lower_bound_L3, parameterized by log n
     Bound("iter_lower_huge_n", ("all",), lambda n, k: False, "lower", None),
@@ -167,7 +184,7 @@ def check_bounds(n, k, value, prec=DEFAULT_PREC, suite="all"):
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
     checks = []
-    with mp.workdps(max(prec, 15)):  # compare_int's digits: one context for all rows
+    with working_digits(max(prec, 15)):  # compare_int's digits: one context for all rows
         for row in SUITES[suite]:
             if not row.applies(n, k):
                 checks.append(BoundCheck(row.name, None, None, False, None))
@@ -184,23 +201,20 @@ CSV_HEADER = ["n", "k", "value", "bound", "lhs", "rhs", "applicable", "holds"]
 
 
 def write_report_csv(reports, fh, digits=15):
-    """Serialize BoundReports: columns n,k,value,bound,lhs,rhs,applicable,holds."""
-    def fmt(v):
-        return "" if v is None else (str(v) if isinstance(v, int) else mp.nstr(v, digits))
+    """Serialize BoundReports: columns n,k,value,bound,lhs,rhs,applicable,holds.
 
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    No field needs csv quoting; an mpf side is printed as mp.nstr(v, digits).
+    """
+    def fmt(v):
+        return str(v) if isinstance(v, int) else to_str(v._mpf_, digits)
+
+    lines = [",".join(CSV_HEADER)]
     for rep in reports:
+        head = f"{rep.n},{rep.k},{rep.value},"
         for c in rep.checks:
-            writer.writerow(
-                [
-                    rep.n,
-                    rep.k,
-                    rep.value,
-                    c.name,
-                    fmt(c.lhs),
-                    fmt(c.rhs),
-                    "yes" if c.applicable else "no",
-                    "" if c.holds is None else ("yes" if c.holds else "no"),
-                ]
-            )
+            if c.applicable:
+                holds = "" if c.holds is None else ("yes" if c.holds else "no")
+                lines.append(f"{head}{c.name},{fmt(c.lhs)},{fmt(c.rhs)},yes,{holds}")
+            else:  # an inapplicable check holds None in lhs, rhs and holds
+                lines.append(f"{head}{c.name},,,no,")
+    fh.write("\n".join(lines) + "\n")

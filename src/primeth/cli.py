@@ -10,6 +10,7 @@ import contextlib
 import csv
 import sys
 from datetime import datetime, timezone
+from itertools import islice
 
 from mpmath import mp, mpf
 
@@ -168,17 +169,22 @@ def _cmd_verify(args, cache):
     reports = []
     tally = dict.fromkeys((True, False, None), 0)  # checks by holds; None: inapplicable
     truncated = False
-    for n in range(1, args.n_max + 1):
-        try:
-            tower = iterated.iterate_prime(n, k_max, budget=args.budget, cache=cache)
-        except BudgetExceededError:
-            truncated = True
-            continue
-        truncated = truncated or tower.truncated
-        for k, value in enumerate(tower.values, start=1):
-            reports.append(bounds.check_bounds(n, k, value, args.prec, args.suite))
-            for c in reports[-1].checks:
-                tally[c.holds] += 1
+    if args.n_max >= 1 and k_max >= 1:  # p_n^(k) <= top for all n <= n_max, k <= k_max
+        *_, (_, top) = islice(iterated.brackets(args.n_max, cache), k_max)
+        if top < engine._TABLE_LIMIT:  # nth_prime then reads this table, not the 2^24 one
+            engine.base_primes_upto(top)
+    with mp.workdps(max(args.prec, 15)):  # the digits of every check_bounds call
+        for n in range(1, args.n_max + 1):
+            try:
+                tower = iterated.iterate_prime(n, k_max, budget=args.budget, cache=cache)
+            except BudgetExceededError:
+                truncated = True
+                continue
+            truncated = truncated or tower.truncated
+            for k, value in enumerate(tower.values, start=1):
+                reports.append(bounds.check_bounds(n, k, value, args.prec, args.suite))
+                for c in reports[-1].checks:
+                    tally[c.holds] += 1
 
     with _open_out(args) as fh:
         _stamp(fh, args)

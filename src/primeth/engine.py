@@ -8,7 +8,8 @@ ones a later stage reads; below it a slice over every d is faster.  About
 0.02 s at 10^10, 0.1 s at 10^11, 0.4 s at 10^12 and 1.6 s at 10^13 (2-core
 x86-64 Xeon, Python 3.11, numpy 2.4).  The sieving primes come from a table
 of the primes up to the power of two above the largest one needed.
-nth_prime indexes the table of the primes up to 2^24 when n <= pi(2^24).
+nth_prime indexes the smallest prime table already built that holds n
+primes, or else the table of the primes up to 2^24, when n <= pi(2^24).
 Past the table it starts at x = R^-1(n), the inverse of Riemann's R
 function, counts pi(x) exactly once, and sieves windows forward or
 backward from x until it reaches the nth prime.  R only picks where to
@@ -44,11 +45,13 @@ _WINDOW = 1 << 16
 _NEWTON_STEPS = 2
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TABLES = {}  # limit -> the primes up to it, each built once by _prime_table
 
 
-@functools.cache
 def _prime_table(limit):
     """All primes <= limit, a power of two, by an odd-only sieve built on first use."""
+    if (table := _TABLES.get(limit)) is not None:
+        return table
     flags = np.ones(limit // 2, dtype=bool)  # flags[i] <-> 2i + 1
     flags[0] = False
     for i in range(1, math.isqrt(limit) // 2 + 1):
@@ -57,6 +60,7 @@ def _prime_table(limit):
             flags[p * p // 2 :: p] = False
     table = np.concatenate(([2], 2 * np.flatnonzero(flags) + 1)).astype(np.int64)
     table.flags.writeable = False  # shared by every caller, as are its slices
+    _TABLES[limit] = table
     return table
 
 
@@ -306,8 +310,9 @@ def nth_prime(n):
     n = int(n)
     if n < 1:
         raise InvalidRangeError("nth_prime requires n >= 1")
-    if n <= _TABLE_PRIMES:
-        return int(_prime_table(_TABLE_LIMIT)[n - 1])
+    if n <= _TABLE_PRIMES:  # the smallest table built that holds n primes, or the 2^24 one
+        limit = min((lim for lim, t in _TABLES.items() if len(t) >= n), default=_TABLE_LIMIT)
+        return int(_prime_table(limit)[n - 1])
     # R only picks where to start; the exact count and the sieve decide.
     # If c < n, p_n is the (n - c)th prime above x, else the (c - n + 1)th
     # prime counting down from x.  x >= 2 keeps the prime 2, which the

@@ -4,15 +4,18 @@ Precision is expressed everywhere in significant decimal digits.  The one
 non-obvious piece is ``compare_int``: it takes the sign of an mpf ``approx``
 minus an exact integer from the mpf's mantissa and exponent, in integers, and
 re-runs at doubled precision iff |approx - value| <= |approx| * 10^(1 - digits),
-so rounding noise can never flip a verdict.
+so rounding noise can never flip a verdict.  Many comparisons at one
+precision share one context when the caller enters ``working_digits`` once.
 """
 
+import contextlib
 import functools
 
 from mpmath import libmp, mp
 
 DEFAULT_PREC = 50
 MAX_ESCALATION_PREC = 4096
+_bits = functools.lru_cache(maxsize=64)(libmp.dps_to_prec)  # mp.prec at these digits
 
 
 @functools.lru_cache(maxsize=64)
@@ -21,10 +24,15 @@ def _scale(digits):
     return 10 ** (digits - 1)
 
 
+def working_digits(digits):
+    """mp.workdps(digits), or a context that does nothing when mp already works at them."""
+    return contextlib.nullcontext() if mp.prec == _bits(digits) else mp.workdps(digits)
+
+
 def _eval_at(fn, digits):
     """fn() and its value rounded to ``digits``; a context is entered only if needed."""
-    if mp.prec == libmp.dps_to_prec(digits):
-        return (raw := fn()), +raw
+    if mp.prec == _bits(digits):  # working_digits, without a no-op context per call
+        return (raw := fn()), (raw if raw._mpf_[3] <= mp.prec else +raw)  # fits: +raw is raw
     with mp.workdps(digits):
         return _eval_at(fn, digits)
 

@@ -24,7 +24,9 @@ from itertools import islice
 import numpy as np
 from mpmath import mp, mpf
 
-from .engine import _TABLE_LIMIT, _prime_table, base_primes_upto, is_prime, nth_prime
+from .engine import (
+    _TABLE_LIMIT, _TABLE_PRIMES, _prime_table, base_primes_upto, is_prime, nth_prime,
+)
 from .errors import BudgetExceededError, CacheFormatError, InvalidRangeError
 from .hpreal import DEFAULT_PREC, compare_int
 
@@ -94,11 +96,14 @@ class TowerCache:
 
         A record's index is n at level 1 and the stored value of the level
         below otherwise; where that index is known and tabled, the value
-        must be the tabled prime.
+        must be the tabled prime.  The table ends at the largest value below
+        2^24, so an index past it names a prime above every value below 2^24,
+        and for idx <= pi(2^24) a prime below 2^24, so above it no value is
+        p_idx either.
         """
-        # values below the table's limit are looked up in it in one numpy pass
-        table = base_primes_upto(_TABLE_LIMIT - 1)
+        # values below 2^24 are looked up in the table in one numpy pass
         small = np.array([v for v in self._store.values() if v < _TABLE_LIMIT], np.int64)
+        table = base_primes_upto(int(small.max(initial=1)))
         found = table[np.searchsorted(table, small, side="right") - 1] == small
         composite = set(small[~found].tolist())
         below = {}  # base n -> the value of its highest level so far
@@ -113,6 +118,8 @@ class TowerCache:
             idx = n if level == 1 else self._store.get((n, level - 1), 0)
             if 0 < idx <= len(table):
                 indexed.append((n, level, idx))
+            elif idx > len(table) and (idx <= _TABLE_PRIMES or value < _TABLE_LIMIT):
+                raise CacheFormatError(f"{path}: p_{n}^({level}) = {value} is not p_{idx}")
         tabled = table[np.array([idx for _, _, idx in indexed], np.int64) - 1].tolist()
         for (n, level, idx), p in zip(indexed, tabled):
             if self._store[n, level] != p:

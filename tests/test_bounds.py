@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -20,7 +21,7 @@ from primeth import (
     upper_bound_L1,
     upper_bound_L1_simple,
 )
-from primeth.bounds import write_report_csv
+from primeth.bounds import BOUNDS, BoundCheck, BoundReport, write_report_csv
 from primeth.hpreal import MAX_ESCALATION_PREC, compare_int
 
 
@@ -253,6 +254,150 @@ class TestBoundsTable:
             assert rows[name].holds == (exact < value)
             assert rows[name].lhs == at30 and rows[name].lhs != at15
         assert rows["rosser_upper"].holds and rows["iter_upper"].holds
+
+
+# Each formula as the mpf expression it replaced: a row's libmp steps must
+# return these bits exactly, at every precision.
+MPF_EXPRESSIONS = {
+    "rosser_lower": lambda n, k: n * mp.ln(n),
+    "rosser_upper": lambda n, k: 2 * n * mp.ln(n),
+    "iter_upper": lambda n, k: (
+        mpf(2) ** (2 * k - 1) * n * mp.factorial(k - 1) * mp.ln(max(k, n)) ** k
+    ),
+    "iter_upper_simple": lambda n, k: (4 * k * mp.ln(k)) ** k,
+    "iter_lower": lambda n, k: n * mp.ln(n) ** k,
+}
+
+
+class TestFormulaBits:
+    @given(
+        st.integers(min_value=1, max_value=10**7),
+        st.integers(min_value=1, max_value=60),
+        st.sampled_from([15, 50, 100, 300, 1000]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_and_wrappers_equal_the_mpf_expressions(self, n, k, prec):
+        rows = [row for row in BOUNDS if row.formula is not None]
+        assert {row.name for row in rows} == set(MPF_EXPRESSIONS)
+        with mp.workdps(prec):
+            for row in rows:
+                assert row.formula(n, k)._mpf_ == MPF_EXPRESSIONS[row.name](n, k)._mpf_
+            expected = {name: +f(n, k) for name, f in MPF_EXPRESSIONS.items()}
+            simple = +MPF_EXPRESSIONS["iter_upper_simple"](k, k)
+        public = {}
+        if n >= 2:
+            public["rosser_lower"], public["rosser_upper"] = rosser_bracket(n, prec)
+            public["iter_lower"] = lower_bound_simple(n, k, prec)
+        if n >= 9:
+            public["iter_upper"] = upper_bound_L1(n, k, prec)
+        for name, value in public.items():
+            if value is None:  # rosser_upper at n = 2
+                continue
+            assert value._mpf_ == expected[name]._mpf_
+        if k >= 2:
+            assert upper_bound_L1_simple(k, prec)._mpf_ == simple._mpf_
+
+
+def _csv_by_writer(reports, digits):
+    """write_report_csv's rows as csv.writer writes them, mpf sides by mp.nstr."""
+    def fmt(v):
+        return "" if v is None else (str(v) if isinstance(v, int) else mp.nstr(v, digits))
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "k", "value", "bound", "lhs", "rhs", "applicable", "holds"])
+    for rep in reports:
+        for c in rep.checks:
+            holds = "" if c.holds is None else ("yes" if c.holds else "no")
+            writer.writerow([rep.n, rep.k, rep.value, c.name, fmt(c.lhs), fmt(c.rhs),
+                             "yes" if c.applicable else "no", holds])
+    return buf.getvalue()
+
+
+class TestReportCsv:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=3000),
+                st.integers(min_value=1, max_value=12),
+                st.one_of(st.integers(min_value=2, max_value=10**6),
+                          st.integers(min_value=2, max_value=10**80)),
+            ),
+            min_size=1, max_size=8,
+        ),
+        st.sampled_from([15, 20, 50, 100]),
+        st.sampled_from([15, 20]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_csv_writer(self, triples, prec, digits):
+        # arbitrary values put the bounds on both sides of them, so lower and
+        # upper rows hold and fail, beside inapplicable ones
+        reports = [check_bounds(n, k, value, prec=prec) for n, k, value in triples]
+        buf = io.StringIO()
+        write_report_csv(reports, buf, digits=digits)
+        assert buf.getvalue() == _csv_by_writer(reports, digits)
+        for row in buf.getvalue().splitlines():
+            assert row.count(",") == 7 and '"' not in row and "\r" not in row
+
+    def test_every_kind_of_field(self):
+        # both verdicts of both sides, an inapplicable row, int and mpf sides,
+        # and a holds left open on an applicable row
+        with mp.workdps(30):
+            third, huge = mpf(1) / 3, mpf(10) ** 40 / 7
+        checks = [
+            BoundCheck("rosser_lower", third, 5, True, True),
+            BoundCheck("rosser_upper", 5, third, True, False),
+            BoundCheck("iter_upper", 5, huge, True, True),
+            BoundCheck("iter_lower", huge, 5, True, False),
+            BoundCheck("iter_upper_simple", 3, 4, True, None),
+            BoundCheck("iter_lower_huge_n", None, None, False, None),
+        ]
+        reports = [BoundReport(n=9, k=2, value=5, checks=checks)]
+        for digits in (15, 20):
+            buf = io.StringIO()
+            write_report_csv(reports, buf, digits=digits)
+            assert buf.getvalue() == _csv_by_writer(reports, digits)
+        assert buf.getvalue().splitlines()[1:3] == [
+            "9,2,5,rosser_lower,0.33333333333333333333,5,yes,yes",
+            "9,2,5,rosser_upper,5,0.33333333333333333333,yes,no",
+        ]
+
+    def test_empty_report_list_writes_the_header(self):
+        buf = io.StringIO()
+        write_report_csv([], buf)
+        assert buf.getvalue() == "n,k,value,bound,lhs,rhs,applicable,holds\n"
+
+
+def _bits_of(report):
+    """A report's fields, each mpf by its raw (sign, man, exp, bc) tuple."""
+    return [(c.name, getattr(c.lhs, "_mpf_", c.lhs), getattr(c.rhs, "_mpf_", c.rhs),
+             c.applicable, c.holds) for c in report.checks]
+
+
+class TestPrecisionContext:
+    def test_wider_result_is_rounded_to_the_digits(self):
+        # fn() carries 201 bits, more than 15 digits hold: the evaluated side
+        # is that value rounded to 15 digits, inside a matching context or not
+        with mp.workdps(80):
+            wide = mpf(2) ** 200 + 1
+        with mp.workdps(15):
+            rounded = +wide
+            inside = compare_int(1, lambda: wide, 15)
+        outside = compare_int(1, lambda: wide, 15)
+        assert wide._mpf_[3] == 201 and rounded._mpf_[3] < 53
+        for sign, approx in (inside, outside):
+            assert sign == 1 and approx._mpf_ == rounded._mpf_
+
+    @pytest.mark.parametrize("prec", [15, 50, 100])
+    def test_check_bounds_is_the_same_in_any_context(self, prec):
+        cases = [(9, 1, 23), (9, 1, 1000), (10**15, 1, 34538776394910685), (50, 3, 10**9)]
+        for n, k, value in cases:
+            outside = _bits_of(check_bounds(n, k, value, prec=prec))
+            for context_digits in (max(prec, 15), 40, 300):
+                with mp.workdps(context_digits):
+                    assert _bits_of(check_bounds(n, k, value, prec=prec)) == outside
+                    assert mp.dps == context_digits
+            assert mp.dps == 15
 
 
 class TestPrecisionEscalation:

@@ -15,7 +15,7 @@ import primeth
 from primeth import PrimethError, bounds, certify, engine, errors
 from primeth.cli import _build_parser, main
 
-from oracle import L_by_decimal, bound_by_decimal, tower_by_sieve
+from oracle import L_by_decimal, bound_by_decimal, sieve_primes, tower_by_sieve
 
 
 def run(capsys, *argv):
@@ -374,6 +374,31 @@ class TestVerify:
             if row.split(",")[3] in names and (suite != "rosser" or row.split(",")[1] == "1")
         ]
         assert out.splitlines() == [header] + kept
+
+    @pytest.mark.parametrize("n_max, k_max, table", [(2000, 3, 1 << 22), (100, 4, 1 << 19)])
+    def test_tables_sized_to_the_top_bracket(self, capsys, monkeypatch, n_max, k_max, table):
+        # p_2000^(3) <= 2644271 < 2^22, p_100^(4) <= 440117 < 2^19: verify
+        # builds that table, not the 2^24 one, and the values stay exact
+        monkeypatch.setattr(engine, "_TABLES", {})
+        code, out, _ = run(
+            capsys, "verify", "ineq3", "--n-max", str(n_max), "--k-max", str(k_max),
+            "--prec", "15", "--no-timestamp",
+        )
+        assert code == 0
+        assert max(engine._TABLES) == table
+        primes = sieve_primes(2_700_000)
+        rows = [tuple(map(int, row.split(",")[:3])) for row in out.splitlines()[1:]]
+        assert rows == [
+            (n, k, v)
+            for n in range(1, n_max + 1)
+            for k, v in enumerate(tower_by_sieve(n, k_max, primes), start=1)
+        ]
+
+    @pytest.mark.parametrize("flags", [["--k-max", "0"], ["--k-max", "-1", "--n-max", "3"]])
+    def test_no_levels_is_a_usage_error(self, capsys, flags):
+        code, out, err = run(capsys, "verify", "all", *flags, "--no-timestamp")
+        assert (code, out) == (3, "")
+        assert err == "error: tower requires n >= 1 and k >= 1\n"
 
     def test_one_comparison_per_applicable_row(self, capsys, monkeypatch):
         calls = []

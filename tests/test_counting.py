@@ -247,14 +247,14 @@ class TestTowerWork:
     def test_count_diag_1e10_computes_no_prime(self, monkeypatch):
         # brackets decide every level: no nth_prime call and only the 2^19 table
         monkeypatch.setattr(iterated, "nth_prime", lambda idx: pytest.fail(f"nth_prime({idx})"))
-        engine._prime_table.cache_clear()
+        monkeypatch.setattr(engine, "_TABLES", {})
         tracemalloc.start()
         try:
             assert count_diag(10**10) == 9
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert engine._prime_table.cache_info().currsize == 1
+        assert list(engine._TABLES) == [1 << 19]
         assert peak < 4 << 20
 
 

@@ -195,10 +195,10 @@ class TestPrimeCount:
         # isqrt(x) = _ROUGH_FROM - 1 sieves densely, isqrt(x) = _ROUGH_FROM roughly
         self._check_around(engine._ROUGH_FROM**2)
 
-    def test_small_query_builds_a_small_table(self):
+    def test_small_query_builds_a_small_table(self, monkeypatch):
         # sieving primes come from the table for the power of two above
         # isqrt(x), here 2^10, not from the 2^24 table nth_prime indexes
-        engine._prime_table.cache_clear()
+        monkeypatch.setattr(engine, "_TABLES", {})
         tracemalloc.start()
         try:
             assert prime_count(10**6) == 78498
@@ -293,6 +293,15 @@ class TestNthPrime:
         with pytest.raises(InvalidRangeError):
             nth_prime(0)
 
+    def test_reads_a_smaller_table_already_built(self, monkeypatch):
+        # pi(1024) = 172: n <= 172 reads the 2^10 table, n = 173 builds 2^24
+        monkeypatch.setattr(engine, "_TABLES", {})
+        engine.base_primes_upto(1000)
+        assert [nth_prime(n) for n in (1, 25, 172)] == [2, 97, 1021]
+        assert list(engine._TABLES) == [1 << 10]
+        assert nth_prime(173) == 1031
+        assert sorted(engine._TABLES) == [1 << 10, engine._TABLE_LIMIT]
+
     def test_seed_never_decides_the_answer(self, monkeypatch):
         # seeds below p_n (just past the table, or inside it) and far above
         # it walk both ways through doubling windows to the same prime
@@ -310,11 +319,11 @@ class TestNthPrime:
         assert nth_prime(n) == primes[n - 1] == 16777213  # largest p < 2^24
         assert nth_prime(n + 1) == primes[n] == 16777259
 
-    def test_lookup_past_the_table_skips_it(self):
+    def test_lookup_past_the_table_skips_it(self, monkeypatch):
         # n > pi(2^24) is decided before the 2^24 table (16 MB) is built; the
         # count and the sieve walk use small tables
         p = int(sieve_primes(33_000_000)[2_000_000 - 1])
-        engine._prime_table.cache_clear()
+        monkeypatch.setattr(engine, "_TABLES", {})
         tracemalloc.start()
         try:
             assert nth_prime(2_000_000) == p

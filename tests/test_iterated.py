@@ -14,6 +14,7 @@ from primeth import (
     nth_prime,
     ratio_to_diagonal,
 )
+from primeth import engine
 from primeth.hpreal import DEFAULT_PREC
 from primeth.iterated import _FLOAT_BAND, _value_certainly_above
 
@@ -207,6 +208,37 @@ class TestTowerCache:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CacheFormatError, match=reason):
             TowerCache(str(path))
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["T 100 1 131"],  # p_100 = 541 lies past the primes up to 131
+            ["T 100 1 16777259"],  # p_100 lies below 2^24, the value above it
+            ["T 1 1 2", "T 600 1 3571"],  # p_600 = 4409, past the table to 3571
+            ["T 3 1 5", "T 3 2 20000003"],  # p_5 = 11 lies below 2^24
+            ["T 2000000 1 3000017"],  # p_2000000 = 32452843 lies past the table
+        ],
+    )
+    def test_index_past_a_small_table_is_still_checked(self, tmp_path, monkeypatch, lines):
+        # the table holds the primes up to the largest value below 2^24, and
+        # no record is accepted for lack of the 2^24 table
+        monkeypatch.setattr(engine, "_TABLES", {})
+        path = tmp_path / "towers.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CacheFormatError, match=r"is not p_\d+"):
+            TowerCache(str(path))
+        assert all(limit < engine._TABLE_LIMIT for limit in engine._TABLES)
+
+    def test_warm_cache_loads_with_a_small_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "towers.txt"
+        cache = TowerCache(str(path))
+        for n in range(1, 301):
+            iterate_prime(n, 3, cache=cache)
+        cache.close()
+        monkeypatch.setattr(engine, "_TABLES", {})
+        reloaded = TowerCache(str(path))
+        assert len(reloaded) == 900 and reloaded.get(300, 3) == 191551
+        assert list(engine._TABLES) == [1 << 18]
 
     def test_valid_records_load(self, tmp_path):
         # levels may be missing, records repeat, and bases interleave
