@@ -2,15 +2,18 @@
 
 ``BOUNDS`` is the one table of checked bounds.  Each row holds the name, the
 suites that report it, the hypothesis on (n, k), the side (lower: formula <
-p_n^(k); upper: p_n^(k) < formula) and the formula, which runs on raw libmp
-values at the working precision, with powers of logarithms memoised per
-(argument, precision, power).  Each step is the libmp operation, with the
-rounding, that its mpf expression (noted beside it) calls, so the bound is
-that mpf bit for bit.
+p_n^(k); upper: p_n^(k) < formula) and the formula (n, k, prec), which
+returns a raw libmp value at ``prec`` bits, with powers of logarithms
+memoised per (argument, precision, power).  Each step is the libmp
+operation, with the rounding, that its mpf expression (noted beside it)
+calls, so the bound is that mpf bit for bit.
 Out-of-hypothesis rows are flagged inapplicable, never evaluated, since a
-bound can fail outside its hypothesis without meaning anything.  All
-integer-vs-real comparisons escalate precision automatically so a verdict
-is never decided by rounding noise.
+bound can fail outside its hypothesis without meaning anything.  Each
+applicable row is decided once, by ``_decide``: hpreal's ``int_sign`` on the
+raw bound, and compare_int's doubling of the digits only inside the margin,
+so a verdict is never decided by rounding noise.  ``check_bounds`` returns
+the rows as objects; ``verify`` prints them straight from the raw values
+through ``_level_lines``; both print through the one line formatter.
 """
 
 import functools
@@ -19,11 +22,12 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    from_int, ftwo, mpf_factorial, mpf_log, mpf_mul, mpf_mul_int, mpf_pow_int, to_str,
+    dps_to_prec, from_int, ftwo, mpf_factorial, mpf_log, mpf_mul, mpf_mul_int, mpf_pow_int,
+    to_str,
 )
 
 from .errors import DomainError, HypothesisViolatedError, InapplicableIndexError
-from .hpreal import DEFAULT_PREC, compare_int, working_digits
+from .hpreal import DEFAULT_PREC, MAX_ESCALATION_PREC, compare_int, int_sign, working_digits
 
 _RND = "n"  # mpf arithmetic rounds to nearest
 
@@ -36,30 +40,25 @@ def _log(x, prec, k):
     return mpf_pow_int(_log(x, prec, 1), k, prec, _RND)
 
 
-def _formula(raw):
-    """The row formula (n, k) -> mpf of ``raw(n, k, p)``, a libmp value at p = mp.prec."""
-    return lambda n, k: mp.make_mpf(raw(n, k, mp.prec))
-
-
 Bound = namedtuple("Bound", "name suites applies side formula")
 
 BOUNDS = (
     Bound("rosser_lower", ("rosser", "all"), lambda n, k: k == 1 and n >= 2, "lower",
-          _formula(lambda n, k, p: mpf_mul_int(_log(n, p, 1), n, p, _RND))),  # n * log(n)
+          lambda n, k, p: mpf_mul_int(_log(n, p, 1), n, p, _RND)),  # n * log(n)
     Bound("rosser_upper", ("rosser", "all"), lambda n, k: k == 1 and n >= 3, "upper",
-          _formula(lambda n, k, p: mpf_mul_int(_log(n, p, 1), 2 * n, p, _RND))),  # 2 * n * log(n)
+          lambda n, k, p: mpf_mul_int(_log(n, p, 1), 2 * n, p, _RND)),  # 2 * n * log(n)
     # mpf(2) ** (2 * k - 1) * n * mp.factorial(k - 1) * log(max(k, n)) ** k
     Bound("iter_upper", ("lemma1", "all"), lambda n, k: n >= 9, "upper",
-          _formula(lambda n, k, p: mpf_mul(
+          lambda n, k, p: mpf_mul(
               mpf_mul(mpf_mul_int(mpf_pow_int(ftwo, 2 * k - 1, p, _RND), n, p, _RND),
                       mpf_factorial(from_int(k - 1), p, _RND), p, _RND),
-              _log(max(k, n), p, k), p, _RND))),
+              _log(max(k, n), p, k), p, _RND)),
     # intended for k >= max(n, 9); (4 * k * log(k)) ** k
     Bound("iter_upper_simple", ("lemma1", "all"), lambda n, k: n >= 9 and k >= n, "upper",
-          _formula(lambda n, k, p: (
-              mpf_pow_int(mpf_mul_int(_log(k, p, 1), 4 * k, p, _RND), k, p, _RND)))),
+          lambda n, k, p: (
+              mpf_pow_int(mpf_mul_int(_log(k, p, 1), 4 * k, p, _RND), k, p, _RND))),
     Bound("iter_lower", ("ineq3", "all"), lambda n, k: n >= 2, "lower",  # n * log(n) ** k
-          _formula(lambda n, k, p: mpf_mul_int(_log(n, p, k), n, p, _RND))),
+          lambda n, k, p: mpf_mul_int(_log(n, p, k), n, p, _RND)),
     # needs n > e^4200, which no materialized n meets; the formula is
     # lower_bound_L3, parameterized by log n
     Bound("iter_lower_huge_n", ("all",), lambda n, k: False, "lower", None),
@@ -69,8 +68,7 @@ SUITES = {s: tuple(r for r in BOUNDS if s in r.suites) for b in BOUNDS for s in 
 
 
 def _evaluate(name, n, k, prec):
-    with mp.workdps(prec):
-        return +_ROW[name].formula(n, k)
+    return mp.make_mpf(_ROW[name].formula(n, k, dps_to_prec(prec)))
 
 
 def rosser_bracket(n, prec=DEFAULT_PREC):
@@ -178,26 +176,76 @@ class BoundReport:
         return all(c.holds for c in self.checks if c.applicable)
 
 
+def _decide(row, n, k, value, digits):
+    """(holds, bound) of an applicable row at one tower level.
+
+    The formula runs at mp.prec, which the caller sets to ``digits``; only
+    inside int_sign's margin does compare_int go on from doubled digits.
+    ``bound`` is the raw libmp value that decided.
+    """
+    bound = row.formula(n, k, mp.prec)
+    if (sign := int_sign(bound, value, digits)) is None:
+        sign, approx = compare_int(value, lambda: mp.make_mpf(row.formula(n, k, mp.prec)),
+                                   min(2 * digits, MAX_ESCALATION_PREC))
+        bound = approx._mpf_
+    return (sign < 0 if row.side == "lower" else sign > 0), bound
+
+
 def check_bounds(n, k, value, prec=DEFAULT_PREC, suite="all"):
     """Report the bounds of one verification suite against one tower value."""
     n, k, value = int(n), int(k), int(value)
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
+    digits = max(prec, 15)
     checks = []
-    with working_digits(max(prec, 15)):  # compare_int's digits: one context for all rows
+    with working_digits(digits):  # one context for all rows
         for row in SUITES[suite]:
             if not row.applies(n, k):
                 checks.append(BoundCheck(row.name, None, None, False, None))
                 continue
-            sign, bound = compare_int(value, functools.partial(row.formula, n, k), prec)
-            if row.side == "lower":
-                checks.append(BoundCheck(row.name, bound, value, True, sign < 0))
-            else:
-                checks.append(BoundCheck(row.name, value, bound, True, sign > 0))
+            holds, bound = _decide(row, n, k, value, digits)
+            bound = mp.make_mpf(bound)
+            lhs, rhs = (bound, value) if row.side == "lower" else (value, bound)
+            checks.append(BoundCheck(row.name, lhs, rhs, True, holds))
     return BoundReport(n=n, k=k, value=value, checks=checks)
 
 
 CSV_HEADER = ["n", "k", "value", "bound", "lhs", "rhs", "applicable", "holds"]
+_CELL = {True: "yes", False: "no", None: ""}  # the applicable and holds columns
+
+
+def _line(head, name, lhs, rhs, applicable, holds):
+    """One CSV line after its head "n,k,value,"; lhs and rhs as printed, "" if absent."""
+    return f"{head}{name},{lhs},{rhs},{_CELL[applicable]},{_CELL[holds]}"
+
+
+def _level_lines(n, k, value, prec, suite, digits, tally):
+    """check_bounds(n, k, value, prec, suite) as the lines write_report_csv prints.
+
+    Bounds are printed to ``digits`` and each row is counted in ``tally``
+    by its holds, with no object built per row.  The caller works at
+    max(prec, 15) digits.
+    """
+    work = max(prec, 15)
+    text = str(value)
+    head = f"{n},{k},{text},"
+    lines = []
+    for row in SUITES[suite]:
+        if not row.applies(n, k):
+            lines.append(_line(head, row.name, "", "", False, None))
+            tally[None] += 1
+            continue
+        holds, bound = _decide(row, n, k, value, work)
+        bound = to_str(bound, digits)
+        lhs, rhs = (bound, text) if row.side == "lower" else (text, bound)
+        lines.append(_line(head, row.name, lhs, rhs, True, holds))
+        tally[holds] += 1
+    return lines
+
+
+def _write_csv(lines, fh):
+    """The header and the lines, in one write."""
+    fh.write("\n".join([",".join(CSV_HEADER), *lines]) + "\n")
 
 
 def write_report_csv(reports, fh, digits=15):
@@ -205,16 +253,15 @@ def write_report_csv(reports, fh, digits=15):
 
     No field needs csv quoting; an mpf side is printed as mp.nstr(v, digits).
     """
-    def fmt(v):
+    def side(v):
         return str(v) if isinstance(v, int) else to_str(v._mpf_, digits)
 
-    lines = [",".join(CSV_HEADER)]
+    lines = []
     for rep in reports:
         head = f"{rep.n},{rep.k},{rep.value},"
-        for c in rep.checks:
-            if c.applicable:
-                holds = "" if c.holds is None else ("yes" if c.holds else "no")
-                lines.append(f"{head}{c.name},{fmt(c.lhs)},{fmt(c.rhs)},yes,{holds}")
-            else:  # an inapplicable check holds None in lhs, rhs and holds
-                lines.append(f"{head}{c.name},,,no,")
-    fh.write("\n".join(lines) + "\n")
+        lines.extend(
+            _line(head, c.name, side(c.lhs), side(c.rhs), True, c.holds) if c.applicable
+            else _line(head, c.name, "", "", False, None)  # no sides and no verdict
+            for c in rep.checks
+        )
+    _write_csv(lines, fh)

@@ -15,7 +15,9 @@ from itertools import islice
 from mpmath import mp, mpf
 
 from . import bounds, certify, counting, engine, iterated
-from .errors import BudgetExceededError, DomainError, PrimethError, ThresholdViolatedError
+from .errors import (
+    BudgetExceededError, DomainError, InvalidRangeError, PrimethError, ThresholdViolatedError,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -129,7 +131,22 @@ def _truncated(depth, k, budget):
     return EXIT_BUDGET
 
 
+def _table_for_levels(n_max, k_max, cache):
+    """Build the prime table that holds p_n^(k) for all n <= n_max, k <= k_max.
+
+    nth_prime then reads that table, not the 2^24 one.  Nothing is built
+    when n_max lies past pi(2^24) or a level's bracket reaches 2^24.
+    """
+    if not (1 <= n_max <= engine._TABLE_PRIMES and k_max >= 1):
+        return
+    for _, top in islice(iterated.brackets(n_max, cache), k_max):  # p_n^(k) <= top
+        if top >= engine._TABLE_LIMIT:
+            return
+    engine.base_primes_upto(top)
+
+
 def _cmd_nth(args, cache):
+    _table_for_levels(args.n, 1, cache)
     print(engine.nth_prime(args.n))
     return EXIT_OK
 
@@ -140,6 +157,7 @@ def _cmd_pi(args, cache):
 
 
 def _cmd_iter(args, cache):
+    _table_for_levels(args.n, args.k, cache)
     tower = iterated.iterate_prime(args.n, args.k, budget=args.budget, cache=cache)
     for v in tower.values:
         print(v)
@@ -166,14 +184,14 @@ def _cmd_count(args, cache):
 
 def _cmd_verify(args, cache):
     k_max = 1 if args.suite == "rosser" else args.k_max
-    reports = []
-    tally = dict.fromkeys((True, False, None), 0)  # checks by holds; None: inapplicable
+    if args.n_max < 1 or k_max < 1:
+        raise InvalidRangeError("tower requires n >= 1 and k >= 1")
+    _table_for_levels(args.n_max, k_max, cache)
+    lines = []
+    tally = dict.fromkeys((True, False, None), 0)  # rows by holds; None: inapplicable
     truncated = False
-    if args.n_max >= 1 and k_max >= 1:  # p_n^(k) <= top for all n <= n_max, k <= k_max
-        *_, (_, top) = islice(iterated.brackets(args.n_max, cache), k_max)
-        if top < engine._TABLE_LIMIT:  # nth_prime then reads this table, not the 2^24 one
-            engine.base_primes_upto(top)
-    with mp.workdps(max(args.prec, 15)):  # the digits of every check_bounds call
+    digits = min(args.prec, 20)  # printed digits of each bound
+    with mp.workdps(max(args.prec, 15)):  # the digits every row is decided at
         for n in range(1, args.n_max + 1):
             try:
                 tower = iterated.iterate_prime(n, k_max, budget=args.budget, cache=cache)
@@ -182,13 +200,11 @@ def _cmd_verify(args, cache):
                 continue
             truncated = truncated or tower.truncated
             for k, value in enumerate(tower.values, start=1):
-                reports.append(bounds.check_bounds(n, k, value, args.prec, args.suite))
-                for c in reports[-1].checks:
-                    tally[c.holds] += 1
+                lines += bounds._level_lines(n, k, value, args.prec, args.suite, digits, tally)
 
-    with _open_out(args) as fh:
+    with _open_out(args) as fh:  # only now, so an error above leaves --out as it was
         _stamp(fh, args)
-        bounds.write_report_csv(reports, fh, digits=min(args.prec, 20))
+        bounds._write_csv(lines, fh)
 
     held, violations = tally[True], tally[False]
     print(

@@ -281,7 +281,7 @@ class TestFormulaBits:
         assert {row.name for row in rows} == set(MPF_EXPRESSIONS)
         with mp.workdps(prec):
             for row in rows:
-                assert row.formula(n, k)._mpf_ == MPF_EXPRESSIONS[row.name](n, k)._mpf_
+                assert row.formula(n, k, mp.prec) == MPF_EXPRESSIONS[row.name](n, k)._mpf_
             expected = {name: +f(n, k) for name, f in MPF_EXPRESSIONS.items()}
             simple = +MPF_EXPRESSIONS["iter_upper_simple"](k, k)
         public = {}

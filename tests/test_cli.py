@@ -9,10 +9,10 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from mpmath import mpf
+from mpmath import libmp, mp, mpf
 
 import primeth
-from primeth import PrimethError, bounds, certify, engine, errors
+from primeth import PrimethError, bounds, certify, engine, errors, hpreal
 from primeth.cli import _build_parser, main
 
 from oracle import L_by_decimal, bound_by_decimal, sieve_primes, tower_by_sieve
@@ -120,6 +120,18 @@ class TestScalarCommands:
     def test_nth(self, capsys):
         code, out, _ = run(capsys, "nth", "25")
         assert code == 0 and out == "97\n"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(["nth", "1000"], "7919\n"), (["iter", "5", "4"], "11\n31\n127\n709\n")],
+        ids=["nth", "iter"],
+    )
+    def test_small_levels_read_a_small_table(self, capsys, monkeypatch, argv, expected):
+        # the levels' brackets lie below 2^19, so the 2^24 table is never built
+        monkeypatch.setattr(engine, "_TABLES", {})
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, expected)
+        assert max(engine._TABLES) == 1 << 19
 
     def test_pi(self, capsys):
         code, out, _ = run(capsys, "pi", "100")
@@ -333,14 +345,28 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_rows_match_decimal_oracle(self, capsys):
+    @pytest.mark.parametrize(
+        "suite, prec, names",
+        [
+            ("all", 50, {"rosser_lower", "rosser_upper", "iter_upper", "iter_lower"}),
+            ("all", 15, {"rosser_lower", "rosser_upper", "iter_upper", "iter_lower"}),
+            ("ineq3", 50, {"iter_lower"}),
+        ],
+        ids=["all-50", "all-15", "ineq3-50"],
+    )
+    def test_rows_match_decimal_oracle(self, capsys, suite, prec, names):
         # each verdict against a 60-digit stdlib-decimal bound, and each
-        # printed bound (20 digits at the default --prec 50) within half a
-        # unit in its 20th digit of that bound
+        # printed bound (min(prec, 20) digits) within half a unit in its last
+        # digit of the bound at the working precision, which lies within 8
+        # units in its last bit of the exact one: at --prec 50 that is half a
+        # unit in the 20th digit, at --prec 15 the 53-bit bound can move the
+        # 15th digit by more
         code, out, _ = run(
-            capsys, "verify", "all", "--n-max", "300", "--k-max", "3", "--no-timestamp",
+            capsys, "verify", suite, "--n-max", "300", "--k-max", "3",
+            "--prec", str(prec), "--no-timestamp",
         )
         assert code == 0
+        digits, bits = min(prec, 20), libmp.dps_to_prec(prec)
         checked = set()
         for row in out.splitlines()[1:]:
             n, k, value, name, lhs, rhs, applicable, holds = row.split(",")
@@ -350,10 +376,11 @@ class TestVerify:
             lower = name.endswith("_lower")
             printed = Decimal(lhs if lower else rhs)
             assert (holds == "yes") == ((exact < int(value)) if lower else (int(value) < exact))
-            half_unit = Decimal(5).scaleb(exact.adjusted() - 20)
-            assert abs(printed - exact) <= half_unit, row
+            half_unit = Decimal(5).scaleb(exact.adjusted() - digits)
+            slack = abs(exact) * Decimal(2) ** (3 - bits)
+            assert abs(printed - exact) <= half_unit + slack, row
             checked.add(name)
-        assert checked == {"rosser_lower", "rosser_upper", "iter_upper", "iter_lower"}
+        assert checked == names
 
     @pytest.mark.parametrize(
         "suite, names",
@@ -394,21 +421,25 @@ class TestVerify:
             for k, v in enumerate(tower_by_sieve(n, k_max, primes), start=1)
         ]
 
-    @pytest.mark.parametrize("flags", [["--k-max", "0"], ["--k-max", "-1", "--n-max", "3"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--k-max", "0"], ["--k-max", "-1", "--n-max", "3"], ["--n-max", "0"], ["--n-max", "-5"]],
+    )
     def test_no_levels_is_a_usage_error(self, capsys, flags):
         code, out, err = run(capsys, "verify", "all", *flags, "--no-timestamp")
         assert (code, out) == (3, "")
         assert err == "error: tower requires n >= 1 and k >= 1\n"
 
     def test_one_comparison_per_applicable_row(self, capsys, monkeypatch):
+        # int_sign is the comparison that decides each row
         calls = []
-        compare_int = bounds.compare_int
+        int_sign = bounds.int_sign
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
-            return compare_int(*args, **kwargs)
+            calls.append(args[1])
+            return int_sign(*args, **kwargs)
 
-        monkeypatch.setattr(bounds, "compare_int", counted)
+        monkeypatch.setattr(bounds, "int_sign", counted)
         code, out, err = run(
             capsys, "verify", "ineq3", "--n-max", "50", "--k-max", "3",
             "--no-timestamp",
@@ -438,19 +469,56 @@ class TestVerify:
         assert "applicable=3 held=3 violated=0 inapplicable=1" in err
 
     def test_violated_bound_exits_1(self, capsys, monkeypatch):
-        def violated(n, k, value, prec, suite):
-            check = bounds.BoundCheck("iter_lower", value + 1, value, True, False)
-            return bounds.BoundReport(n=n, k=k, value=value, checks=[check])
-
-        monkeypatch.setattr(bounds, "check_bounds", violated)
+        # a row whose bound, p_n + 1, lies above every tower value it is checked against
+        row = bounds.Bound("iter_lower", ("ineq3",), lambda n, k: True, "lower",
+                           lambda n, k, p: libmp.from_int(engine.nth_prime(n) + 1))
+        monkeypatch.setitem(bounds.SUITES, "ineq3", (row,))
         code, out, err = run(
             capsys, "verify", "ineq3", "--n-max", "2", "--k-max", "1", "--no-timestamp",
         )
         assert code == 1
         assert out.splitlines()[1:] == [
-            "1,1,2,iter_lower,3,2,yes,no", "2,1,3,iter_lower,4,3,yes,no",
+            "1,1,2,iter_lower,3.0,2,yes,no", "2,1,3,iter_lower,4.0,3,yes,no",
         ]
         assert "applicable=2 held=0 violated=2 inapplicable=0" in err
+
+    @pytest.mark.parametrize("side, holds", [(-1, "yes"), (1, "no")])
+    def test_row_inside_the_margin_escalates(self, capsys, monkeypatch, side, holds):
+        # a bound of p_n +- 2^-60: at 15 digits (53 bits) it rounds to p_n,
+        # a tie inside the margin, so the row goes on at 30 digits, where
+        # the offset decides; verify prints what compare_int returns there
+        def formula(n, k, p):
+            offset = libmp.mpf_shift(libmp.fone, -60)
+            return libmp.mpf_add(libmp.from_int(engine.nth_prime(n)),
+                                 libmp.mpf_neg(offset) if side < 0 else offset, p, "n")
+
+        row = bounds.Bound("iter_lower", ("ineq3",), lambda n, k: True, "lower", formula)
+        monkeypatch.setitem(bounds.SUITES, "ineq3", (row,))
+        evaluated = []
+        compare_int = bounds.compare_int
+
+        def counted(value, fn, prec):
+            evaluated.append(prec)
+            return compare_int(value, fn, prec)
+
+        monkeypatch.setattr(bounds, "compare_int", counted)
+        code, out, err = run(
+            capsys, "verify", "ineq3", "--n-max", "3", "--k-max", "1", "--prec", "15",
+            "--no-timestamp",
+        )
+        assert code == (0 if side < 0 else 1)
+        assert evaluated == [30, 30, 30]  # each row goes on from doubled digits
+        expected = []
+        for n in (1, 2, 3):
+            value = engine.nth_prime(n)
+            sign, bound = hpreal.compare_int(
+                value, lambda: mp.make_mpf(formula(n, 1, mp.prec)), 15,
+            )
+            assert sign == side and (sign < 0) == (holds == "yes")
+            printed = libmp.to_str(bound._mpf_, 15)
+            expected.append(f"{n},1,{value},iter_lower,{printed},{value},yes,{holds}")
+        assert out.splitlines()[1:] == expected
+        assert f"applicable=3 held={3 if side < 0 else 0}" in err
 
 
 class TestCertifyCommand:
