@@ -2,12 +2,17 @@
 
 All results are exact.  prime_count (x < 2^48) sieves the distinct values
 of x // d by the primes up to x^(1/3), then subtracts Meissel's P2 sum over
-the primes in (x^(1/3), sqrt x].  From isqrt(x) = 2^14 on, the stage of p
-updates only the counts at the d with no prime factor below p, the only
-ones a later stage reads; below it a slice over every d is faster.  About
-0.02 s at 10^10, 0.1 s at 10^11, 0.4 s at 10^12 and 1.6 s at 10^13 (2-core
-x86-64 Xeon, Python 3.11, numpy 2.4).  The sieving primes come from a table
-of the primes up to the power of two above the largest one needed.
+the primes in (x^(1/3), sqrt x].  The sieve takes 2..13 at once, from a
+count table of the residues modulo 30030; each later prime p updates only
+the counts at the d with no prime factor below p, the only ones a later
+stage reads, and past p = x^(1/4) only d = 1 reads another d's count.
+x < 13^3 is read from the prime table.  About 0.005 s at 2*10^9, 0.012 s
+at 10^10, 0.05 s at 10^11, 0.22 s at 10^12 and 1.1 s at 10^13 (2-core
+x86-64 Xeon, Python 3.11, numpy 2.4).  The sieving primes come from a
+table of the primes up to the power of two above the largest one needed.
+sieve_segment strikes a prime by one slice while the window holds at
+least _STRIKES of its multiples, and the larger ones together by fancy
+indexing: about 1 ms for nth_prime's first window at 10^10.
 nth_prime indexes the smallest prime table already built that holds n
 primes, or else the table of the primes up to 2^24, when n <= pi(2^24).
 Past the table it starts at x = R^-1(n), the inverse of Riemann's R
@@ -35,9 +40,11 @@ _SEGMENT_ODDS = 1 << 26
 # primes of sieve_segment, which therefore needs isqrt(hi) < _TABLE_LIMIT.
 _TABLE_LIMIT = 1 << 24
 _TABLE_PRIMES = 1077871  # pi(2^24), the primes nth_prime looks up
-# prime_count sieves with _sieve_rough from isqrt(x) = _ROUGH_FROM on; below
-# it _sieve_dense's fewer numpy calls per stage are faster.
-_ROUGH_FROM = 1 << 14
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)  # prime_count takes them in closed form
+_WHEEL = 30030  # their product
+# sieve_segment strikes a prime by one slice while the window holds at least
+# this many of its odd multiples; the larger primes strike together.
+_STRIKES = 32
 # First sieve window of the nth_prime walk; each further window doubles.
 _WINDOW = 1 << 16
 # Two Newton steps from n log n land within 0.02 sqrt(x) of R^-1(n) for
@@ -77,32 +84,15 @@ def base_primes_upto(limit):
 
 @dataclass
 class SegmentTable:
-    """Primality flags for the odd integers of a closed range [lo, hi]."""
+    """Primality flags for the odd integers of a closed range [lo, hi].
+
+    The prime 2, when the range holds it, has no flag.
+    """
 
     lo: int
     hi: int
     first_odd: int
     flags: np.ndarray  # flags[i] <-> first_odd + 2*i is prime
-
-    def primes(self):
-        """Yield the primes of [lo, hi] in ascending order."""
-        if self.lo <= 2 <= self.hi:
-            yield 2
-        for i in np.nonzero(self.flags)[0]:
-            yield int(self.first_odd + 2 * i)
-
-    def count(self):
-        extra = 1 if self.lo <= 2 <= self.hi else 0
-        return extra + int(np.count_nonzero(self.flags))
-
-    def __contains__(self, m):
-        if m < self.lo or m > self.hi:
-            return False
-        if m == 2:
-            return True
-        if m % 2 == 0:
-            return False
-        return bool(self.flags[(m - self.first_odd) // 2])
 
 
 def sieve_segment(lo, hi):
@@ -132,8 +122,18 @@ def sieve_segment(lo, hi):
     start = np.maximum(p * p, (lo + p - 1) // p * p)
     start += p * (start % 2 == 0)
     keep = start <= hi
-    for i, step in zip(((start[keep] - first_odd) // 2).tolist(), p[keep].tolist()):
+    at, p = (start[keep] - first_odd) // 2, p[keep]
+    # a slice per prime while p strikes at least _STRIKES flags; the larger
+    # primes strike together, a fancy index over them for each multiple
+    cut = int(p.searchsorted(n_odd // _STRIKES, side="right"))
+    for i, step in zip(at[:cut].tolist(), p[:cut].tolist()):
         flags[i::step] = False
+    at, p = at[cut:], p[cut:]
+    while len(at):
+        flags[at] = False
+        at += p
+        inside = at < n_odd
+        at, p = at[inside], p[inside]
     return SegmentTable(lo=lo, hi=hi, first_odd=first_odd, flags=flags)
 
 
@@ -178,93 +178,93 @@ def prime_count(x):
     x = int(x)
     if x < 0:
         raise InvalidRangeError("prime_count requires x >= 0")
-    if x < 8:  # no prime has p^3 <= x, and both sieves start past the prime 2
+    if x < _WHEEL_PRIMES[-1] ** 3:  # the sieve needs the wheel's primes below x^(1/3)
         return len(base_primes_upto(x))
     v = math.isqrt(x)
     primes = base_primes_upto(v)  # raises at x >= 2^48
     a = int(np.searchsorted(primes, _icbrt(x), side="right"))  # p^3 <= x
-    sieve = _sieve_dense if v < _ROUGH_FROM else _sieve_rough
-    # counts[d] = pi(x // d) for d = 1 and each prime q > x^(1/3) (q^3 > x):
+    # cs holds S(x // d) for d = 1 and each prime q > x^(1/3) (q^3 > x):
     # no prime past p_a steps on it, so pi(x) = phi(x, a) + a - 1 - P2(x, a)
     # subtracts the P2 terms pi(x // q) - i_q, with i_q primes below q
-    counts = sieve(x, v, primes[:a])
-    return int(counts[1] - np.sum(counts[primes[a:]] - np.arange(a, len(primes))))
+    ds, cs = _sieve_rough(x, v, primes[:a])
+    q = ds.searchsorted(primes[a:])
+    return int(cs[0] - np.sum(cs[q] - np.arange(a, len(primes))))
 
 
 # Lucy's recurrence, run by the primes p <= x^(1/3) in turn.  After the
 # stage of p, with sp primes below p, S(y) counts the integers in [2, y]
 # that no prime <= p divides, plus those primes; the stage of p is
 # S(y) -= S(y // p) - sp for every y >= p^2, all reads seeing the old values.
-# smalls[m] holds S(m) for m <= v = isqrt(x); the count of y = x // d is read
-# back at index d.  Both sieves take the stage of 2 in closed form,
-# S(y) = (y + 1) // 2.
+# The stages of 2..13 are taken at once: with below[r] the number of the
+# 5760 residues coprime to _WHEEL in [1, r], S(y) = (y // _WHEEL) * 5760 +
+# below[y % _WHEEL] + 5 for y >= 13 (the six primes, less the integer 1).
 
 
-def _sieve_dense(x, v, primes):
-    """S(x // d) for every d <= v: one slice op per stage, for small x."""
-    smalls = np.arange(1, v + 2, dtype=np.int64) // 2
-    hi = x // np.maximum(np.arange(v + 1, dtype=np.int64), 1)  # hi[d] = x // d
-    counts = (hi + 1) // 2
-    for sp, p in enumerate(primes[1:].tolist(), start=1):
-        # x // (p*d) is hi[p*d] while p*d <= v, else smalls[hi[d] // p]
-        t = min(v, x // (p * p))
-        k = min(t, v // p)
-        counts[1 : k + 1] -= counts[p : p * k + 1 : p] - sp
-        counts[k + 1 : t + 1] -= smalls[hi[k + 1 : t + 1] // p] - sp
-        _sieve_smalls(smalls, v, p, sp)
-    return counts
+@functools.cache
+def _wheel():
+    """(residues, below): the residues coprime to _WHEEL, and below[r] the
+    number of them in [1, r]; built once, on first use."""
+    coprime = np.ones(_WHEEL, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        coprime[::p] = False
+    residues, below = np.flatnonzero(coprime), np.cumsum(coprime, dtype=np.int32)
+    residues.flags.writeable = below.flags.writeable = False
+    return residues, below
 
 
 def _sieve_rough(x, v, primes):
-    """S(x // d) for d = 1 and the d <= v with no prime factor <= x^(1/3).
+    """The d <= v = isqrt(x) free of 2..13, as a set, and S(x // d) at each.
 
-    Those counts need, at the stage of p, only the counts at the d with no
-    prime factor below p, each of which reads the count at p*d.  So the
-    stages run over a compacted set of d, with their x // d and counts side
-    by side.  done[d] receives a count once it is final (d > x // p^2) and,
-    at the stage of p, the pre-stage counts of the multiples of p, which
-    that stage reads.  While p^2 <= v the multiples then leave the set.
-    Past that, dropping them would cost more than the later stages save:
-    they stay, and their counts go wrong unread, since only other such
-    multiples read them.
+    primes are the primes up to x^(1/3), 13^3 <= x.  A count of d = 1 or
+    of a prime q > x^(1/3) needs, at the stage of p, only the counts at the
+    rough d, those with no prime factor below p, each of which reads the
+    count at p*d while p*d <= v and smalls[x // (p*d)] = S(x // (p*d)) past
+    it.  So the stages run over a set of d, with x // d and counts beside.
+    While p^2 <= v, every count is updated (x // d >= v >= p^2), and the
+    multiples of p leave the set once those pending make up an eighth of
+    it; until then their counts go wrong unread.  Past it, a d > 1 in the
+    set has only prime factors above isqrt(v), so p*d > v: the stage reads
+    the count at p for d = 1 and smalls for the other d <= x // p^2.
     """
+    residues, below = _wheel()
+    n, per = v // _WHEEL + 1, len(residues)  # n blocks of _WHEEL cover [0, v]
     # int32 holds S(m) <= v < 2^24 and halves the traffic of the smalls stages
-    smalls = np.arange(1, v + 2, dtype=np.int32) // 2
-    ds = np.arange(1, v + 1, 2, dtype=np.int64)
+    smalls = (below + (np.arange(n, dtype=np.int32) * per + 5)[:, None]).ravel()[: v + 1]
+    ds = (residues + np.arange(n)[:, None] * _WHEEL).ravel()
+    ds = ds[: ds.searchsorted(v, side="right")]
     ys = x // ds
-    cs = (ys + 1) // 2
-    done = np.zeros(v + 1, dtype=np.int64)
-    for sp, p in enumerate(primes[1:].tolist(), start=1):
-        top = min(v, x // (p * p))
-        t = int(ds.searchsorted(top, side="right"))
-        done[ds[t:]] = cs[t:]
-        ds, ys, cs = ds[:t], ys[:t], cs[:t]
-        # the set is every d <= top free of the primes dropped so far, all
-        # below p, so its multiples of p are p*m for the m in it up to top // p
-        pm = ds[: int(ds.searchsorted(top // p, side="right"))] * p
-        at = ds.searchsorted(pm)
-        done[pm] = cs[at]
-        if p * p <= v:
-            keep = np.ones(t, dtype=bool)
-            keep[at] = False
+    q = ys // _WHEEL
+    cs = q * per + below[ys - q * _WHEEL] + 5
+    late = max(len(_WHEEL_PRIMES), int(primes.searchsorted(math.isqrt(v), side="right")))
+    gone, pending = np.zeros(len(ds), dtype=bool), 0
+    for sp, p in enumerate(primes[len(_WHEEL_PRIMES) : late].tolist(), start=len(_WHEEL_PRIMES)):
+        # the multiples of p in the set are p*m for the m in it up to v // p
+        k = int(ds.searchsorted(v // p, side="right"))
+        at = ds.searchsorted(ds[:k] * p)
+        read = cs[at]  # read[i]: the count at p * ds[i], before this stage
+        gone[at] = True
+        pending += k
+        if 8 * pending > len(ds) or sp == late - 1:
+            keep = ~gone
             ds, ys, cs = ds[keep], ys[keep], cs[keep]
-        k = int(ds.searchsorted(v // p, side="right"))  # p*d <= v
-        cs[:k] -= done[ds[:k] * p] - sp
+            read = read[keep[:k]]
+            k = len(read)
+            gone, pending = np.zeros(len(ds), dtype=bool), 0
+        cs[:k] -= read - sp
         cs[k:] -= smalls[ys[k:] // p] - sp
-        _sieve_smalls(smalls, v, p, sp)
-    done[ds] = cs
-    return done
-
-
-def _sieve_smalls(smalls, v, p, sp):
-    """The stage of p on smalls: S(m) -= S(m // p) - sp for p^2 <= m <= v."""
-    if p * p > v:
-        return
-    n = (v + 1 - p * p) // p  # whole runs of p equal quotients m // p
-    drop = smalls[p : p + n + 1] - sp
-    runs = smalls[p * p : p * p + p * n].reshape(n, p)  # a view into smalls
-    runs -= drop[:n, None]
-    smalls[p * p + p * n :] -= drop[n]
+        # the stage on smalls: S(m) -= S(m // p) - sp for p^2 <= m <= v
+        n = (v + 1 - p * p) // p  # whole runs of p equal quotients m // p
+        drop = smalls[p : p + n + 1] - sp
+        runs = smalls[p * p : p * p + p * n].reshape(n, p)  # a view into smalls
+        runs -= drop[:n, None]
+        smalls[p * p + p * n :] -= drop[n]
+    ps = primes[late:]
+    tops = ds.searchsorted(x // (ps * ps), side="right")
+    at = ds.searchsorted(ps)
+    for sp, p, t, i in zip(range(late, len(primes)), ps.tolist(), tops.tolist(), at.tolist()):
+        cs[0] -= cs[i] - sp
+        cs[1:t] -= smalls[ys[1:t] // p] - sp
+    return ds, cs
 
 
 def _icbrt(x):

@@ -24,13 +24,18 @@ def pi_by_sieve(x, primes):
     return int(np.searchsorted(primes, x, side="right"))
 
 
-def primes_in_window(a, b):
-    """Number of primes in [a, b], 2 <= a <= b, by sieving the window alone."""
+def window_primes(a, b):
+    """Ascending array of the primes in [a, b], 2 <= a <= b, by sieving the window alone."""
     flags = np.ones(b - a + 1, dtype=bool)
     for p in sieve_primes(math.isqrt(b)).tolist():
         start = max(p * p, (a + p - 1) // p * p)
         flags[start - a :: p] = False
-    return int(np.count_nonzero(flags))
+    return a + np.flatnonzero(flags)
+
+
+def primes_in_window(a, b):
+    """Number of primes in [a, b], 2 <= a <= b."""
+    return len(window_primes(a, b))
 
 
 def trial_isprime(n):

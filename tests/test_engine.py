@@ -20,27 +20,62 @@ from primeth import (
 from primeth import engine
 from primeth.cli import main
 
-from oracle import pi_by_sieve, primes_in_window, sieve_primes, trial_isprime
+from oracle import pi_by_sieve, primes_in_window, sieve_primes, trial_isprime, window_primes
+
+
+def segment_primes(seg):
+    """The primes of a SegmentTable's range, ascending: 2 if it is there, then the flagged odds."""
+    two = [2] if seg.lo <= 2 <= seg.hi else []
+    return two + (seg.first_odd + 2 * np.flatnonzero(seg.flags)).tolist()
 
 
 class TestSieveSegment:
     def test_small_range(self):
-        assert list(sieve_segment(2, 30).primes()) == [
+        assert segment_primes(sieve_segment(2, 30)) == [
             2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
         ]
 
     def test_single_prime(self):
-        seg = sieve_segment(2, 2)
-        assert list(seg.primes()) == [2]
-        assert seg.count() == 1
+        assert segment_primes(sieve_segment(2, 2)) == [2]
 
     def test_all_composite_window(self):
-        assert list(sieve_segment(24, 28).primes()) == []
+        assert segment_primes(sieve_segment(24, 28)) == []
 
     def test_contains(self):
-        seg = sieve_segment(90, 110)
-        assert 97 in seg and 101 in seg
-        assert 91 not in seg and 100 not in seg and 7 not in seg
+        primes = segment_primes(sieve_segment(90, 110))
+        assert 97 in primes and 101 in primes
+        assert 91 not in primes and 100 not in primes and 7 not in primes
+
+    @given(
+        st.integers(min_value=2, max_value=2**40),
+        st.integers(min_value=1, max_value=2**17),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_windows(self, lo, n_odd):
+        hi = lo + 2 * n_odd - 1  # n_odd odd integers
+        assert segment_primes(sieve_segment(lo, hi)) == window_primes(lo, hi).tolist()
+
+    @pytest.mark.parametrize("n_odd", [2**12, 2**16])
+    def test_windows_from_a_square_either_side_of_the_batch(self, n_odd):
+        # primes p <= n_odd // _STRIKES strike by slices, larger ones in the
+        # batch; a window starting at or near p^2 has p's first strike at its
+        # first odd integer or just before it
+        split = n_odd // engine._STRIKES
+        for p in (sympy.prevprime(split + 1), sympy.nextprime(split)):
+            for lo in (p * p - 2, p * p, p * p + 2):
+                hi = lo + 2 * n_odd - 1
+                assert segment_primes(sieve_segment(lo, hi)) == window_primes(lo, hi).tolist()
+
+    def test_batched_strikes_stay_small(self):
+        # 2^22 odd integers at 10^12: 4 MB of flags, and index arrays that
+        # hold at most one multiple of each batched prime at a time
+        tracemalloc.start()
+        try:
+            sieve_segment(10**12, 10**12 + 2**23 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_invalid_range(self):
         with pytest.raises(InvalidRangeError):
@@ -63,7 +98,7 @@ class TestSieveSegment:
     def test_ceiling(self):
         # sieving primes come from the 2^24 table, so hi must stay below 2^48
         top = 2**48 - 1
-        assert list(sieve_segment(top - 58, top).primes()) == [
+        assert segment_primes(sieve_segment(top - 58, top)) == [
             m for m in range(top - 58, top + 1) if sympy.isprime(m)
         ]
         with pytest.raises(UnsupportedRangeError):
@@ -79,13 +114,13 @@ class TestSieveSegment:
     def test_against_trial_division(self):
         seg = sieve_segment(1000, 1500)
         expected = [m for m in range(1000, 1501) if trial_isprime(m)]
-        assert list(seg.primes()) == expected
+        assert segment_primes(seg) == expected
 
     def test_high_window_against_trial_division(self):
         lo = 10**9
         seg = sieve_segment(lo, lo + 200)
         expected = [m for m in range(lo, lo + 201) if trial_isprime(m)]
-        assert list(seg.primes()) == expected
+        assert segment_primes(seg) == expected
 
 
 class TestIsPrime:
@@ -138,13 +173,17 @@ class TestPrimeCount:
 
     def test_switch_points(self, primes_1e7):
         # prime p joins the P2 sum at x = p^2, its smalls-gather branch runs
-        # from x = 2 p^2 on, it moves into the loop at x = p^3, and its
-        # smalls update runs from x = p^4 on
-        for p in (2, 3, 5, 7, 11, 47, 53, 997, 2203, 3137):
+        # from x = 2 p^2 on, it moves into the loop at x = p^3, and from x =
+        # p^4 on its stage drops its multiples and updates smalls; 13 is the
+        # last prime the wheel takes and 17 the first the loop does, and
+        # x^(1/4) falls between 251 and 257 at x = 2^32
+        for p in (2, 3, 5, 7, 11, 13, 17, 47, 53, 251, 257, 997, 2203, 3137):
             for m in (p * p, 2 * p * p, p**3, p**4):
-                for x in (m - 1, m, m + 1):
-                    if x <= 10**7:
+                if m + 1 <= 10**7:
+                    for x in (m - 1, m, m + 1):
                         assert prime_count(x) == pi_by_sieve(x, primes_1e7), x
+                elif m <= 2**33:
+                    self._check_around(m)
 
     @pytest.mark.parametrize("p", [1009, 2003])
     def test_window_at_loop_cut(self, p):
@@ -163,7 +202,7 @@ class TestPrimeCount:
     @staticmethod
     def _check_around(m):
         # pi(x) - pi(lo) against a sieve of (lo, x], for x = m - 1, m, m + 1
-        lo = m - 10**5
+        lo = max(m - 10**5, 1)
         base = prime_count(lo)
         for x in (m - 1, m, m + 1):
             assert prime_count(x) - base == primes_in_window(lo + 1, x), x
@@ -191,9 +230,11 @@ class TestPrimeCount:
         # the stage of p reads the count of p*d back while p*d <= isqrt(x)
         self._check_around((101 * 991) ** 2)
 
-    def test_both_sides_of_the_rough_crossover(self):
-        # isqrt(x) = _ROUGH_FROM - 1 sieves densely, isqrt(x) = _ROUGH_FROM roughly
-        self._check_around(engine._ROUGH_FROM**2)
+    def test_both_sides_of_the_wheel_start(self):
+        # x < 13^3 reads the prime table, and the sieve takes x = 13^3 on; at
+        # x = 13^4 the wheel's last prime would have begun updating smalls
+        self._check_around(13**3)
+        self._check_around(13**4)
 
     def test_small_query_builds_a_small_table(self, monkeypatch):
         # sieving primes come from the table for the power of two above
