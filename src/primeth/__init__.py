@@ -8,10 +8,8 @@ from .bounds import (
     log_lower_bound_L3,
     lower_bound_L3,
     lower_bound_simple,
-    rosser_bracket,
     theorem4_residual,
     upper_bound_L1,
-    upper_bound_L1_simple,
 )
 from .certify import (
     CertReport,
@@ -98,9 +96,7 @@ __all__ = [
     "prime_count",
     "ratio_series",
     "ratio_to_diagonal",
-    "rosser_bracket",
     "sieve_segment",
     "theorem4_residual",
     "upper_bound_L1",
-    "upper_bound_L1_simple",
 ]

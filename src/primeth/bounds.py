@@ -1,88 +1,95 @@
 """Explicit bound formulas for p_n and p_n^(k), and bound-check reports.
 
 ``BOUNDS`` is the one table of checked bounds.  Each row holds the name, the
-suites that report it, the hypothesis on (n, k), the side (lower: formula <
-p_n^(k); upper: p_n^(k) < formula) and the formula (n, k, prec), which
-returns a raw libmp value at ``prec`` bits, with powers of logarithms
-memoised per (argument, precision, power).  Each step is the libmp
-operation, with the rounding, that its mpf expression (noted beside it)
-calls, so the bound is that mpf bit for bit.
-Out-of-hypothesis rows are flagged inapplicable, never evaluated, since a
-bound can fail outside its hypothesis without meaning anything.  Each
-applicable row is decided once, by ``_decide``: hpreal's ``int_sign`` on the
-raw bound, and compare_int's doubling of the digits only inside the margin,
-so a verdict is never decided by rounding noise.  ``check_bounds`` returns
-the rows as objects; ``verify`` prints them straight from the raw values
-through ``_level_lines``; both print through the one line formatter.
+suites that report it, the hypothesis on (n, k), the side (lower: bound <
+p_n^(k); upper: p_n^(k) < bound) and the enclosure (n, k, bits) -> (lo, hi),
+integers with lo * 2^-bits <= bound <= hi * 2^-bits.  Each bound is
+c (log m)^j for an integer c, enclosed in exact integers from a memoised
+enclosure of log m by mpmath's log rounded down and up.  Out-of-hypothesis
+rows are flagged inapplicable, never evaluated, since a bound can fail
+outside its hypothesis without meaning anything.  ``_settle`` decides and
+prints each applicable row from enclosures of 128, 256, ... bits, so the
+verdict and every printed digit hold for the exact bound; ``check_bounds``
+and the public bound functions read the same enclosures.
 """
 
 import functools
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from mpmath.libmp import (
-    dps_to_prec, from_int, ftwo, mpf_factorial, mpf_log, mpf_mul, mpf_mul_int, mpf_pow_int,
-    to_str,
-)
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_log, mpf_neg, to_fixed, to_str
 
 from .errors import DomainError, HypothesisViolatedError, InapplicableIndexError
-from .hpreal import DEFAULT_PREC, MAX_ESCALATION_PREC, compare_int, int_sign, working_digits
-
-_RND = "n"  # mpf arithmetic rounds to nearest
+from .hpreal import DEFAULT_PREC, MAX_ESCALATION_PREC, sign_and_text
 
 
 @functools.lru_cache(maxsize=256)
-def _log(x, prec, k):
-    """(log x)^k at ``prec`` bits, as the raw libmp value of mp.ln(x, prec=prec) ** k."""
-    if k == 1:  # mpf ** 1 is the mpf itself
-        return mpf_log(from_int(x), prec, _RND)
-    return mpf_pow_int(_log(x, prec, 1), k, prec, _RND)
+def _log(m, bits):
+    """(lo, hi): lo <= 2^bits log m <= hi for an integer m >= 1, floored and ceiled."""
+    x, prec = from_int(m), bits + m.bit_length().bit_length()  # log m < 2^that
+    return to_fixed(mpf_log(x, prec, "f"), bits), -to_fixed(mpf_neg(mpf_log(x, prec, "c")), bits)
 
 
-Bound = namedtuple("Bound", "name suites applies side formula")
+def _enclose(c, m, j, bits):
+    """(lo, hi) enclosing c (log m)^j in units of 2^-bits, for c >= 0, m >= 1, j >= 1."""
+    lo, hi = _log(m, bits)
+    shift = bits * (j - 1)
+    return c * lo**j >> shift, -(-c * hi**j >> shift)
+
+
+Bound = namedtuple("Bound", "name suites applies side enclosure")
 
 BOUNDS = (
     Bound("rosser_lower", ("rosser", "all"), lambda n, k: k == 1 and n >= 2, "lower",
-          lambda n, k, p: mpf_mul_int(_log(n, p, 1), n, p, _RND)),  # n * log(n)
+          lambda n, k, b: _enclose(n, n, 1, b)),  # n log n
     Bound("rosser_upper", ("rosser", "all"), lambda n, k: k == 1 and n >= 3, "upper",
-          lambda n, k, p: mpf_mul_int(_log(n, p, 1), 2 * n, p, _RND)),  # 2 * n * log(n)
-    # mpf(2) ** (2 * k - 1) * n * mp.factorial(k - 1) * log(max(k, n)) ** k
-    Bound("iter_upper", ("lemma1", "all"), lambda n, k: n >= 9, "upper",
-          lambda n, k, p: mpf_mul(
-              mpf_mul(mpf_mul_int(mpf_pow_int(ftwo, 2 * k - 1, p, _RND), n, p, _RND),
-                      mpf_factorial(from_int(k - 1), p, _RND), p, _RND),
-              _log(max(k, n), p, k), p, _RND)),
-    # intended for k >= max(n, 9); (4 * k * log(k)) ** k
+          lambda n, k, b: _enclose(2 * n, n, 1, b)),  # 2 n log n
+    Bound("iter_upper", ("lemma1", "all"), lambda n, k: n >= 9, "upper",  # 2^(2k-1) n (k-1)!
+          lambda n, k, b: _enclose(n * math.factorial(k - 1) << 2 * k - 1, max(k, n), k, b)),
+    # intended for k >= max(n, 9); (4 k log k)^k
     Bound("iter_upper_simple", ("lemma1", "all"), lambda n, k: n >= 9 and k >= n, "upper",
-          lambda n, k, p: (
-              mpf_pow_int(mpf_mul_int(_log(k, p, 1), 4 * k, p, _RND), k, p, _RND))),
-    Bound("iter_lower", ("ineq3", "all"), lambda n, k: n >= 2, "lower",  # n * log(n) ** k
-          lambda n, k, p: mpf_mul_int(_log(n, p, k), n, p, _RND)),
+          lambda n, k, b: _enclose((4 * k) ** k, k, k, b)),
+    Bound("iter_lower", ("ineq3", "all"), lambda n, k: n >= 2, "lower",  # n (log n)^k
+          lambda n, k, b: _enclose(n, n, k, b)),
     # needs n > e^4200, which no materialized n meets; the formula is
     # lower_bound_L3, parameterized by log n
     Bound("iter_lower_huge_n", ("all",), lambda n, k: False, "lower", None),
 )
 _ROW = {b.name: b for b in BOUNDS}
 SUITES = {s: tuple(r for r in BOUNDS if s in r.suites) for b in BOUNDS for s in b.suites}
+_START_BITS = 128
+_MAX_BITS = dps_to_prec(MAX_ESCALATION_PREC)
 
 
-def _evaluate(name, n, k, prec):
-    return mp.make_mpf(_ROW[name].formula(n, k, dps_to_prec(prec)))
+def _rounded(row, n, k, prec):
+    """The bound of ``row`` at (n, k) rounded to the nearest mpf at ``prec`` digits."""
+    p = dps_to_prec(prec)
+    bits = p + 64
+    while True:  # both ends round alike, so the bound does too
+        lo, hi = (from_man_exp(end, -bits, p, "n") for end in row.enclosure(n, k, bits))
+        if lo == hi:
+            return mp.make_mpf(lo)
+        bits *= 2
 
 
-def rosser_bracket(n, prec=DEFAULT_PREC):
-    """The enclosure (n log n, 2 n log n) for p_n.
+def _settle(row, n, k, value, digits):
+    """(holds, text): the row's verdict on ``value`` and its bound to ``digits`` digits.
 
-    The lower bound holds for n >= 2, the upper for n >= 3; for n = 2 the
-    upper slot is None.
+    Each enclosure has twice the bits of the last while ``sign_and_text``
+    leaves it open; at MAX_ESCALATION_PREC digits' worth of bits its
+    midpoint decides.
     """
-    n = int(n)
-    if n < 2:
-        raise InapplicableIndexError("bracket needs n >= 2")
-    lower = _evaluate("rosser_lower", n, 1, prec)
-    upper = _evaluate("rosser_upper", n, 1, prec) if n >= 3 else None
-    return lower, upper
+    bits = _START_BITS
+    while True:
+        lo, hi = row.enclosure(n, k, bits)
+        if bits == _MAX_BITS:
+            lo = hi = lo + hi >> 1
+        if (settled := sign_and_text(lo, hi, bits, value, digits)) is not None:
+            sign, text = settled
+            return (sign < 0 if row.side == "lower" else sign > 0), text
+        bits = min(2 * bits, _MAX_BITS)
 
 
 def upper_bound_L1(n, k, prec=DEFAULT_PREC):
@@ -92,15 +99,7 @@ def upper_bound_L1(n, k, prec=DEFAULT_PREC):
         raise InapplicableIndexError("upper bound needs n >= 9")
     if k < 1:
         raise DomainError("upper bound needs k >= 1")
-    return _evaluate("iter_upper", n, k, prec)
-
-
-def upper_bound_L1_simple(k, prec=DEFAULT_PREC):
-    """(4 k log k)^k, the enlarged form intended for k >= max(n, 9)."""
-    k = int(k)
-    if k < 2:
-        raise DomainError("simple upper bound needs k >= 2 (log k > 0)")
-    return _evaluate("iter_upper_simple", k, k, prec)
+    return _rounded(_ROW["iter_upper"], n, k, prec)
 
 
 def lower_bound_simple(n, k, prec=DEFAULT_PREC):
@@ -110,7 +109,7 @@ def lower_bound_simple(n, k, prec=DEFAULT_PREC):
         raise InapplicableIndexError("lower bound is vacuous at n = 1 (log 1 = 0)")
     if k < 1:
         raise DomainError("lower bound needs k >= 1")
-    return _evaluate("iter_lower", n, k, prec)
+    return _rounded(_ROW["iter_lower"], n, k, prec)
 
 
 def _l3_log_n(log_n, k):
@@ -176,37 +175,24 @@ class BoundReport:
         return all(c.holds for c in self.checks if c.applicable)
 
 
-def _decide(row, n, k, value, digits):
-    """(holds, bound) of an applicable row at one tower level.
-
-    The formula runs at mp.prec, which the caller sets to ``digits``; only
-    inside int_sign's margin does compare_int go on from doubled digits.
-    ``bound`` is the raw libmp value that decided.
-    """
-    bound = row.formula(n, k, mp.prec)
-    if (sign := int_sign(bound, value, digits)) is None:
-        sign, approx = compare_int(value, lambda: mp.make_mpf(row.formula(n, k, mp.prec)),
-                                   min(2 * digits, MAX_ESCALATION_PREC))
-        bound = approx._mpf_
-    return (sign < 0 if row.side == "lower" else sign > 0), bound
-
-
 def check_bounds(n, k, value, prec=DEFAULT_PREC, suite="all"):
-    """Report the bounds of one verification suite against one tower value."""
+    """Report the bounds of one verification suite against one tower value.
+
+    Each applicable row is decided as ``verify`` decides it, and its bound
+    is rounded to the nearest mpf at max(prec, 15) digits.
+    """
     n, k, value = int(n), int(k), int(value)
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
-    digits = max(prec, 15)
     checks = []
-    with working_digits(digits):  # one context for all rows
-        for row in SUITES[suite]:
-            if not row.applies(n, k):
-                checks.append(BoundCheck(row.name, None, None, False, None))
-                continue
-            holds, bound = _decide(row, n, k, value, digits)
-            bound = mp.make_mpf(bound)
-            lhs, rhs = (bound, value) if row.side == "lower" else (value, bound)
-            checks.append(BoundCheck(row.name, lhs, rhs, True, holds))
+    for row in SUITES[suite]:
+        if not row.applies(n, k):
+            checks.append(BoundCheck(row.name, None, None, False, None))
+            continue
+        holds, _ = _settle(row, n, k, value, 15)
+        bound = _rounded(row, n, k, max(prec, 15))
+        lhs, rhs = (bound, value) if row.side == "lower" else (value, bound)
+        checks.append(BoundCheck(row.name, lhs, rhs, True, holds))
     return BoundReport(n=n, k=k, value=value, checks=checks)
 
 
@@ -219,14 +205,8 @@ def _line(head, name, lhs, rhs, applicable, holds):
     return f"{head}{name},{lhs},{rhs},{_CELL[applicable]},{_CELL[holds]}"
 
 
-def _level_lines(n, k, value, prec, suite, digits, tally):
-    """check_bounds(n, k, value, prec, suite) as the lines write_report_csv prints.
-
-    Bounds are printed to ``digits`` and each row is counted in ``tally``
-    by its holds, with no object built per row.  The caller works at
-    max(prec, 15) digits.
-    """
-    work = max(prec, 15)
+def _level_lines(n, k, value, suite, digits, tally):
+    """The CSV lines of one tower level, each bound to ``digits``; rows counted in ``tally``."""
     text = str(value)
     head = f"{n},{k},{text},"
     lines = []
@@ -235,8 +215,7 @@ def _level_lines(n, k, value, prec, suite, digits, tally):
             lines.append(_line(head, row.name, "", "", False, None))
             tally[None] += 1
             continue
-        holds, bound = _decide(row, n, k, value, work)
-        bound = to_str(bound, digits)
+        holds, bound = _settle(row, n, k, value, digits)
         lhs, rhs = (bound, text) if row.side == "lower" else (text, bound)
         lines.append(_line(head, row.name, lhs, rhs, True, holds))
         tally[holds] += 1

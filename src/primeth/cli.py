@@ -53,7 +53,8 @@ def _build_parser():
                        help="persistent tower cache file")
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--prec", type=int, default=50,
-                        help="significant decimal digits (default 50)")
+                        help="significant decimal digits (default 50); verify prints each "
+                             "bound to min(PREC, 20) of them and decides no verdict by it")
     report.add_argument("--out", metavar="PATH", default=None,
                         help="write CSV/report here instead of stdout")
     report.add_argument("--no-timestamp", action="store_true",
@@ -190,17 +191,16 @@ def _cmd_verify(args, cache):
     lines = []
     tally = dict.fromkeys((True, False, None), 0)  # rows by holds; None: inapplicable
     truncated = False
-    digits = min(args.prec, 20)  # printed digits of each bound
-    with mp.workdps(max(args.prec, 15)):  # the digits every row is decided at
-        for n in range(1, args.n_max + 1):
-            try:
-                tower = iterated.iterate_prime(n, k_max, budget=args.budget, cache=cache)
-            except BudgetExceededError:
-                truncated = True
-                continue
-            truncated = truncated or tower.truncated
-            for k, value in enumerate(tower.values, start=1):
-                lines += bounds._level_lines(n, k, value, args.prec, args.suite, digits, tally)
+    digits = min(args.prec, 20)  # printed digits of each bound; no verdict depends on them
+    for n in range(1, args.n_max + 1):
+        try:
+            tower = iterated.iterate_prime(n, k_max, budget=args.budget, cache=cache)
+        except BudgetExceededError:
+            truncated = True
+            continue
+        truncated = truncated or tower.truncated
+        for k, value in enumerate(tower.values, start=1):
+            lines += bounds._level_lines(n, k, value, args.suite, digits, tally)
 
     with _open_out(args) as fh:  # only now, so an error above leaves --out as it was
         _stamp(fh, args)

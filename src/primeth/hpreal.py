@@ -1,17 +1,17 @@
 """High-precision real helpers built on mpmath.
 
-Precision is expressed everywhere in significant decimal digits.  The one
-non-obvious piece is the comparison of a real with an exact integer.
-``int_sign`` is its one rule: it takes the sign of a raw libmp value minus
-the integer from the value's mantissa and exponent, in integers, and trusts
-it iff |approx - value| > |approx| * 10^(1 - digits).  ``compare_int``
-re-runs a function at doubled precision until the rule trusts the sign, so
-rounding noise can never flip a verdict.  Many comparisons at one precision
-share one context when the caller enters ``working_digits`` once.
+Precision is expressed everywhere in significant decimal digits.  A real
+is compared with an exact integer in one of two ways.  ``int_sign`` takes
+the sign of a raw libmp value minus the integer from the value's mantissa
+and exponent, in integers, and trusts it iff |approx - value| > |approx| *
+10^(1 - digits); ``compare_int`` re-runs a function at doubled precision
+until the rule trusts the sign.  ``sign_and_text`` takes a proved integer
+enclosure of the real instead, and gives the sign and the decimal text only
+where every point of the enclosure gives the same (Ziv's rounding test).
 """
 
-import contextlib
 import functools
+import math
 
 from mpmath import libmp, mp
 
@@ -20,20 +20,14 @@ MAX_ESCALATION_PREC = 4096
 _bits = functools.lru_cache(maxsize=64)(libmp.dps_to_prec)  # mp.prec at these digits
 
 
-@functools.lru_cache(maxsize=64)
-def _scale(digits):
-    """10^(digits - 1): a margin times it at most |approx| escalates."""
-    return 10 ** (digits - 1)
-
-
-def working_digits(digits):
-    """mp.workdps(digits), or a context that does nothing when mp already works at them."""
-    return contextlib.nullcontext() if mp.prec == _bits(digits) else mp.workdps(digits)
+@functools.lru_cache(maxsize=256)
+def _pow10(e):
+    return 10**e
 
 
 def _eval_at(fn, digits):
     """fn() and its value rounded to ``digits``; a context is entered only if needed."""
-    if mp.prec == _bits(digits):  # working_digits, without a no-op context per call
+    if mp.prec == _bits(digits):  # no context to enter
         return (raw := fn()), (raw if raw._mpf_[3] <= mp.prec else +raw)  # fits: +raw is raw
     with mp.workdps(digits):
         return _eval_at(fn, digits)
@@ -57,7 +51,7 @@ def int_sign(raw, value, digits):
         a <<= exp
     else:
         v <<= -exp
-    if abs(a - v) * _scale(digits) > abs(a) or digits >= MAX_ESCALATION_PREC:
+    if abs(a - v) * _pow10(digits - 1) > abs(a) or digits >= MAX_ESCALATION_PREC:
         return (a > v) - (a < v)
     return None
 
@@ -76,3 +70,38 @@ def compare_int(value, fn, prec):
         if (sign := int_sign(raw._mpf_, value, digits)) is not None:
             return sign, approx
         digits = min(digits * 2, MAX_ESCALATION_PREC)
+
+
+def _half_up(m, bits, shift):
+    """m * 2^-bits * 10^shift rounded half-up to an integer, for m >= 0."""
+    num, den = (m * _pow10(shift), 1 << bits) if shift >= 0 else (m, _pow10(-shift) << bits)
+    return (2 * num + den) // (2 * den)
+
+
+def sign_and_text(lo, hi, bits, value, digits):
+    """(sign, text) of a positive real r with lo <= r * 2^bits <= hi, or None.
+
+    sign is that of r minus the integer ``value``; text is r rounded half-up
+    to ``digits`` significant digits, laid out as libmp.to_str lays them out
+    (3.0, 0.0625, 1.2e+25).  None means the enclosure holds ``value`` but is
+    not that one point, or it reaches across a rounding boundary.
+    """
+    v = value << bits
+    sign = -1 if hi < v else 1 if lo > v else 0 if lo == hi else None
+    if sign is None:
+        return None
+    top = _pow10(digits)
+    e = math.floor((lo.bit_length() - bits - 1) * 0.3010299956639812)  # 10^e <= r < 2 10^(e+1)
+    if (man := _half_up(lo, bits, digits - 1 - e)) >= top:  # r, or 9.99... rounded, >= 10^(e+1)
+        e += 1
+        man = _half_up(lo, bits, digits - 1 - e)
+    if _half_up(hi, bits, digits - 1 - e) != man:
+        return None
+    text = str(man)
+    if min(-(digits // 3), -5) < e < digits:
+        text = "0." + "0" * (-e - 1) + text if e < 0 else f"{text[:e + 1]}.{text[e + 1:]}"
+        tail = ""
+    else:
+        text, tail = f"{text[0]}.{text[1:]}", f"e{e:+d}"
+    text = text.rstrip("0")
+    return sign, (text + "0" if text[-1] == "." else text) + tail

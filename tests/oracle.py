@@ -104,8 +104,8 @@ def bound_by_decimal(name, n, k, digits):
     """The explicit bound ``name`` on p_n^(k) to ``digits`` significant digits.
 
     Covers rosser_lower (n ln n), rosser_upper (2 n ln n), iter_upper
-    (2^(2k-1) n (k-1)! (ln max(k, n))^k) and iter_lower (n (ln n)^k), with
-    stdlib ``decimal`` only.
+    (2^(2k-1) n (k-1)! (ln max(k, n))^k), iter_upper_simple ((4k ln k)^k)
+    and iter_lower (n (ln n)^k), with stdlib ``decimal`` only.
     """
     with localcontext() as ctx:
         ctx.prec = digits + 10
@@ -116,6 +116,8 @@ def bound_by_decimal(name, n, k, digits):
         elif name == "iter_upper":
             log = Decimal(max(k, n)).ln()
             value = Decimal(2) ** (2 * k - 1) * n * math.factorial(k - 1) * log**k
+        elif name == "iter_upper_simple":
+            value = (4 * k * Decimal(k).ln()) ** k
         elif name == "iter_lower":
             value = Decimal(n) * Decimal(n).ln() ** k
         else:

@@ -1,49 +1,63 @@
 import csv
 import io
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from primeth import (
     DomainError,
     HypothesisViolatedError,
     InapplicableIndexError,
+    bounds,
     check_bounds,
     iterate_prime,
     log_lower_bound_L3,
     lower_bound_L3,
     lower_bound_simple,
-    rosser_bracket,
     theorem4_residual,
     upper_bound_L1,
-    upper_bound_L1_simple,
 )
 from primeth.bounds import BOUNDS, BoundCheck, BoundReport, write_report_csv
-from primeth.hpreal import MAX_ESCALATION_PREC, compare_int
+from primeth.hpreal import MAX_ESCALATION_PREC, compare_int, sign_and_text
+
+from oracle import bound_by_decimal
+
+
+def _rows(n, k, value):
+    """check_bounds(n, k, value)'s checks by row name."""
+    return {c.name: c for c in check_bounds(n, k, value).checks}
+
+
+def _bound(name, n, k, prec=50):
+    """The bound of one BOUNDS row, rounded to the nearest mpf at ``prec`` digits."""
+    return bounds._rounded(bounds._ROW[name], n, k, prec)
 
 
 class TestRosserBracket:
+    # the rows n log n < p_n (n >= 2) and p_n < 2 n log n (n >= 3)
     def test_n10(self):
-        lower, upper = rosser_bracket(10)
+        rows = _rows(10, 1, 29)
+        lower, upper = rows["rosser_lower"].lhs, rows["rosser_upper"].rhs
         assert abs(float(lower) - 10 * math.log(10)) < 1e-12
         assert abs(float(upper) - 20 * math.log(10)) < 1e-12
-        assert lower < 29 < upper
+        assert rows["rosser_lower"].holds and rows["rosser_upper"].holds
 
     def test_n3(self):
-        lower, upper = rosser_bracket(3)
-        assert lower < 5 < upper
+        rows = _rows(3, 1, 5)
+        assert rows["rosser_lower"].holds and rows["rosser_upper"].holds
 
     def test_n2_upper_inapplicable(self):
-        lower, upper = rosser_bracket(2)
-        assert upper is None
-        assert float(lower) < 3
+        rows = _rows(2, 1, 3)
+        assert not rows["rosser_upper"].applicable
+        assert rows["rosser_lower"].holds and float(rows["rosser_lower"].lhs) < 3
 
     def test_small_n_rejected(self):
-        with pytest.raises(InapplicableIndexError):
-            rosser_bracket(1)
+        rows = _rows(1, 1, 2)
+        assert not rows["rosser_lower"].applicable and not rows["rosser_upper"].applicable
 
 
 class TestUpperBoundL1:
@@ -69,19 +83,22 @@ class TestUpperBoundL1:
 
 
 class TestUpperBoundL1Simple:
+    # the row (4 k log k)^k, applicable for n >= 9 and k >= n
     def test_examples(self):
-        assert abs(float(upper_bound_L1_simple(2)) - (8 * math.log(2)) ** 2) < 1e-9
+        assert abs(float(_bound("iter_upper_simple", 2, 2)) - (8 * math.log(2)) ** 2) < 1e-9
         expected9 = (36 * math.log(9)) ** 9
-        assert abs(float(upper_bound_L1_simple(9)) / expected9 - 1) < 1e-12
+        assert abs(float(_bound("iter_upper_simple", 9, 9)) / expected9 - 1) < 1e-12
+        assert _rows(9, 9, 10**40)["iter_upper_simple"].rhs == _bound("iter_upper_simple", 9, 9)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            upper_bound_L1_simple(1)
+        assert _rows(9, 9, 10**40)["iter_upper_simple"].applicable
+        assert not _rows(9, 8, 10**40)["iter_upper_simple"].applicable
+        assert not _rows(8, 9, 10**40)["iter_upper_simple"].applicable
 
     def test_enlargement_consistency(self):
         # the simple form only enlarges factors, so it dominates at k = n
         for k in range(9, 25):
-            assert upper_bound_L1(k, k) < upper_bound_L1_simple(k)
+            assert upper_bound_L1(k, k) < _bound("iter_upper_simple", k, k)
 
 
 class TestLowerBoundSimple:
@@ -177,8 +194,8 @@ class TestCheckBounds:
 
 
 # Each row's formula as first written, evaluated straight from mpmath, and
-# each hypothesis as the paper states it.  The table must reproduce these
-# to the last bit at the requested precision.
+# each hypothesis as the paper states it.  The table must reproduce these,
+# evaluated with 20 guard digits, rounded to the requested precision.
 REFERENCE = {
     "rosser_lower": lambda n, k: n * mp.log(n),
     "rosser_upper": lambda n, k: 2 * n * mp.log(n),
@@ -197,10 +214,10 @@ HYPOTHESES = {
     "iter_lower_huge_n": lambda n, k: False,
 }
 PUBLIC = {
-    "rosser_lower": lambda n, k, prec: rosser_bracket(n, prec)[0],
-    "rosser_upper": lambda n, k, prec: rosser_bracket(n, prec)[1],
+    "rosser_lower": lambda n, k, prec: _bound("rosser_lower", n, k, prec),
+    "rosser_upper": lambda n, k, prec: _bound("rosser_upper", n, k, prec),
     "iter_upper": lambda n, k, prec: upper_bound_L1(n, k, prec),
-    "iter_upper_simple": lambda n, k, prec: upper_bound_L1_simple(k, prec),
+    "iter_upper_simple": lambda n, k, prec: _bound("iter_upper_simple", n, k, prec),
     "iter_lower": lambda n, k, prec: lower_bound_simple(n, k, prec),
 }
 LOWER_ROWS = {"rosser_lower", "iter_lower"}
@@ -208,9 +225,9 @@ LOWER_ROWS = {"rosser_lower", "iter_lower"}
 
 class TestBoundsTable:
     def test_rows_equal_standalone_formulas(self):
-        # synthetic values far from every bound, so no comparison escalates;
-        # 15 digits first, then 50, so a log memo that ignored the precision
-        # would hand 15-digit logarithms to the 50-digit rows
+        # synthetic values far from every bound, so no row needs a second
+        # enclosure; 15 digits first, then 50, so a memo that ignored the
+        # precision would hand 15-digit bounds to the 50-digit rows
         evaluated = set()
         for prec in (15, 50):
             for n in range(1, 61):
@@ -228,8 +245,10 @@ class TestBoundsTable:
                             assert other == value
                             assert c.holds == (bound < value if lower else value < bound)
                             assert bound == PUBLIC[c.name](n, k, prec)
+                            with mp.workdps(prec + 20):
+                                exact = REFERENCE[c.name](n, k)
                             with mp.workdps(prec):
-                                assert bound == REFERENCE[c.name](n, k)
+                                assert bound == +exact
                             evaluated.add(c.name)
         assert evaluated == set(REFERENCE)
 
@@ -239,25 +258,26 @@ class TestBoundsTable:
 
     def test_escalation_with_shared_log(self):
         # n log n = 34538776394910685.26..., so floor(n log n) sits inside one
-        # ulp of n log n at 15 digits: the verdict needs 30 digits, and the
-        # 30-digit row must not reuse the 15-digit log(n)
+        # ulp of n log n at 15 digits; the enclosure decides it at once, and
+        # one at twice the bits takes its own log, so it lies inside the first
         n = 10**15
         with mp.workdps(60):
             exact = n * mp.log(n)
         value = int(mp.floor(exact))
-        with mp.workdps(15):
-            at15 = n * mp.log(n)
-        with mp.workdps(30):
-            at30 = n * mp.log(n)
         rows = {c.name: c for c in check_bounds(n, 1, value, prec=15).checks}
         for name in ("rosser_lower", "iter_lower"):
             assert rows[name].holds == (exact < value)
-            assert rows[name].lhs == at30 and rows[name].lhs != at15
+            with mp.workdps(15):
+                assert rows[name].lhs == +exact
         assert rows["rosser_upper"].holds and rows["iter_upper"].holds
+        enclosure = bounds._ROW["rosser_lower"].enclosure
+        lo, hi = enclosure(n, 1, 128)
+        lo2, hi2 = enclosure(n, 1, 256)
+        assert lo << 128 <= lo2 < hi2 <= hi << 128 and hi2 - lo2 < (hi - lo) << 64
 
 
-# Each formula as the mpf expression it replaced: a row's libmp steps must
-# return these bits exactly, at every precision.
+# Each formula as the mpf expression it replaced: a row's enclosure must
+# contain it, and each public wrapper must be it rounded to nearest.
 MPF_EXPRESSIONS = {
     "rosser_lower": lambda n, k: n * mp.ln(n),
     "rosser_upper": lambda n, k: 2 * n * mp.ln(n),
@@ -269,33 +289,128 @@ MPF_EXPRESSIONS = {
 }
 
 
-class TestFormulaBits:
+class TestFormulaEnclosures:
     @given(
-        st.integers(min_value=1, max_value=10**7),
+        st.integers(min_value=2, max_value=10**7),
         st.integers(min_value=1, max_value=60),
-        st.sampled_from([15, 50, 100, 300, 1000]),
+        st.sampled_from([64, 128, 256, 1024]),
+        st.sampled_from([15, 50, 100, 300]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_rows_and_wrappers_equal_the_mpf_expressions(self, n, k, prec):
-        rows = [row for row in BOUNDS if row.formula is not None]
+    def test_rows_and_wrappers_enclose_the_mpf_expressions(self, n, k, bits, prec):
+        # the expressions at 64 bits past the enclosure's last unit and the
+        # bound's magnitude; the enclosure is at most 8 k (bound + 1) units wide
+        rows = [row for row in BOUNDS if row.enclosure is not None]
         assert {row.name for row in rows} == set(MPF_EXPRESSIONS)
+        for row in rows:
+            lo, hi = row.enclosure(n, k, bits)
+            with mp.workprec(bits + hi.bit_length() + 64):
+                exact = MPF_EXPRESSIONS[row.name](n, k)
+                assert lo <= mp.ldexp(exact, bits) <= hi
+                assert hi - lo <= 8 * k * (exact + 1)
+        with mp.workprec(libmp.dps_to_prec(prec) + 64):
+            lower, upper = MPF_EXPRESSIONS["iter_lower"](n, k), MPF_EXPRESSIONS["iter_upper"](n, k)
         with mp.workdps(prec):
-            for row in rows:
-                assert row.formula(n, k, mp.prec) == MPF_EXPRESSIONS[row.name](n, k)._mpf_
-            expected = {name: +f(n, k) for name, f in MPF_EXPRESSIONS.items()}
-            simple = +MPF_EXPRESSIONS["iter_upper_simple"](k, k)
-        public = {}
-        if n >= 2:
-            public["rosser_lower"], public["rosser_upper"] = rosser_bracket(n, prec)
-            public["iter_lower"] = lower_bound_simple(n, k, prec)
-        if n >= 9:
-            public["iter_upper"] = upper_bound_L1(n, k, prec)
-        for name, value in public.items():
-            if value is None:  # rosser_upper at n = 2
+            assert lower_bound_simple(n, k, prec) == +lower
+            if n >= 9:
+                assert upper_bound_L1(n, k, prec) == +upper
+
+
+class TestEnclosuresAgainstDecimal:
+    @given(st.integers(min_value=2, max_value=2**64 - 1), st.sampled_from([64, 128, 256]))
+    @settings(max_examples=200, deadline=None)
+    def test_log_encloses_decimal_ln(self, x, bits):
+        lo, hi = bounds._log(x, bits)
+        with localcontext() as ctx:
+            ctx.prec = bits // 3 + 40  # 2^bits log x with about 35 digits to spare
+            scaled = Decimal(x).ln() * Decimal(2) ** bits
+        assert lo <= scaled <= hi and hi - lo <= 3
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_rows_enclose_decimal_bounds(self, bits):
+        # every row at n <= 300, k <= 6, against 90 stdlib-decimal digits
+        with localcontext() as ctx:
+            ctx.prec = 120
+            unit = Decimal(2) ** bits
+        for row in BOUNDS:
+            if row.enclosure is None:
                 continue
-            assert value._mpf_ == expected[name]._mpf_
-        if k >= 2:
-            assert upper_bound_L1_simple(k, prec)._mpf_ == simple._mpf_
+            for n in range(2, 301):
+                for k in range(1, 7):
+                    if row.name == "iter_upper_simple" and k < 2:
+                        continue
+                    lo, hi = row.enclosure(n, k, bits)
+                    exact = bound_by_decimal(row.name, n, k, 90)
+                    with localcontext() as ctx:
+                        ctx.prec = 120
+                        assert lo <= exact * unit <= hi, (row.name, n, k)
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_simple_row_to_k_40(self, bits):
+        enclosure = bounds._ROW["iter_upper_simple"].enclosure
+        for k in range(2, 41):
+            lo, hi = enclosure(k, k, bits)
+            exact = bound_by_decimal("iter_upper_simple", k, k, 200)
+            with localcontext() as ctx:
+                ctx.prec = 240
+                assert lo <= exact * Decimal(2) ** bits <= hi, k
+
+
+def _to_str_bits(digits):
+    """libmp.to_str(x, digits) truncates x to this many bits before it rounds."""
+    return int((digits + 3) * math.log(10, 2)) + 10
+
+
+@st.composite
+def _dyadics(draw):
+    """(man, bits, digits): a dyadic man * 2^-bits that to_str at ``digits`` reads exactly."""
+    digits = draw(st.integers(min_value=15, max_value=20))
+    width = min(80, _to_str_bits(digits))
+    man = draw(st.integers(min_value=1, max_value=2**width - 1))
+    return man, draw(st.integers(min_value=0, max_value=240)), digits
+
+
+class TestSignAndText:
+    @given(_dyadics(), st.integers(min_value=0, max_value=2**90))
+    @settings(max_examples=300, deadline=None)
+    def test_point_prints_as_to_str(self, dyadic, value):
+        man, bits, digits = dyadic
+        sign, text = sign_and_text(man, man, bits, value, digits)
+        exact = man - (value << bits)
+        assert sign == (exact > 0) - (exact < 0)
+        assert text == libmp.to_str(libmp.from_man_exp(man, -bits), digits)
+
+    @pytest.mark.parametrize("digits", [15, 18, 20])
+    @pytest.mark.parametrize("e", [-8, -6, -5, -1, 0, 3, 14, 19])
+    def test_carries(self, digits, e):
+        # the dyadics on both sides of (10^digits - 1/2) * 10^(e + 1 - digits),
+        # where 9.99... rounds up into the next decade
+        with localcontext() as ctx:
+            ctx.prec = 200
+            tie = (Decimal(10) ** digits - Decimal("0.5")).scaleb(e + 1 - digits)
+            bits = _to_str_bits(digits) - 1 - math.ceil((e + 1) * math.log2(10))
+            up = int((tie * Decimal(2) ** bits).to_integral_value(rounding="ROUND_CEILING"))
+        for man in (up - 1, up):
+            got = sign_and_text(man, man, bits, 0, digits)[1]
+            assert got == libmp.to_str(libmp.from_man_exp(man, -bits), digits)
+        assert Decimal(sign_and_text(up, up, bits, 0, digits)[1]) == Decimal(10) ** (e + 1)
+        below = Decimal(sign_and_text(up - 1, up - 1, bits, 0, digits)[1])
+        assert below == (Decimal(10) ** digits - 1).scaleb(e + 1 - digits)
+
+    def test_layouts(self):
+        cases = [(3 << 64, 64, 15, "3.0"), (12 * 10**24, 0, 20, "1.2e+25"), (1, 4, 15, "0.0625"),
+                 (1, 20, 20, "9.5367431640625e-7"), (1, 14, 15, "6.103515625e-5"),
+                 (1, 14, 20, "0.00006103515625"), (10**20 - 1, 0, 20, "99999999999999999999.0")]
+        for man, bits, digits, text in cases:
+            assert sign_and_text(man, man, bits, 0, digits) == (1, text)
+
+    def test_open_enclosures(self):
+        # one that holds the value, and one across a rounding boundary
+        assert sign_and_text(5 << 10 - 1, 5 << 10 + 1, 10, 5, 15) is None
+        third = (1 << 200) // 3
+        assert sign_and_text(third, third + 1, 200, 0, 15) == (1, "0.333333333333333")
+        half = (1 << 200) // 2 + 1  # 0.5 + 2^-200, across 0.5 at one digit
+        assert sign_and_text(half - 2, half, 200, 0, 15) == (1, "0.5")
 
 
 def _csv_by_writer(reports, digits):

@@ -9,7 +9,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from mpmath import libmp, mp, mpf
+from mpmath import libmp, mpf
 
 import primeth
 from primeth import PrimethError, bounds, certify, engine, errors, hpreal
@@ -349,24 +349,23 @@ class TestVerify:
         "suite, prec, names",
         [
             ("all", 50, {"rosser_lower", "rosser_upper", "iter_upper", "iter_lower"}),
+            ("all", 20, {"rosser_lower", "rosser_upper", "iter_upper", "iter_lower"}),
             ("all", 15, {"rosser_lower", "rosser_upper", "iter_upper", "iter_lower"}),
             ("ineq3", 50, {"iter_lower"}),
+            ("ineq3", 15, {"iter_lower"}),
         ],
-        ids=["all-50", "all-15", "ineq3-50"],
+        ids=["all-50", "all-20", "all-15", "ineq3-50", "ineq3-15"],
     )
     def test_rows_match_decimal_oracle(self, capsys, suite, prec, names):
         # each verdict against a 60-digit stdlib-decimal bound, and each
-        # printed bound (min(prec, 20) digits) within half a unit in its last
-        # digit of the bound at the working precision, which lies within 8
-        # units in its last bit of the exact one: at --prec 50 that is half a
-        # unit in the 20th digit, at --prec 15 the 53-bit bound can move the
-        # 15th digit by more
+        # printed bound (min(prec, 20) digits) within half a unit in its
+        # last digit of that bound: correctly rounded, at every --prec
         code, out, _ = run(
             capsys, "verify", suite, "--n-max", "300", "--k-max", "3",
             "--prec", str(prec), "--no-timestamp",
         )
         assert code == 0
-        digits, bits = min(prec, 20), libmp.dps_to_prec(prec)
+        digits = min(prec, 20)
         checked = set()
         for row in out.splitlines()[1:]:
             n, k, value, name, lhs, rhs, applicable, holds = row.split(",")
@@ -376,9 +375,7 @@ class TestVerify:
             lower = name.endswith("_lower")
             printed = Decimal(lhs if lower else rhs)
             assert (holds == "yes") == ((exact < int(value)) if lower else (int(value) < exact))
-            half_unit = Decimal(5).scaleb(exact.adjusted() - digits)
-            slack = abs(exact) * Decimal(2) ** (3 - bits)
-            assert abs(printed - exact) <= half_unit + slack, row
+            assert abs(printed - exact) <= Decimal(5).scaleb(exact.adjusted() - digits), row
             checked.add(name)
         assert checked == names
 
@@ -431,15 +428,15 @@ class TestVerify:
         assert err == "error: tower requires n >= 1 and k >= 1\n"
 
     def test_one_comparison_per_applicable_row(self, capsys, monkeypatch):
-        # int_sign is the comparison that decides each row
+        # sign_and_text decides each row, once, from its first enclosure
         calls = []
-        int_sign = bounds.int_sign
+        sign_and_text = bounds.sign_and_text
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return int_sign(*args, **kwargs)
+        def counted(lo, hi, bits, value, digits):
+            calls.append(bits)
+            return sign_and_text(lo, hi, bits, value, digits)
 
-        monkeypatch.setattr(bounds, "int_sign", counted)
+        monkeypatch.setattr(bounds, "sign_and_text", counted)
         code, out, err = run(
             capsys, "verify", "ineq3", "--n-max", "50", "--k-max", "3",
             "--no-timestamp",
@@ -447,6 +444,7 @@ class TestVerify:
         assert code == 0
         applicable = [row for row in out.splitlines()[1:] if ",yes," in row]
         assert len(calls) == len(applicable) == 49 * 3
+        assert set(calls) == {bounds._START_BITS}
         assert "applicable=147 " in err
 
     def test_budget_limited_range_exits_2(self, capsys):
@@ -471,7 +469,7 @@ class TestVerify:
     def test_violated_bound_exits_1(self, capsys, monkeypatch):
         # a row whose bound, p_n + 1, lies above every tower value it is checked against
         row = bounds.Bound("iter_lower", ("ineq3",), lambda n, k: True, "lower",
-                           lambda n, k, p: libmp.from_int(engine.nth_prime(n) + 1))
+                           lambda n, k, bits: ((engine.nth_prime(n) + 1) << bits,) * 2)
         monkeypatch.setitem(bounds.SUITES, "ineq3", (row,))
         code, out, err = run(
             capsys, "verify", "ineq3", "--n-max", "2", "--k-max", "1", "--no-timestamp",
@@ -482,43 +480,56 @@ class TestVerify:
         ]
         assert "applicable=2 held=0 violated=2 inapplicable=0" in err
 
-    @pytest.mark.parametrize("side, holds", [(-1, "yes"), (1, "no")])
-    def test_row_inside_the_margin_escalates(self, capsys, monkeypatch, side, holds):
-        # a bound of p_n +- 2^-60: at 15 digits (53 bits) it rounds to p_n,
-        # a tie inside the margin, so the row goes on at 30 digits, where
-        # the offset decides; verify prints what compare_int returns there
-        def formula(n, k, p):
-            offset = libmp.mpf_shift(libmp.fone, -60)
-            return libmp.mpf_add(libmp.from_int(engine.nth_prime(n)),
-                                 libmp.mpf_neg(offset) if side < 0 else offset, p, "n")
-
-        row = bounds.Bound("iter_lower", ("ineq3",), lambda n, k: True, "lower", formula)
+    def _run_straddling(self, capsys, monkeypatch, enclosure):
+        """verify ineq3 for n <= 3, k = 1 with one row; its output and the bits it tried."""
+        row = bounds.Bound("iter_lower", ("ineq3",), lambda n, k: True, "lower", enclosure)
         monkeypatch.setitem(bounds.SUITES, "ineq3", (row,))
-        evaluated = []
-        compare_int = bounds.compare_int
+        tried = []
+        sign_and_text = bounds.sign_and_text
 
-        def counted(value, fn, prec):
-            evaluated.append(prec)
-            return compare_int(value, fn, prec)
+        def counted(lo, hi, bits, value, digits):
+            tried.append(bits)
+            return sign_and_text(lo, hi, bits, value, digits)
 
-        monkeypatch.setattr(bounds, "compare_int", counted)
+        monkeypatch.setattr(bounds, "sign_and_text", counted)
         code, out, err = run(
             capsys, "verify", "ineq3", "--n-max", "3", "--k-max", "1", "--prec", "15",
             "--no-timestamp",
         )
+        return code, out, err, tried
+
+    @pytest.mark.parametrize("side, holds", [(-1, "yes"), (1, "no")])
+    def test_row_inside_the_margin_escalates(self, capsys, monkeypatch, side, holds):
+        # a bound of p_n +- 2^-60 whose enclosure is 2^(200 - bits) units wide
+        # on each side: at 128 bits it holds p_n, so the row goes on at 256
+        # bits, where the offset decides; verify prints that verdict
+        def enclosure(n, k, bits):
+            center = (engine.nth_prime(n) << bits) + side * (1 << bits - 60)
+            width = 1 << max(200 - bits, 0)
+            return center - width, center + width
+
+        code, out, err, tried = self._run_straddling(capsys, monkeypatch, enclosure)
         assert code == (0 if side < 0 else 1)
-        assert evaluated == [30, 30, 30]  # each row goes on from doubled digits
-        expected = []
-        for n in (1, 2, 3):
-            value = engine.nth_prime(n)
-            sign, bound = hpreal.compare_int(
-                value, lambda: mp.make_mpf(formula(n, 1, mp.prec)), 15,
-            )
-            assert sign == side and (sign < 0) == (holds == "yes")
-            printed = libmp.to_str(bound._mpf_, 15)
-            expected.append(f"{n},1,{value},iter_lower,{printed},{value},yes,{holds}")
-        assert out.splitlines()[1:] == expected
+        assert tried == [128, 256] * 3  # each row goes on from doubled bits
+        assert out.splitlines()[1:] == [
+            f"{n},1,{p},iter_lower,{p}.0,{p},yes,{holds}" for n, p in ((1, 2), (2, 3), (3, 5))
+        ]
         assert f"applicable=3 held={3 if side < 0 else 0}" in err
+
+    def test_row_never_narrowing_is_decided_at_the_cap(self, capsys, monkeypatch):
+        # an enclosure that always holds p_n: at MAX_ESCALATION_PREC digits'
+        # worth of bits its midpoint, p_n itself, decides a tie, which no
+        # lower bound survives
+        def enclosure(n, k, bits):
+            return (engine.nth_prime(n) << bits) - 1, (engine.nth_prime(n) << bits) + 1
+
+        code, out, err, tried = self._run_straddling(capsys, monkeypatch, enclosure)
+        assert code == 1
+        assert tried == [128, 256, 512, 1024, 2048, 4096, 8192, bounds._MAX_BITS] * 3
+        assert bounds._MAX_BITS == libmp.dps_to_prec(hpreal.MAX_ESCALATION_PREC)
+        assert out.splitlines()[1:] == [
+            f"{n},1,{p},iter_lower,{p}.0,{p},yes,no" for n, p in ((1, 2), (2, 3), (3, 5))
+        ]
 
 
 class TestCertifyCommand:
