@@ -12,13 +12,16 @@ x86-64 Xeon, Python 3.11, numpy 2.4).  The sieving primes come from a
 table of the primes up to the power of two above the largest one needed.
 sieve_segment strikes a prime by one slice while the window holds at
 least _STRIKES of its multiples, and the larger ones together by fancy
-indexing: about 1 ms for nth_prime's first window at 10^10.
-nth_prime indexes the smallest prime table already built that holds n
-primes, or else the table of the primes up to 2^24, when n <= pi(2^24).
-Past the table it starts at x = R^-1(n), the inverse of Riemann's R
-function, counts pi(x) exactly once, and sieves windows forward or
-backward from x until it reaches the nth prime.  R only picks where to
-start, so the answer is as exact as prime_count and the sieve.
+indexing: 0.4-0.7 ms for nth_prime's first window at 10^10, and 30-45 ms
+for the prime table up to 2^24, which it builds in cache-sized windows of
+2^20 odd integers.  nth_prime indexes the smallest prime table already
+built that holds n primes, or else the 2^24 one, when n <= pi(2^24).  Past
+the table it starts at x = R^-1(n), the inverse of Riemann's R function,
+counts pi(x) exactly once, and sieves windows forward or backward from x
+until it reaches the nth prime: the first spans the power of two at or
+above sqrt(x) integers, at most 2^16, as R^-1(n) lands within 0.6 sqrt(x)
+of p_n, and each further one doubles.  R only picks where to start, so
+the answer is as exact as prime_count and the sieve.
 """
 
 import functools
@@ -40,12 +43,13 @@ _SEGMENT_ODDS = 1 << 26
 # primes of sieve_segment, which therefore needs isqrt(hi) < _TABLE_LIMIT.
 _TABLE_LIMIT = 1 << 24
 _TABLE_PRIMES = 1077871  # pi(2^24), the primes nth_prime looks up
+_TABLE_ODDS = 1 << 20  # odd integers per window of a prime table: 1 MB of flags
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)  # prime_count takes them in closed form
 _WHEEL = 30030  # their product
 # sieve_segment strikes a prime by one slice while the window holds at least
 # this many of its odd multiples; the larger primes strike together.
 _STRIKES = 32
-# First sieve window of the nth_prime walk; each further window doubles.
+# Most integers in the first sieve window of the nth_prime walk.
 _WINDOW = 1 << 16
 # Two Newton steps from n log n land within 0.02 sqrt(x) of R^-1(n) for
 # n up to 10^15; the seed only sets where the sieve walk starts.
@@ -56,16 +60,22 @@ _TABLES = {}  # limit -> the primes up to it, each built once by _prime_table
 
 
 def _prime_table(limit):
-    """All primes <= limit, a power of two, by an odd-only sieve built on first use."""
+    """All primes <= limit, a power of two, built on first use window by window:
+    windows of at most _TABLE_ODDS odd integers past the largest smaller table
+    built (or past 2), each sieved by sieve_segment with the primes found so far."""
     if (table := _TABLES.get(limit)) is not None:
         return table
-    flags = np.ones(limit // 2, dtype=bool)  # flags[i] <-> 2i + 1
-    flags[0] = False
-    for i in range(1, math.isqrt(limit) // 2 + 1):
-        if flags[i]:
-            p = 2 * i + 1
-            flags[p * p // 2 :: p] = False
-    table = np.concatenate(([2], 2 * np.flatnonzero(flags) + 1)).astype(np.int64)
+    top = max((lim for lim in _TABLES if lim < limit), default=2)
+    parts = [_TABLES.get(top, np.array([2]))]
+    reach = top  # parts[0] holds the primes up to it
+    while top < limit:
+        hi = min(top + 2 * _TABLE_ODDS, top * top, limit)
+        if math.isqrt(hi) > reach:
+            reach, parts = top, [np.concatenate(parts)]
+        seg = sieve_segment(top + 1, hi, sieving=parts[0])
+        parts.append(seg.first_odd + 2 * np.flatnonzero(seg.flags))
+        top = hi
+    table = np.concatenate(parts).astype(np.int64, copy=False)
     table.flags.writeable = False  # shared by every caller, as are its slices
     _TABLES[limit] = table
     return table
@@ -95,13 +105,13 @@ class SegmentTable:
     flags: np.ndarray  # flags[i] <-> first_odd + 2*i is prime
 
 
-def sieve_segment(lo, hi):
+def sieve_segment(lo, hi, *, sieving=None):
     """Sieve the closed range [lo, hi], 2 <= lo <= hi < 2^48.
 
-    flags exactly mark the primes.  The ceiling comes from the prime table,
-    which holds the sieving primes up to isqrt(hi); above it the call raises
-    UnsupportedRangeError.  Past _SEGMENT_ODDS odd integers it raises
-    SegmentTooLargeError.  Both are raised before the flags are allocated.
+    flags exactly mark the primes.  It sieves by sieving, the ascending primes
+    from 2 up to at least isqrt(hi), when given, else by the prime table, above
+    whose ceiling it raises UnsupportedRangeError.  Past _SEGMENT_ODDS odd
+    integers it raises SegmentTooLargeError, and both before any allocation.
     """
     lo, hi = int(lo), int(hi)
     if lo > hi:
@@ -114,7 +124,9 @@ def sieve_segment(lo, hi):
         raise SegmentTooLargeError(
             f"segment holds {n_odd} odd integers, the limit is {_SEGMENT_ODDS}"
         )
-    p = base_primes_upto(math.isqrt(hi))[1:]  # raises at hi >= 2^48
+    if sieving is None:
+        sieving = base_primes_upto(math.isqrt(hi))  # raises at hi >= 2^48
+    p = sieving[1 : sieving.searchsorted(math.isqrt(hi), side="right")]
     flags = np.ones(n_odd, dtype=bool)
     # first odd multiple of each p that is >= max(p*p, lo), in int64 (which
     # hi < 2^48 keeps from overflowing); starting at p*p keeps an odd prime
@@ -321,7 +333,8 @@ def nth_prime(n):
     c = prime_count(x)
     up = c < n
     need = n - c if up else c - n + 1
-    width = _WINDOW
+    # R^-1(n) lands within sqrt(x) of p_n: one window that wide mostly suffices
+    width = min(_WINDOW, 1 << (math.isqrt(x) - 1).bit_length())
     while True:
         lo, hi = (x + 1, x + width) if up else (max(x - width + 1, 2), x)
         seg = sieve_segment(lo, hi)

@@ -17,7 +17,7 @@ from primeth import (
     prime_count,
     sieve_segment,
 )
-from primeth import engine
+from primeth import engine, iterated
 from primeth.cli import main
 
 from oracle import pi_by_sieve, primes_in_window, sieve_primes, trial_isprime, window_primes
@@ -319,6 +319,53 @@ class TestRiemannR:
             assert abs(engine._r_inverse(n) - _r_inverse_by_mpmath(n)) <= 1
 
 
+class TestPrimeTable:
+    def test_equals_the_plain_sieve_built_cold_and_extended(self, monkeypatch):
+        # every power of two from 2^8 to 2^24, built cold (from the prime 2) and
+        # from each smaller table; the windows tile the range, the primes on
+        # either side of each window boundary are checked on their own, and no
+        # table but the ones asked for is kept
+        ref = sieve_primes(engine._TABLE_LIMIT + 100)
+        windows = []
+
+        def recording(lo, hi, **kwargs):
+            windows.append((lo, hi))
+            return sieve_segment(lo, hi, **kwargs)
+
+        monkeypatch.setattr(engine, "sieve_segment", recording)
+        monkeypatch.setattr(engine, "_TABLES", {})
+        for j in range(8, 25):
+            for i in [None, *range(8, j)]:
+                engine._TABLES.clear()
+                if i is not None:
+                    engine._prime_table(1 << i)
+                start = 2 if i is None else 1 << i
+                windows.clear()
+                table = engine._prime_table(1 << j)
+                assert np.array_equal(table, ref[: ref.searchsorted(1 << j, side="right")])
+                assert table.dtype == np.int64 and not table.flags.writeable
+                assert sorted(engine._TABLES) == ([] if i is None else [1 << i]) + [1 << j]
+                assert [lo - 1 for lo, _ in windows] == [start] + [hi for _, hi in windows[:-1]]
+                assert windows[-1][1] == 1 << j
+                for _, b in windows:
+                    k = int(ref.searchsorted(b, side="right"))
+                    below = table.searchsorted(b, side="right")
+                    assert table[below - 1] == ref[k - 1]
+                    assert below == len(table) or table[below] == ref[k]
+
+    def test_cold_build_stays_small(self, monkeypatch):
+        # 1 MB windows of flags; the 2^24 table itself is 8.6 MB, and joining
+        # the windows' primes briefly holds it twice
+        monkeypatch.setattr(engine, "_TABLES", {})
+        tracemalloc.start()
+        try:
+            assert len(engine._prime_table(engine._TABLE_LIMIT)) == engine._TABLE_PRIMES
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+
 class TestNthPrime:
     def test_examples(self):
         assert nth_prime(1) == 2
@@ -344,14 +391,28 @@ class TestNthPrime:
         assert sorted(engine._TABLES) == [1 << 10, engine._TABLE_LIMIT]
 
     def test_seed_never_decides_the_answer(self, monkeypatch):
-        # seeds below p_n (just past the table, or inside it) and far above
-        # it walk both ways through doubling windows to the same prime
+        # seeds below p_n (just past the table, or inside it), several sqrt(p_n)
+        # either side of it, and far above it walk both ways through doubling
+        # windows to the same prime
         primes = sieve_primes(33_000_000)
         for n in (engine._TABLE_PRIMES + 1, 2_000_000):
             p = int(primes[n - 1])
-            for seed in (engine._TABLE_LIMIT + 1, 1000, 3 * p):
+            r = math.isqrt(p)
+            for seed in (engine._TABLE_LIMIT + 1, 1000, p - 5 * r, p + 5 * r, 3 * p):
                 monkeypatch.setattr(engine, "_r_inverse", lambda n, s=seed: s)
                 assert nth_prime(n) == p
+
+    @pytest.mark.parametrize("window", [2, 64])
+    def test_prime_at_either_end_of_the_first_window(self, monkeypatch, window):
+        # p_n as the first and as the last odd integer of the first window,
+        # walking up from x (window [x + 1, x + window]) and down from it
+        # (window [x - window + 1, x]); window is below sqrt(p_n)
+        n = 2_000_000
+        p = int(sieve_primes(33_000_000)[n - 1])
+        monkeypatch.setattr(engine, "_WINDOW", window)
+        for seed in (p - 1, p - window, p, p + window - 1):
+            monkeypatch.setattr(engine, "_r_inverse", lambda n, s=seed: s)
+            assert nth_prime(n) == p
 
     def test_table_edge(self):
         primes = sieve_primes(17_000_000)
@@ -405,6 +466,36 @@ class TestNthPrime:
         assert xs == []
         nth_prime(3_000_000)
         assert len(xs) == 1
+
+    def test_one_count_and_one_window_per_lookup_of_the_sweep(self, monkeypatch, capsys):
+        # verify all --n-max 100 --k-max 6 looks up 61 primes past the table;
+        # R^-1 lands within 0.45 sqrt(x) of each, so the first window holds it
+        lookups, open_lookup = [], []
+        count, segment, lookup = engine.prime_count, engine.sieve_segment, iterated.nth_prime
+
+        def counting(x):
+            open_lookup[-1][0] += 1
+            return count(x)
+
+        def sieving(lo, hi, **kwargs):
+            if lo > engine._TABLE_LIMIT:  # a walk window, not a table window
+                open_lookup[-1][1] += 1
+            return segment(lo, hi, **kwargs)
+
+        def looking_up(n):
+            if n <= engine._TABLE_PRIMES:
+                return lookup(n)
+            open_lookup.append([0, 0])
+            p = lookup(n)
+            lookups.append(tuple(open_lookup.pop()))
+            return p
+
+        monkeypatch.setattr(engine, "prime_count", counting)
+        monkeypatch.setattr(engine, "sieve_segment", sieving)
+        monkeypatch.setattr(iterated, "nth_prime", looking_up)
+        assert main(["verify", "all", "--n-max", "100", "--k-max", "6", "--no-timestamp"]) == 0
+        capsys.readouterr()
+        assert lookups == [(1, 1)] * 61
 
     @given(st.integers(min_value=1, max_value=10_000))
     @settings(max_examples=60, deadline=None)
