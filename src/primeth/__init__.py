@@ -2,9 +2,6 @@
 explicit bounds that enclose them, all computed exactly."""
 
 from .bounds import (
-    BoundCheck,
-    BoundReport,
-    check_bounds,
     log_lower_bound_L3,
     lower_bound_L3,
     lower_bound_simple,
@@ -58,8 +55,6 @@ from .iterated import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundCheck",
-    "BoundReport",
     "BudgetExceededError",
     "CacheFormatError",
     "CertReport",
@@ -77,7 +72,6 @@ __all__ = [
     "TowerCache",
     "UnsupportedRangeError",
     "certify_threshold",
-    "check_bounds",
     "closed_form_floor",
     "comparator",
     "count_diag",

@@ -1,4 +1,4 @@
-"""Explicit bound formulas for p_n and p_n^(k), and bound-check reports.
+"""Explicit bound formulas for p_n and p_n^(k), and the CSV lines that check them.
 
 ``BOUNDS`` is the one table of checked bounds.  Each row holds the name, the
 suites that report it, the hypothesis on (n, k), the side (lower: bound <
@@ -7,19 +7,19 @@ integers with lo * 2^-bits <= bound <= hi * 2^-bits.  Each bound is
 c (log m)^j for an integer c, enclosed in exact integers from a memoised
 enclosure of log m by mpmath's log rounded down and up.  Out-of-hypothesis
 rows are flagged inapplicable, never evaluated, since a bound can fail
-outside its hypothesis without meaning anything.  ``_settle`` decides and
-prints each applicable row from enclosures of 128, 256, ... bits, so the
-verdict and every printed digit hold for the exact bound; ``check_bounds``
-and the public bound functions read the same enclosures.
+outside its hypothesis without meaning anything.  ``check_bounds`` turns
+one tower level into CSV lines: ``_settle`` decides and prints each
+applicable row from enclosures of 128, 256, ... bits, so the verdict and
+every printed digit hold for the exact bound.  ``upper_bound_L1`` and
+``lower_bound_simple`` round the same enclosures to the nearest mpf.
 """
 
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_log, mpf_neg, to_fixed, to_str
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_log, mpf_neg, to_fixed
 
 from .errors import DomainError, HypothesisViolatedError, InapplicableIndexError
 from .hpreal import DEFAULT_PREC, MAX_ESCALATION_PREC, sign_and_text
@@ -153,94 +153,31 @@ def theorem4_residual(n, k, value, prec=DEFAULT_PREC):
         return +(mp.log(value) / k - mp.log(k) - mp.log(mp.log(k)))
 
 
-@dataclass
-class BoundCheck:
-    """One inequality instance; lhs < rhs is the claim, in source order."""
-
-    name: str
-    lhs: object  # mpf or exact int; None when inapplicable
-    rhs: object
-    applicable: bool
-    holds: object  # bool when applicable, else None
-
-
-@dataclass
-class BoundReport:
-    n: int
-    k: int
-    value: int
-    checks: list
-
-    def all_applicable_hold(self):
-        return all(c.holds for c in self.checks if c.applicable)
-
-
-def check_bounds(n, k, value, prec=DEFAULT_PREC, suite="all"):
-    """Report the bounds of one verification suite against one tower value.
-
-    Each applicable row is decided as ``verify`` decides it, and its bound
-    is rounded to the nearest mpf at max(prec, 15) digits.
-    """
-    n, k, value = int(n), int(k), int(value)
-    if suite not in SUITES:
-        raise DomainError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
-    checks = []
-    for row in SUITES[suite]:
-        if not row.applies(n, k):
-            checks.append(BoundCheck(row.name, None, None, False, None))
-            continue
-        holds, _ = _settle(row, n, k, value, 15)
-        bound = _rounded(row, n, k, max(prec, 15))
-        lhs, rhs = (bound, value) if row.side == "lower" else (value, bound)
-        checks.append(BoundCheck(row.name, lhs, rhs, True, holds))
-    return BoundReport(n=n, k=k, value=value, checks=checks)
-
-
 CSV_HEADER = ["n", "k", "value", "bound", "lhs", "rhs", "applicable", "holds"]
-_CELL = {True: "yes", False: "no", None: ""}  # the applicable and holds columns
 
 
-def _line(head, name, lhs, rhs, applicable, holds):
-    """One CSV line after its head "n,k,value,"; lhs and rhs as printed, "" if absent."""
-    return f"{head}{name},{lhs},{rhs},{_CELL[applicable]},{_CELL[holds]}"
+def check_bounds(n, k, value, suite, digits, tally):
+    """The CSV lines of one tower level of ``suite``, each bound to ``digits`` digits.
 
-
-def _level_lines(n, k, value, suite, digits, tally):
-    """The CSV lines of one tower level, each bound to ``digits``; rows counted in ``tally``."""
+    Each row is counted in ``tally`` under its verdict: True or False, and
+    None for a row outside its hypothesis, which gets no sides and no verdict.
+    No field needs csv quoting.
+    """
     text = str(value)
     head = f"{n},{k},{text},"
     lines = []
     for row in SUITES[suite]:
         if not row.applies(n, k):
-            lines.append(_line(head, row.name, "", "", False, None))
+            lines.append(f"{head}{row.name},,,no,")
             tally[None] += 1
             continue
         holds, bound = _settle(row, n, k, value, digits)
         lhs, rhs = (bound, text) if row.side == "lower" else (text, bound)
-        lines.append(_line(head, row.name, lhs, rhs, True, holds))
+        lines.append(f"{head}{row.name},{lhs},{rhs},yes,{'yes' if holds else 'no'}")
         tally[holds] += 1
     return lines
 
 
-def _write_csv(lines, fh):
-    """The header and the lines, in one write."""
+def write_report_csv(lines, fh):
+    """The header and the lines of check_bounds, in one write."""
     fh.write("\n".join([",".join(CSV_HEADER), *lines]) + "\n")
-
-
-def write_report_csv(reports, fh, digits=15):
-    """Serialize BoundReports: columns n,k,value,bound,lhs,rhs,applicable,holds.
-
-    No field needs csv quoting; an mpf side is printed as mp.nstr(v, digits).
-    """
-    def side(v):
-        return str(v) if isinstance(v, int) else to_str(v._mpf_, digits)
-
-    lines = []
-    for rep in reports:
-        head = f"{rep.n},{rep.k},{rep.value},"
-        lines.extend(
-            _line(head, c.name, side(c.lhs), side(c.rhs), True, c.holds) if c.applicable
-            else _line(head, c.name, "", "", False, None)  # no sides and no verdict
-            for c in rep.checks
-        )
-    _write_csv(lines, fh)

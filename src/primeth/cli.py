@@ -10,7 +10,6 @@ import contextlib
 import csv
 import sys
 from datetime import datetime, timezone
-from itertools import islice
 
 from mpmath import mp, mpf
 
@@ -132,22 +131,8 @@ def _truncated(depth, k, budget):
     return EXIT_BUDGET
 
 
-def _table_for_levels(n_max, k_max, cache):
-    """Build the prime table that holds p_n^(k) for all n <= n_max, k <= k_max.
-
-    nth_prime then reads that table, not the 2^24 one.  Nothing is built
-    when n_max lies past pi(2^24) or a level's bracket reaches 2^24.
-    """
-    if not (1 <= n_max <= engine._TABLE_PRIMES and k_max >= 1):
-        return
-    for _, top in islice(iterated.brackets(n_max, cache), k_max):  # p_n^(k) <= top
-        if top >= engine._TABLE_LIMIT:
-            return
-    engine.base_primes_upto(top)
-
-
 def _cmd_nth(args, cache):
-    _table_for_levels(args.n, 1, cache)
+    iterated.table_for_levels(args.n, 1, cache)
     print(engine.nth_prime(args.n))
     return EXIT_OK
 
@@ -158,7 +143,7 @@ def _cmd_pi(args, cache):
 
 
 def _cmd_iter(args, cache):
-    _table_for_levels(args.n, args.k, cache)
+    iterated.table_for_levels(args.n, args.k, cache)
     tower = iterated.iterate_prime(args.n, args.k, budget=args.budget, cache=cache)
     for v in tower.values:
         print(v)
@@ -187,7 +172,7 @@ def _cmd_verify(args, cache):
     k_max = 1 if args.suite == "rosser" else args.k_max
     if args.n_max < 1 or k_max < 1:
         raise InvalidRangeError("tower requires n >= 1 and k >= 1")
-    _table_for_levels(args.n_max, k_max, cache)
+    iterated.table_for_levels(args.n_max, k_max, cache)
     lines = []
     tally = dict.fromkeys((True, False, None), 0)  # rows by holds; None: inapplicable
     truncated = False
@@ -200,11 +185,11 @@ def _cmd_verify(args, cache):
             continue
         truncated = truncated or tower.truncated
         for k, value in enumerate(tower.values, start=1):
-            lines += bounds._level_lines(n, k, value, args.suite, digits, tally)
+            lines += bounds.check_bounds(n, k, value, args.suite, digits, tally)
 
     with _open_out(args) as fh:  # only now, so an error above leaves --out as it was
         _stamp(fh, args)
-        bounds._write_csv(lines, fh)
+        bounds.write_report_csv(lines, fh)
 
     held, violations = tally[True], tally[False]
     print(

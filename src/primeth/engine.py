@@ -87,8 +87,10 @@ def base_primes_upto(limit):
         raise UnsupportedRangeError(
             f"sieving primes are tabled below 2^24 (ranges below 2^48), asked for {limit}"
         )
-    # one table per power of two, so that a small query builds a small one
-    table = _prime_table(1 << max(limit, 255).bit_length())
+    # the smallest table built that covers limit, else a new one per power
+    # of two, so that a small query builds a small one
+    top = min((lim for lim in _TABLES if lim >= limit), default=1 << max(limit, 255).bit_length())
+    table = _prime_table(top)
     return table[: np.searchsorted(table, limit, side="right")]
 
 

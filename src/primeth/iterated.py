@@ -159,7 +159,6 @@ class Tower:
     """Levels p_n^(1)..p_n^(j) for a fixed base index n."""
 
     n: int
-    requested_depth: int
     values: list
     truncated: bool = False
 
@@ -254,6 +253,20 @@ def brackets(n, cache=None):
         level += 1
 
 
+def table_for_levels(n_max, k_max, cache=None):
+    """Build the prime table that holds p_n^(k) for all n <= n_max, k <= k_max.
+
+    nth_prime then reads that table, not the 2^24 one.  Nothing is built
+    when n_max lies past pi(2^24) or a level's bracket reaches 2^24.
+    """
+    if not (1 <= n_max <= _TABLE_PRIMES and k_max >= 1):
+        return
+    for _, top in islice(brackets(n_max, cache), k_max):  # p_n^(k) <= top
+        if top >= _TABLE_LIMIT:
+            return
+    base_primes_upto(top)
+
+
 def iterate_prime(n, k, budget=DEFAULT_BUDGET, cache=None):
     """Tower p_n^(1..k), truncated at the last level whose value <= budget.
 
@@ -266,7 +279,7 @@ def iterate_prime(n, k, budget=DEFAULT_BUDGET, cache=None):
     values = list(islice(walk(n, budget, cache), k))
     if not values:
         raise BudgetExceededError(f"p_{n} already exceeds budget {budget}", deepest_level=0)
-    return Tower(n=n, requested_depth=k, values=values, truncated=len(values) < k)
+    return Tower(n=n, values=values, truncated=len(values) < k)
 
 
 def diag_prime(k, budget=DEFAULT_BUDGET, cache=None):

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from collections import namedtuple
 from decimal import Decimal, localcontext
 
 import pytest
@@ -13,7 +14,6 @@ from primeth import (
     HypothesisViolatedError,
     InapplicableIndexError,
     bounds,
-    check_bounds,
     iterate_prime,
     log_lower_bound_L3,
     lower_bound_L3,
@@ -21,15 +21,35 @@ from primeth import (
     theorem4_residual,
     upper_bound_L1,
 )
-from primeth.bounds import BOUNDS, BoundCheck, BoundReport, write_report_csv
+from primeth.bounds import BOUNDS, check_bounds, write_report_csv
+from primeth.cli import main
 from primeth.hpreal import MAX_ESCALATION_PREC, compare_int, sign_and_text
 
 from oracle import bound_by_decimal
 
+HEADER = "n,k,value,bound,lhs,rhs,applicable,holds"
+Row = namedtuple("Row", "lhs rhs applicable holds")  # one CSV line's last four fields
+INAPPLICABLE = Row("", "", "no", "")
 
-def _rows(n, k, value):
-    """check_bounds(n, k, value)'s checks by row name."""
-    return {c.name: c for c in check_bounds(n, k, value).checks}
+
+def _tally():
+    return dict.fromkeys((True, False, None), 0)
+
+
+def _lines(n, k, value, digits=15, suite="all"):
+    """check_bounds's lines for one tower level, and the tally they were counted in."""
+    tally = _tally()
+    return check_bounds(n, k, value, suite, digits, tally), tally
+
+
+def _rows(n, k, value, digits=15):
+    """check_bounds(n, k, value)'s lines of suite all by row name, each field as printed."""
+    rows = {}
+    for line in _lines(n, k, value, digits)[0]:
+        fields = line.split(",")
+        assert len(fields) == 8 and fields[:3] == [str(n), str(k), str(value)]
+        rows[fields[3]] = Row(*fields[4:])
+    return rows
 
 
 def _bound(name, n, k, prec=50):
@@ -44,20 +64,20 @@ class TestRosserBracket:
         lower, upper = rows["rosser_lower"].lhs, rows["rosser_upper"].rhs
         assert abs(float(lower) - 10 * math.log(10)) < 1e-12
         assert abs(float(upper) - 20 * math.log(10)) < 1e-12
-        assert rows["rosser_lower"].holds and rows["rosser_upper"].holds
+        assert rows["rosser_lower"].holds == rows["rosser_upper"].holds == "yes"
 
     def test_n3(self):
         rows = _rows(3, 1, 5)
-        assert rows["rosser_lower"].holds and rows["rosser_upper"].holds
+        assert rows["rosser_lower"].holds == rows["rosser_upper"].holds == "yes"
 
     def test_n2_upper_inapplicable(self):
         rows = _rows(2, 1, 3)
-        assert not rows["rosser_upper"].applicable
-        assert rows["rosser_lower"].holds and float(rows["rosser_lower"].lhs) < 3
+        assert rows["rosser_upper"] == INAPPLICABLE
+        assert rows["rosser_lower"].holds == "yes" and float(rows["rosser_lower"].lhs) < 3
 
     def test_small_n_rejected(self):
         rows = _rows(1, 1, 2)
-        assert not rows["rosser_lower"].applicable and not rows["rosser_upper"].applicable
+        assert rows["rosser_lower"] == rows["rosser_upper"] == INAPPLICABLE
 
 
 class TestUpperBoundL1:
@@ -88,12 +108,14 @@ class TestUpperBoundL1Simple:
         assert abs(float(_bound("iter_upper_simple", 2, 2)) - (8 * math.log(2)) ** 2) < 1e-9
         expected9 = (36 * math.log(9)) ** 9
         assert abs(float(_bound("iter_upper_simple", 9, 9)) / expected9 - 1) < 1e-12
-        assert _rows(9, 9, 10**40)["iter_upper_simple"].rhs == _bound("iter_upper_simple", 9, 9)
+        for digits in (15, 20):
+            printed = _rows(9, 9, 10**40, digits)["iter_upper_simple"].rhs
+            assert printed == mp.nstr(_bound("iter_upper_simple", 9, 9), digits)
 
     def test_domain(self):
-        assert _rows(9, 9, 10**40)["iter_upper_simple"].applicable
-        assert not _rows(9, 8, 10**40)["iter_upper_simple"].applicable
-        assert not _rows(8, 9, 10**40)["iter_upper_simple"].applicable
+        assert _rows(9, 9, 10**40)["iter_upper_simple"].applicable == "yes"
+        assert _rows(9, 8, 10**40)["iter_upper_simple"] == INAPPLICABLE
+        assert _rows(8, 9, 10**40)["iter_upper_simple"] == INAPPLICABLE
 
     def test_enlargement_consistency(self):
         # the simple form only enlarges factors, so it dominates at k = n
@@ -155,40 +177,39 @@ class TestTheorem4Residual:
 
 class TestCheckBounds:
     def test_all_applicable_hold_at_n9(self):
-        report = check_bounds(9, 1, 23)
-        assert report.all_applicable_hold()
-        names = {c.name: c for c in report.checks}
-        assert names["rosser_lower"].applicable
-        assert names["rosser_upper"].applicable
-        assert names["iter_upper"].applicable
-        assert not names["iter_upper_simple"].applicable  # k < n
-        assert names["iter_lower"].applicable
-        assert not names["iter_lower_huge_n"].applicable
+        lines, tally = _lines(9, 1, 23)
+        assert tally == {True: 4, False: 0, None: 2}
+        rows = _rows(9, 1, 23)
+        assert all(rows[name].applicable == "yes" and rows[name].holds == "yes"
+                   for name in ("rosser_lower", "rosser_upper", "iter_upper", "iter_lower"))
+        assert rows["iter_upper_simple"] == INAPPLICABLE  # k < n
+        assert rows["iter_lower_huge_n"] == INAPPLICABLE
 
     def test_n1_everything_inapplicable(self):
-        report = check_bounds(1, 1, 2)
-        assert all(not c.applicable for c in report.checks)
-        assert all(c.holds is None for c in report.checks)
+        lines, tally = _lines(1, 1, 2)
+        assert lines == [f"1,1,2,{row.name},,,no," for row in BOUNDS]
+        assert tally == {True: 0, False: 0, None: 6}
 
     def test_small_tower_value(self):
-        report = check_bounds(3, 3, 31)
-        names = {c.name: c for c in report.checks}
-        assert names["iter_lower"].applicable and names["iter_lower"].holds
-        assert not names["iter_upper"].applicable
-        assert not names["rosser_lower"].applicable  # k > 1
+        rows = _rows(3, 3, 31)
+        assert rows["iter_lower"].applicable == rows["iter_lower"].holds == "yes"
+        assert rows["iter_upper"] == INAPPLICABLE
+        assert rows["rosser_lower"] == INAPPLICABLE  # k > 1
 
     def test_sides_recorded_on_failure(self):
-        # a deliberately wrong "tower value" must still record both sides
-        report = check_bounds(9, 1, 1000)
-        upper = {c.name: c for c in report.checks}["rosser_upper"]
-        assert upper.applicable and not upper.holds
-        assert upper.lhs == 1000 and upper.rhs is not None
+        # a deliberately wrong "tower value" must still print both sides
+        rows = _rows(9, 1, 1000)
+        upper = rows["rosser_upper"]
+        assert (upper.lhs, upper.rhs, upper.applicable, upper.holds) == (
+            "1000", "39.5500423920519", "yes", "no"
+        )
+        assert _lines(9, 1, 1000)[1] == {True: 2, False: 2, None: 2}
 
     def test_csv_layout(self):
         buf = io.StringIO()
-        write_report_csv([check_bounds(9, 1, 23)], buf)
+        write_report_csv(_lines(9, 1, 23)[0], buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "n,k,value,bound,lhs,rhs,applicable,holds"
+        assert lines[0] == HEADER
         assert len(lines) == 1 + 6
         assert lines[1].startswith("9,1,23,rosser_lower,")
 
@@ -223,38 +244,42 @@ PUBLIC = {
 LOWER_ROWS = {"rosser_lower", "iter_lower"}
 
 
+def _expected_fields(n, k, value, name, digits):
+    """One CSV line's fields from REFERENCE and HYPOTHESES, at ``digits`` printed digits."""
+    if not HYPOTHESES[name](n, k):
+        return [n, k, value, name, "", "", "no", ""]
+    with mp.workdps(digits + 20):
+        exact = REFERENCE[name](n, k)
+        lower = name in LOWER_ROWS
+        holds = exact < value if lower else value < exact
+    bound = mp.nstr(exact, digits)
+    lhs, rhs = (bound, value) if lower else (value, bound)
+    return [n, k, value, name, lhs, rhs, "yes", "yes" if holds else "no"]
+
+
 class TestBoundsTable:
     def test_rows_equal_standalone_formulas(self):
         # synthetic values far from every bound, so no row needs a second
-        # enclosure; 15 digits first, then 50, so a memo that ignored the
-        # precision would hand 15-digit bounds to the 50-digit rows
+        # enclosure; 15 digits first, then 20, so a memo that ignored the
+        # digits would hand 15-digit bounds to the 20-digit rows
         evaluated = set()
-        for prec in (15, 50):
+        tally, expected_tally = _tally(), _tally()
+        for digits in (15, 20):
             for n in range(1, 61):
                 for k in range(1, 13):
                     for value in (2, 10**40):
-                        report = check_bounds(n, k, value, prec=prec)
-                        assert [c.name for c in report.checks] == list(HYPOTHESES)
-                        for c in report.checks:
-                            assert c.applicable == HYPOTHESES[c.name](n, k)
-                            if not c.applicable:
-                                assert (c.lhs, c.rhs, c.holds) == (None, None, None)
-                                continue
-                            lower = c.name in LOWER_ROWS
-                            bound, other = (c.lhs, c.rhs) if lower else (c.rhs, c.lhs)
-                            assert other == value
-                            assert c.holds == (bound < value if lower else value < bound)
-                            assert bound == PUBLIC[c.name](n, k, prec)
-                            with mp.workdps(prec + 20):
-                                exact = REFERENCE[c.name](n, k)
-                            with mp.workdps(prec):
-                                assert bound == +exact
-                            evaluated.add(c.name)
+                        lines = check_bounds(n, k, value, "all", digits, tally)
+                        assert [line.split(",")[3] for line in lines] == list(HYPOTHESES)
+                        for line, name in zip(lines, HYPOTHESES):
+                            expected = _expected_fields(n, k, value, name, digits)
+                            assert line == ",".join(map(str, expected))
+                            expected_tally[{"yes": True, "no": False, "": None}[expected[7]]] += 1
+                            if expected[6] == "yes":
+                                bound = expected[4 if name in LOWER_ROWS else 5]
+                                assert bound == mp.nstr(PUBLIC[name](n, k, digits + 20), digits)
+                                evaluated.add(name)
         assert evaluated == set(REFERENCE)
-
-    def test_unknown_suite(self):
-        with pytest.raises(DomainError):
-            check_bounds(10, 1, 29, suite="lemma2")
+        assert tally == expected_tally
 
     def test_escalation_with_shared_log(self):
         # n log n = 34538776394910685.26..., so floor(n log n) sits inside one
@@ -264,12 +289,11 @@ class TestBoundsTable:
         with mp.workdps(60):
             exact = n * mp.log(n)
         value = int(mp.floor(exact))
-        rows = {c.name: c for c in check_bounds(n, 1, value, prec=15).checks}
+        rows = _rows(n, 1, value)
         for name in ("rosser_lower", "iter_lower"):
-            assert rows[name].holds == (exact < value)
-            with mp.workdps(15):
-                assert rows[name].lhs == +exact
-        assert rows["rosser_upper"].holds and rows["iter_upper"].holds
+            assert rows[name].holds == ("yes" if exact < value else "no")
+            assert rows[name].lhs == mp.nstr(exact, 15) == "3.45387763949107e+16"
+        assert rows["rosser_upper"].holds == rows["iter_upper"].holds == "yes"
         enclosure = bounds._ROW["rosser_lower"].enclosure
         lo, hi = enclosure(n, 1, 128)
         lo2, hi2 = enclosure(n, 1, 256)
@@ -413,22 +437,6 @@ class TestSignAndText:
         assert sign_and_text(half - 2, half, 200, 0, 15) == (1, "0.5")
 
 
-def _csv_by_writer(reports, digits):
-    """write_report_csv's rows as csv.writer writes them, mpf sides by mp.nstr."""
-    def fmt(v):
-        return "" if v is None else (str(v) if isinstance(v, int) else mp.nstr(v, digits))
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "k", "value", "bound", "lhs", "rhs", "applicable", "holds"])
-    for rep in reports:
-        for c in rep.checks:
-            holds = "" if c.holds is None else ("yes" if c.holds else "no")
-            writer.writerow([rep.n, rep.k, rep.value, c.name, fmt(c.lhs), fmt(c.rhs),
-                             "yes" if c.applicable else "no", holds])
-    return buf.getvalue()
-
-
 class TestReportCsv:
     @given(
         st.lists(
@@ -440,53 +448,74 @@ class TestReportCsv:
             ),
             min_size=1, max_size=8,
         ),
-        st.sampled_from([15, 20, 50, 100]),
         st.sampled_from([15, 20]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_equals_csv_writer(self, triples, prec, digits):
+    def test_equals_csv_writer(self, triples, digits):
         # arbitrary values put the bounds on both sides of them, so lower and
-        # upper rows hold and fail, beside inapplicable ones
-        reports = [check_bounds(n, k, value, prec=prec) for n, k, value in triples]
+        # upper rows hold and fail, beside inapplicable ones; csv.writer
+        # writes the fields the formulas give, and no field needs quoting
+        lines, tally = [], _tally()
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(HEADER.split(","))
+        for n, k, value in triples:
+            lines += check_bounds(n, k, value, "all", digits, tally)
+            writer.writerows(_expected_fields(n, k, value, name, digits) for name in HYPOTHESES)
         buf = io.StringIO()
-        write_report_csv(reports, buf, digits=digits)
-        assert buf.getvalue() == _csv_by_writer(reports, digits)
+        write_report_csv(lines, buf)
+        assert buf.getvalue() == expected.getvalue()
         for row in buf.getvalue().splitlines():
             assert row.count(",") == 7 and '"' not in row and "\r" not in row
+        held = [line.endswith(",yes,yes") for line in lines]
+        assert (tally[True], tally[False]) == (sum(held), len(lines) - sum(held) - tally[None])
 
     def test_every_kind_of_field(self):
-        # both verdicts of both sides, an inapplicable row, int and mpf sides,
-        # and a holds left open on an applicable row
-        with mp.workdps(30):
-            third, huge = mpf(1) / 3, mpf(10) ** 40 / 7
-        checks = [
-            BoundCheck("rosser_lower", third, 5, True, True),
-            BoundCheck("rosser_upper", 5, third, True, False),
-            BoundCheck("iter_upper", 5, huge, True, True),
-            BoundCheck("iter_lower", huge, 5, True, False),
-            BoundCheck("iter_upper_simple", 3, 4, True, None),
-            BoundCheck("iter_lower_huge_n", None, None, False, None),
+        # both verdicts of both sides, inapplicable rows, and a value of 41 digits
+        lines = [*_lines(9, 1, 10, 20)[0], *_lines(9, 1, 1000, 20)[0], *_lines(9, 9, 10**40)[0]]
+        assert lines[:6] == [
+            "9,1,10,rosser_lower,19.775021196025974445,10,yes,no",
+            "9,1,10,rosser_upper,10,39.55004239205194889,yes,yes",
+            "9,1,10,iter_upper,10,39.55004239205194889,yes,yes",
+            "9,1,10,iter_upper_simple,,,no,",
+            "9,1,10,iter_lower,19.775021196025974445,10,yes,no",
+            "9,1,10,iter_lower_huge_n,,,no,",
         ]
-        reports = [BoundReport(n=9, k=2, value=5, checks=checks)]
-        for digits in (15, 20):
-            buf = io.StringIO()
-            write_report_csv(reports, buf, digits=digits)
-            assert buf.getvalue() == _csv_by_writer(reports, digits)
-        assert buf.getvalue().splitlines()[1:3] == [
-            "9,2,5,rosser_lower,0.33333333333333333333,5,yes,yes",
-            "9,2,5,rosser_upper,5,0.33333333333333333333,yes,no",
+        assert lines[7:9] == [
+            "9,1,1000,rosser_upper,1000,39.55004239205194889,yes,no",
+            "9,1,1000,iter_upper,1000,39.55004239205194889,yes,no",
         ]
+        assert lines[14:16] == [
+            f"9,9,{10**40},iter_upper,{10**40},56773150259196.9,yes,no",
+            f"9,9,{10**40},iter_upper_simple,{10**40},1.21225097197358e+17,yes,no",
+        ]
+        buf = io.StringIO()
+        write_report_csv(lines, buf)
+        assert buf.getvalue() == "\n".join([HEADER, *lines]) + "\n"
 
     def test_empty_report_list_writes_the_header(self):
         buf = io.StringIO()
         write_report_csv([], buf)
-        assert buf.getvalue() == "n,k,value,bound,lhs,rhs,applicable,holds\n"
+        assert buf.getvalue() == HEADER + "\n"
 
-
-def _bits_of(report):
-    """A report's fields, each mpf by its raw (sign, man, exp, bc) tuple."""
-    return [(c.name, getattr(c.lhs, "_mpf_", c.lhs), getattr(c.rhs, "_mpf_", c.rhs),
-             c.applicable, c.holds) for c in report.checks]
+    @pytest.mark.parametrize("prec", [15, 20])
+    def test_verify_prints_check_bounds_lines(self, capsys, cache, prec):
+        # verify all over n <= 300, k <= 3 prints what check_bounds and
+        # write_report_csv give, and its summary counts the same tally
+        lines, tally = [], _tally()
+        for n in range(1, 301):
+            for k, value in enumerate(iterate_prime(n, 3, cache=cache).values, start=1):
+                lines += check_bounds(n, k, value, "all", prec, tally)
+        buf = io.StringIO()
+        write_report_csv(lines, buf)
+        argv = ["verify", "all", "--n-max", "300", "--k-max", "3", "--prec", str(prec)]
+        assert main([*argv, "--no-timestamp"]) == 0
+        out, err = capsys.readouterr()
+        assert out == buf.getvalue() and len(lines) == 5400
+        assert err == (
+            f"suite=all applicable={tally[True] + tally[False]} held={tally[True]} "
+            f"violated={tally[False]} inapplicable={tally[None]}\n"
+        )
 
 
 class TestPrecisionContext:
@@ -505,12 +534,21 @@ class TestPrecisionContext:
 
     @pytest.mark.parametrize("prec", [15, 50, 100])
     def test_check_bounds_is_the_same_in_any_context(self, prec):
+        # the bytes verify --prec prec writes for each level, whatever mp.dps
+        # the caller runs under, and that mp.dps left as it was
         cases = [(9, 1, 23), (9, 1, 1000), (10**15, 1, 34538776394910685), (50, 3, 10**9)]
+        digits = min(prec, 20)
+
+        def report(n, k, value):
+            buf = io.StringIO()
+            write_report_csv(_lines(n, k, value, digits)[0], buf)
+            return buf.getvalue()
+
         for n, k, value in cases:
-            outside = _bits_of(check_bounds(n, k, value, prec=prec))
-            for context_digits in (max(prec, 15), 40, 300):
+            outside = report(n, k, value)
+            for context_digits in (digits, 40, 300):
                 with mp.workdps(context_digits):
-                    assert _bits_of(check_bounds(n, k, value, prec=prec)) == outside
+                    assert report(n, k, value) == outside
                     assert mp.dps == context_digits
             assert mp.dps == 15
 

@@ -93,6 +93,7 @@ class TestOptions:
             ["certify", "--x-min", "0"],
             ["certify", "--points", "4"],
             ["certify", "--format", "csv"],
+            ["verify", "lemma2"],  # no such suite
             ["frobnicate"],
         ],
         ids=" ".join,

@@ -390,6 +390,15 @@ class TestNthPrime:
         assert nth_prime(173) == 1031
         assert sorted(engine._TABLES) == [1 << 10, engine._TABLE_LIMIT]
 
+    def test_small_limit_slices_a_larger_table_already_built(self, monkeypatch):
+        # once the 2^24 table exists, a limit with no smaller table covering it
+        # reads a slice of the 2^24 one and builds no 2^13 table
+        monkeypatch.setattr(engine, "_TABLES", {})
+        engine._prime_table(engine._TABLE_LIMIT)
+        primes = engine.base_primes_upto(5000)
+        assert list(engine._TABLES) == [engine._TABLE_LIMIT]
+        assert primes.tolist() == sieve_primes(5000).tolist()
+
     def test_seed_never_decides_the_answer(self, monkeypatch):
         # seeds below p_n (just past the table, or inside it), several sqrt(p_n)
         # either side of it, and far above it walk both ways through doubling

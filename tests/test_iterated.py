@@ -40,7 +40,7 @@ class TestIteratePrime:
         tower = iterate_prime(1, 20, budget=100)
         assert tower.values == [2, 3, 5, 11, 31]
         assert tower.truncated
-        assert tower.requested_depth == 20
+        assert tower.depth == 5
 
     def test_budget_exceeded_at_level_one(self):
         with pytest.raises(BudgetExceededError) as exc:
