@@ -132,7 +132,6 @@ def _truncated(depth, k, budget):
 
 
 def _cmd_nth(args, cache):
-    iterated.table_for_levels(args.n, 1, cache)
     print(engine.nth_prime(args.n))
     return EXIT_OK
 
@@ -143,7 +142,6 @@ def _cmd_pi(args, cache):
 
 
 def _cmd_iter(args, cache):
-    iterated.table_for_levels(args.n, args.k, cache)
     tower = iterated.iterate_prime(args.n, args.k, budget=args.budget, cache=cache)
     for v in tower.values:
         print(v)
@@ -172,7 +170,6 @@ def _cmd_verify(args, cache):
     k_max = 1 if args.suite == "rosser" else args.k_max
     if args.n_max < 1 or k_max < 1:
         raise InvalidRangeError("tower requires n >= 1 and k >= 1")
-    iterated.table_for_levels(args.n_max, k_max, cache)
     lines = []
     tally = dict.fromkeys((True, False, None), 0)  # rows by holds; None: inapplicable
     truncated = False

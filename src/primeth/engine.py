@@ -8,20 +8,20 @@ the counts at the d with no prime factor below p, the only ones a later
 stage reads, and past p = x^(1/4) only d = 1 reads another d's count.
 x < 13^3 is read from the prime table.  About 0.005 s at 2*10^9, 0.012 s
 at 10^10, 0.05 s at 10^11, 0.22 s at 10^12 and 1.1 s at 10^13 (2-core
-x86-64 Xeon, Python 3.11, numpy 2.4).  The sieving primes come from a
-table of the primes up to the power of two above the largest one needed.
+x86-64 Xeon, Python 3.11, numpy 2.4).  All small primes come from one
+prime table, which only grows, in cache-sized windows of 2^20 odd
+integers, to the power of two at or above the largest limit asked for.
 sieve_segment strikes a prime by one slice while the window holds at
 least _STRIKES of its multiples, and the larger ones together by fancy
 indexing: 0.4-0.7 ms for nth_prime's first window at 10^10, and 30-45 ms
-for the prime table up to 2^24, which it builds in cache-sized windows of
-2^20 odd integers.  nth_prime indexes the smallest prime table already
-built that holds n primes, or else the 2^24 one, when n <= pi(2^24).  Past
-the table it starts at x = R^-1(n), the inverse of Riemann's R function,
-counts pi(x) exactly once, and sieves windows forward or backward from x
-until it reaches the nth prime: the first spans the power of two at or
-above sqrt(x) integers, at most 2^16, as R^-1(n) lands within 0.6 sqrt(x)
-of p_n, and each further one doubles.  R only picks where to start, so
-the answer is as exact as prime_count and the sieve.
+for the table up to 2^24.  For n <= pi(2^24), nth_prime grows the table
+past Rosser's bound p_n < n (ln n + ln ln n), to at most 2^24, and indexes
+it.  Past that it starts at x = R^-1(n), the inverse of Riemann's R
+function, counts pi(x) exactly once, and sieves windows forward or backward
+from x until it reaches the nth prime: the first spans the power of two at
+or above sqrt(x) integers, at most 2^16, as R^-1(n) lands within 0.6
+sqrt(x) of p_n, and each further one doubles.  R only picks where to
+start, so the answer is as exact as prime_count and the sieve.
 """
 
 import functools
@@ -39,7 +39,7 @@ from .errors import (
 
 # Most odd integers one sieve segment tracks, at one byte of flags each.
 _SEGMENT_ODDS = 1 << 26
-# The prime table covers [2, _TABLE_LIMIT]; it also supplies the sieving
+# No caller grows the prime table past _TABLE_LIMIT; it supplies the sieving
 # primes of sieve_segment, which therefore needs isqrt(hi) < _TABLE_LIMIT.
 _TABLE_LIMIT = 1 << 24
 _TABLE_PRIMES = 1077871  # pi(2^24), the primes nth_prime looks up
@@ -56,18 +56,21 @@ _WINDOW = 1 << 16
 _NEWTON_STEPS = 2
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_TABLES = {}  # limit -> the primes up to it, each built once by _prime_table
+# (limit, the primes up to it): the one prime table, replaced as it grows
+_TABLE = (2, np.array([2], dtype=np.int64))
 
 
 def _prime_table(limit):
-    """All primes <= limit, a power of two, built on first use window by window:
-    windows of at most _TABLE_ODDS odd integers past the largest smaller table
-    built (or past 2), each sieved by sieve_segment with the primes found so far."""
-    if (table := _TABLES.get(limit)) is not None:
+    """All primes up to the table's limit, grown first if it ends below limit:
+    to the power of two at or above limit (at least 2^8), by windows of at most
+    _TABLE_ODDS odd integers past its end, each sieved by sieve_segment with
+    the primes found so far.  The new pair replaces the old one, freeing it."""
+    global _TABLE
+    top, table = _TABLE
+    if top >= limit:
         return table
-    top = max((lim for lim in _TABLES if lim < limit), default=2)
-    parts = [_TABLES.get(top, np.array([2]))]
-    reach = top  # parts[0] holds the primes up to it
+    limit = 1 << max(limit - 1, 255).bit_length()
+    parts, reach = [table], top  # parts[0] holds the primes up to reach
     while top < limit:
         hi = min(top + 2 * _TABLE_ODDS, top * top, limit)
         if math.isqrt(hi) > reach:
@@ -77,20 +80,18 @@ def _prime_table(limit):
         top = hi
     table = np.concatenate(parts).astype(np.int64, copy=False)
     table.flags.writeable = False  # shared by every caller, as are its slices
-    _TABLES[limit] = table
+    _TABLE = (limit, table)
     return table
 
 
 def base_primes_upto(limit):
-    """Ascending primes covering [2, limit], for limit < _TABLE_LIMIT."""
+    """Ascending primes covering [2, limit], for limit < _TABLE_LIMIT: a slice
+    of the prime table, grown first if it ends below limit."""
     if limit >= _TABLE_LIMIT:
         raise UnsupportedRangeError(
             f"sieving primes are tabled below 2^24 (ranges below 2^48), asked for {limit}"
         )
-    # the smallest table built that covers limit, else a new one per power
-    # of two, so that a small query builds a small one
-    top = min((lim for lim in _TABLES if lim >= limit), default=1 << max(limit, 255).bit_length())
-    table = _prime_table(top)
+    table = _prime_table(limit)
     return table[: np.searchsorted(table, limit, side="right")]
 
 
@@ -324,9 +325,13 @@ def nth_prime(n):
     n = int(n)
     if n < 1:
         raise InvalidRangeError("nth_prime requires n >= 1")
-    if n <= _TABLE_PRIMES:  # the smallest table built that holds n primes, or the 2^24 one
-        limit = min((lim for lim, t in _TABLES.items() if len(t) >= n), default=_TABLE_LIMIT)
-        return int(_prime_table(limit)[n - 1])
+    if n <= _TABLE_PRIMES:
+        # Rosser's p_n < n (ln n + ln ln n), n >= 6, sizes the table; its length decides
+        bound = n * (math.log(n) + math.log(math.log(n))) if n >= 6 else 0
+        limit = min(1 << int(bound).bit_length(), _TABLE_LIMIT)
+        while len(table := _prime_table(limit)) < n:
+            limit *= 2
+        return int(table[n - 1])
     # R only picks where to start; the exact count and the sieve decide.
     # If c < n, p_n is the (n - c)th prime above x, else the (c - n + 1)th
     # prime counting down from x.  x >= 2 keeps the prime 2, which the

@@ -24,9 +24,7 @@ from itertools import islice
 import numpy as np
 from mpmath import mp, mpf
 
-from .engine import (
-    _TABLE_LIMIT, _TABLE_PRIMES, _prime_table, base_primes_upto, is_prime, nth_prime,
-)
+from .engine import _TABLE_LIMIT, _TABLE_PRIMES, base_primes_upto, is_prime, nth_prime
 from .errors import BudgetExceededError, CacheFormatError, InvalidRangeError
 from .hpreal import DEFAULT_PREC, compare_int
 
@@ -241,7 +239,7 @@ def brackets(n, cache=None):
     increasing, put the level in [a (ln a + ln ln a - 1), b (ln b + ln ln b
     - 0.9484)], rounded outward to integers.
     """
-    table = _prime_table(_DUSART_TABLE)
+    table = base_primes_upto(_DUSART_TABLE)
     a = b = n
     level = 1
     while True:
@@ -251,20 +249,6 @@ def brackets(n, cache=None):
         a, b = (value, value) if value is not None else _dusart(a, b)
         yield a, b
         level += 1
-
-
-def table_for_levels(n_max, k_max, cache=None):
-    """Build the prime table that holds p_n^(k) for all n <= n_max, k <= k_max.
-
-    nth_prime then reads that table, not the 2^24 one.  Nothing is built
-    when n_max lies past pi(2^24) or a level's bracket reaches 2^24.
-    """
-    if not (1 <= n_max <= _TABLE_PRIMES and k_max >= 1):
-        return
-    for _, top in islice(brackets(n_max, cache), k_max):  # p_n^(k) <= top
-        if top >= _TABLE_LIMIT:
-            return
-    base_primes_upto(top)
 
 
 def iterate_prime(n, k, budget=DEFAULT_BUDGET, cache=None):

@@ -1,13 +1,26 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from primeth import TowerCache, iterate_prime
+from primeth import TowerCache, engine, iterate_prime
 
 from oracle import sieve_primes
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """Reset the prime table to hold only the prime 2, now and on each call
+    of the returned function; the table grown before the test returns after it."""
+
+    def reset():
+        monkeypatch.setattr(engine, "_TABLE", (2, np.array([2], dtype=np.int64)))
+
+    reset()
+    return reset
 
 
 @pytest.fixture(scope="session")

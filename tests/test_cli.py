@@ -123,16 +123,38 @@ class TestScalarCommands:
         assert code == 0 and out == "97\n"
 
     @pytest.mark.parametrize(
-        "argv, expected",
-        [(["nth", "1000"], "7919\n"), (["iter", "5", "4"], "11\n31\n127\n709\n")],
+        "argv, expected, table",
+        [
+            (["nth", "1000"], "7919\n", 1 << 14),
+            (["iter", "5", "4"], "11\n31\n127\n709\n", 1 << 10),
+        ],
         ids=["nth", "iter"],
     )
-    def test_small_levels_read_a_small_table(self, capsys, monkeypatch, argv, expected):
-        # the levels' brackets lie below 2^19, so the 2^24 table is never built
-        monkeypatch.setattr(engine, "_TABLES", {})
+    def test_small_levels_read_a_small_table(self, capsys, fresh_table, argv, expected, table):
+        # each lookup grows the table past Rosser's bound on its prime:
+        # 1000 (ln 1000 + ln ln 1000) < 2^14, 127 (ln 127 + ln ln 127) < 2^10
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (0, expected)
-        assert max(engine._TABLES) == 1 << 19
+        assert engine._TABLE[0] == table
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["diag", "5"], "5381\n"),
+            (
+                ["table", "ratios", "5", "5", "--no-timestamp"],
+                "k,numerator,denominator,ratio\n1,11,2,5.5\n2,31,5,6.2\n"
+                "3,127,31,4.0967741935483870968\n4,709,277,2.5595667870036101083\n"
+                "5,5381,5381,1.0\n",
+            ),
+        ],
+        ids=["diag", "ratios"],
+    )
+    def test_diagonal_reads_a_small_table(self, capsys, fresh_table, argv, expected):
+        # p_5^(5) = p_709 = 5381 needs the primes up to 2^13, not the 2^24 table
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, expected)
+        assert engine._TABLE[0] <= 1 << 13
 
     def test_pi(self, capsys):
         code, out, _ = run(capsys, "pi", "100")
@@ -401,16 +423,15 @@ class TestVerify:
         assert out.splitlines() == [header] + kept
 
     @pytest.mark.parametrize("n_max, k_max, table", [(2000, 3, 1 << 22), (100, 4, 1 << 19)])
-    def test_tables_sized_to_the_top_bracket(self, capsys, monkeypatch, n_max, k_max, table):
+    def test_tables_sized_to_the_top_bracket(self, capsys, fresh_table, n_max, k_max, table):
         # p_2000^(3) <= 2644271 < 2^22, p_100^(4) <= 440117 < 2^19: verify
         # builds that table, not the 2^24 one, and the values stay exact
-        monkeypatch.setattr(engine, "_TABLES", {})
         code, out, _ = run(
             capsys, "verify", "ineq3", "--n-max", str(n_max), "--k-max", str(k_max),
             "--prec", "15", "--no-timestamp",
         )
         assert code == 0
-        assert max(engine._TABLES) == table
+        assert engine._TABLE[0] == table
         primes = sieve_primes(2_700_000)
         rows = [tuple(map(int, row.split(",")[:3])) for row in out.splitlines()[1:]]
         assert rows == [

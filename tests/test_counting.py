@@ -144,6 +144,15 @@ class TestBrackets:
         assert levels[9][0] < 648391 < levels[9][1]  # index 52711 is past the table
         assert levels[11] == iterated._dusart(9737333, 9737333)
 
+    @pytest.mark.parametrize("n", [10**5, 43391])
+    def test_independent_of_the_table_built(self, fresh_table, n):
+        # brackets read the primes up to 2^19 only, however far the table has
+        # grown: p_43391 lies past them, so its bracket stays inexact
+        cold = list(islice(iterated.brackets(n), 4))
+        engine._prime_table(engine._TABLE_LIMIT)
+        assert list(islice(iterated.brackets(n), 4)) == cold
+        assert cold[0][0] < cold[0][1]
+
 
 class TestCountIdentity:
     """Bracketed counts equal the walk-only counts, which they replaced."""
@@ -244,17 +253,16 @@ class TestTowerWork:
         else:
             assert set(calls) <= set(recorded)
 
-    def test_count_diag_1e10_computes_no_prime(self, monkeypatch):
+    def test_count_diag_1e10_computes_no_prime(self, monkeypatch, fresh_table):
         # brackets decide every level: no nth_prime call and only the 2^19 table
         monkeypatch.setattr(iterated, "nth_prime", lambda idx: pytest.fail(f"nth_prime({idx})"))
-        monkeypatch.setattr(engine, "_TABLES", {})
         tracemalloc.start()
         try:
             assert count_diag(10**10) == 9
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert list(engine._TABLES) == [1 << 19]
+        assert engine._TABLE[0] == 1 << 19
         assert peak < 4 << 20
 
 

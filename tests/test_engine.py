@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -236,10 +237,8 @@ class TestPrimeCount:
         self._check_around(13**3)
         self._check_around(13**4)
 
-    def test_small_query_builds_a_small_table(self, monkeypatch):
-        # sieving primes come from the table for the power of two above
-        # isqrt(x), here 2^10, not from the 2^24 table nth_prime indexes
-        monkeypatch.setattr(engine, "_TABLES", {})
+    def test_small_query_builds_a_small_table(self, fresh_table):
+        # the table grows only to the power of two above isqrt(x), here 2^10
         tracemalloc.start()
         try:
             assert prime_count(10**6) == 78498
@@ -247,6 +246,7 @@ class TestPrimeCount:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+        assert engine._TABLE[0] == 1 << 10
 
     def test_integer_cube_root(self):
         # m <= 2^16 covers every x < 2^48, where the loop cut is taken
@@ -320,11 +320,11 @@ class TestRiemannR:
 
 
 class TestPrimeTable:
-    def test_equals_the_plain_sieve_built_cold_and_extended(self, monkeypatch):
+    def test_equals_the_plain_sieve_built_cold_and_extended(self, monkeypatch, fresh_table):
         # every power of two from 2^8 to 2^24, built cold (from the prime 2) and
         # from each smaller table; the windows tile the range, the primes on
-        # either side of each window boundary are checked on their own, and no
-        # table but the ones asked for is kept
+        # either side of each window boundary are checked on their own, and
+        # the grown table is the only one kept
         ref = sieve_primes(engine._TABLE_LIMIT + 100)
         windows = []
 
@@ -333,18 +333,18 @@ class TestPrimeTable:
             return sieve_segment(lo, hi, **kwargs)
 
         monkeypatch.setattr(engine, "sieve_segment", recording)
-        monkeypatch.setattr(engine, "_TABLES", {})
         for j in range(8, 25):
             for i in [None, *range(8, j)]:
-                engine._TABLES.clear()
+                fresh_table()
                 if i is not None:
-                    engine._prime_table(1 << i)
+                    smaller = weakref.ref(engine._prime_table(1 << i))
                 start = 2 if i is None else 1 << i
                 windows.clear()
                 table = engine._prime_table(1 << j)
                 assert np.array_equal(table, ref[: ref.searchsorted(1 << j, side="right")])
                 assert table.dtype == np.int64 and not table.flags.writeable
-                assert sorted(engine._TABLES) == ([] if i is None else [1 << i]) + [1 << j]
+                assert engine._TABLE[0] == 1 << j and engine._TABLE[1] is table
+                assert i is None or smaller() is None  # the one table replaced it
                 assert [lo - 1 for lo, _ in windows] == [start] + [hi for _, hi in windows[:-1]]
                 assert windows[-1][1] == 1 << j
                 for _, b in windows:
@@ -353,10 +353,9 @@ class TestPrimeTable:
                     assert table[below - 1] == ref[k - 1]
                     assert below == len(table) or table[below] == ref[k]
 
-    def test_cold_build_stays_small(self, monkeypatch):
+    def test_cold_build_stays_small(self, fresh_table):
         # 1 MB windows of flags; the 2^24 table itself is 8.6 MB, and joining
         # the windows' primes briefly holds it twice
-        monkeypatch.setattr(engine, "_TABLES", {})
         tracemalloc.start()
         try:
             assert len(engine._prime_table(engine._TABLE_LIMIT)) == engine._TABLE_PRIMES
@@ -381,22 +380,22 @@ class TestNthPrime:
         with pytest.raises(InvalidRangeError):
             nth_prime(0)
 
-    def test_reads_a_smaller_table_already_built(self, monkeypatch):
-        # pi(1024) = 172: n <= 172 reads the 2^10 table, n = 173 builds 2^24
-        monkeypatch.setattr(engine, "_TABLES", {})
+    def test_reads_a_smaller_table_already_built(self, fresh_table):
+        # Rosser's bound on p_n lies below 2^10 for n <= 100, so those n read
+        # the 2^10 table; for n = 173 it lies in (2^10, 2^11), which grows it
+        # to 2^11, not to 2^24
         engine.base_primes_upto(1000)
-        assert [nth_prime(n) for n in (1, 25, 172)] == [2, 97, 1021]
-        assert list(engine._TABLES) == [1 << 10]
+        assert [nth_prime(n) for n in (1, 25, 100)] == [2, 97, 541]
+        assert engine._TABLE[0] == 1 << 10
         assert nth_prime(173) == 1031
-        assert sorted(engine._TABLES) == [1 << 10, engine._TABLE_LIMIT]
+        assert engine._TABLE[0] == 1 << 11
 
-    def test_small_limit_slices_a_larger_table_already_built(self, monkeypatch):
-        # once the 2^24 table exists, a limit with no smaller table covering it
-        # reads a slice of the 2^24 one and builds no 2^13 table
-        monkeypatch.setattr(engine, "_TABLES", {})
-        engine._prime_table(engine._TABLE_LIMIT)
+    def test_small_limit_slices_a_larger_table_already_built(self, fresh_table):
+        # once the 2^24 table exists, a small limit reads a slice of it and
+        # builds no 2^13 table
+        table = engine._prime_table(engine._TABLE_LIMIT)
         primes = engine.base_primes_upto(5000)
-        assert list(engine._TABLES) == [engine._TABLE_LIMIT]
+        assert engine._TABLE[0] == engine._TABLE_LIMIT and primes.base is table
         assert primes.tolist() == sieve_primes(5000).tolist()
 
     def test_seed_never_decides_the_answer(self, monkeypatch):
@@ -428,13 +427,13 @@ class TestNthPrime:
         n = len(engine._prime_table(engine._TABLE_LIMIT))
         assert n == engine._TABLE_PRIMES
         assert nth_prime(n) == primes[n - 1] == 16777213  # largest p < 2^24
+        assert engine._TABLE[0] == engine._TABLE_LIMIT  # Rosser's bound is clamped to 2^24
         assert nth_prime(n + 1) == primes[n] == 16777259
 
-    def test_lookup_past_the_table_skips_it(self, monkeypatch):
+    def test_lookup_past_the_table_skips_it(self, fresh_table):
         # n > pi(2^24) is decided before the 2^24 table (16 MB) is built; the
         # count and the sieve walk use small tables
         p = int(sieve_primes(33_000_000)[2_000_000 - 1])
-        monkeypatch.setattr(engine, "_TABLES", {})
         tracemalloc.start()
         try:
             assert nth_prime(2_000_000) == p

@@ -219,26 +219,25 @@ class TestTowerCache:
             ["T 2000000 1 3000017"],  # p_2000000 = 32452843 lies past the table
         ],
     )
-    def test_index_past_a_small_table_is_still_checked(self, tmp_path, monkeypatch, lines):
+    def test_index_past_a_small_table_is_still_checked(self, tmp_path, fresh_table, lines):
         # the table holds the primes up to the largest value below 2^24, and
         # no record is accepted for lack of the 2^24 table
-        monkeypatch.setattr(engine, "_TABLES", {})
         path = tmp_path / "towers.txt"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CacheFormatError, match=r"is not p_\d+"):
             TowerCache(str(path))
-        assert all(limit < engine._TABLE_LIMIT for limit in engine._TABLES)
+        assert engine._TABLE[0] < engine._TABLE_LIMIT
 
-    def test_warm_cache_loads_with_a_small_table(self, tmp_path, monkeypatch):
+    def test_warm_cache_loads_with_a_small_table(self, tmp_path, fresh_table):
         path = tmp_path / "towers.txt"
         cache = TowerCache(str(path))
         for n in range(1, 301):
             iterate_prime(n, 3, cache=cache)
         cache.close()
-        monkeypatch.setattr(engine, "_TABLES", {})
+        fresh_table()
         reloaded = TowerCache(str(path))
         assert len(reloaded) == 900 and reloaded.get(300, 3) == 191551
-        assert list(engine._TABLES) == [1 << 18]
+        assert engine._TABLE[0] == 1 << 18
 
     def test_valid_records_load(self, tmp_path):
         # levels may be missing, records repeat, and bases interleave
