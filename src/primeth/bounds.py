@@ -4,13 +4,14 @@
 suites that report it, the hypothesis on (n, k), the side (lower: bound <
 p_n^(k); upper: p_n^(k) < bound) and the enclosure (n, k, bits) -> (lo, hi),
 integers with lo * 2^-bits <= bound <= hi * 2^-bits.  Each bound is
-c (log m)^j for an integer c, enclosed in exact integers from a memoised
-enclosure of log m by mpmath's log rounded down and up.  Out-of-hypothesis
-rows are flagged inapplicable, never evaluated, since a bound can fail
-outside its hypothesis without meaning anything.  ``check_bounds`` turns
-one tower level into CSV lines: ``_settle`` decides and prints each
-applicable row from enclosures of 128, 256, ... bits, so the verdict and
-every printed digit hold for the exact bound.  ``upper_bound_L1`` and
+c (log m)^j for an integer c, with (c, m, j) = term(n, k), enclosed in
+exact integers from memoised powers of an enclosure of log m by one call of
+mpmath's log rounded down.  Out-of-hypothesis rows are flagged
+inapplicable, never evaluated, since a bound can fail outside its
+hypothesis without meaning anything.  ``check_bounds`` turns one tower
+level into CSV lines: ``_settle`` decides and prints each distinct term
+once, from enclosures of 128, 256, ... bits, so the verdict and every
+printed digit hold for the exact bound.  ``upper_bound_L1`` and
 ``lower_bound_simple`` round the same enclosures to the nearest mpf.
 """
 
@@ -19,40 +20,52 @@ import math
 from collections import namedtuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_log, mpf_neg, to_fixed
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_log, to_fixed
 
 from .errors import DomainError, HypothesisViolatedError, InapplicableIndexError
 from .hpreal import DEFAULT_PREC, MAX_ESCALATION_PREC, sign_and_text
 
 
 @functools.lru_cache(maxsize=256)
-def _log(m, bits):
-    """(lo, hi): lo <= 2^bits log m <= hi for an integer m >= 1, floored and ceiled."""
-    x, prec = from_int(m), bits + m.bit_length().bit_length()  # log m < 2^that
-    return to_fixed(mpf_log(x, prec, "f"), bits), -to_fixed(mpf_neg(mpf_log(x, prec, "c")), bits)
+def _log(m, bits, j=1):
+    """(lo, hi): lo <= 2^(bits j) (log m)^j <= hi for integers m, j >= 1.  mpmath's log
+    of m rounded down at bits + t bits, log m < 2^t, is within an ulp <= 2^-bits of
+    it; lo floors it, and lo + 2 allows one more unit for that rounding."""
+    if j > 1:
+        lo, hi = _log(m, bits, 1)
+        return lo**j, hi**j
+    lo = to_fixed(mpf_log(from_int(m), bits + m.bit_length().bit_length(), "f"), bits)
+    return lo, lo + 2
 
 
-def _enclose(c, m, j, bits):
-    """(lo, hi) enclosing c (log m)^j in units of 2^-bits, for c >= 0, m >= 1, j >= 1."""
-    lo, hi = _log(m, bits)
+def _enclose(term, bits):
+    """(lo, hi) enclosing c (log m)^j in units of 2^-bits, (c, m, j) = term, c >= 0, m, j >= 1."""
+    c, m, j = term
+    lo, hi = _log(m, bits, j)
     shift = bits * (j - 1)
-    return c * lo**j >> shift, -(-c * hi**j >> shift)
+    return c * lo >> shift, -(-c * hi >> shift)
 
 
-Bound = namedtuple("Bound", "name suites applies side enclosure")
+Bound = namedtuple("Bound", "name suites applies side enclosure term", defaults=(None,))
+
+
+def _row(name, suites, applies, side, term):
+    """The row of the bound c (log m)^j, with (c, m, j) = term(n, k)."""
+    return Bound(name, suites, applies, side, lambda n, k, bits: _enclose(term(n, k), bits), term)
+
 
 BOUNDS = (
-    Bound("rosser_lower", ("rosser", "all"), lambda n, k: k == 1 and n >= 2, "lower",
-          lambda n, k, b: _enclose(n, n, 1, b)),  # n log n
-    Bound("rosser_upper", ("rosser", "all"), lambda n, k: k == 1 and n >= 3, "upper",
-          lambda n, k, b: _enclose(2 * n, n, 1, b)),  # 2 n log n
-    Bound("iter_upper", ("lemma1", "all"), lambda n, k: n >= 9, "upper",  # 2^(2k-1) n (k-1)!
-          lambda n, k, b: _enclose(n * math.factorial(k - 1) << 2 * k - 1, max(k, n), k, b)),
+    _row("rosser_lower", ("rosser", "all"), lambda n, k: k == 1 and n >= 2, "lower",
+         lambda n, k: (n, n, 1)),  # n log n
+    _row("rosser_upper", ("rosser", "all"), lambda n, k: k == 1 and n >= 3, "upper",
+         lambda n, k: (2 * n, n, 1)),  # 2 n log n
+    _row("iter_upper", ("lemma1", "all"), lambda n, k: n >= 9, "upper",  # 2^(2k-1) n (k-1)!
+         lambda n, k: (n * math.factorial(k - 1) << 2 * k - 1, max(k, n), k)),
     # intended for k >= max(n, 9); (4 k log k)^k
-    Bound("iter_upper_simple", ("lemma1", "all"), lambda n, k: n >= 9 and k >= n, "upper",
-          lambda n, k, b: _enclose((4 * k) ** k, k, k, b)),
-    Bound("iter_lower", ("ineq3", "all"), lambda n, k: n >= 2, "lower",  # n (log n)^k
-          lambda n, k, b: _enclose(n, n, k, b)),
+    _row("iter_upper_simple", ("lemma1", "all"), lambda n, k: n >= 9 and k >= n, "upper",
+         lambda n, k: ((4 * k) ** k, k, k)),
+    _row("iter_lower", ("ineq3", "all"), lambda n, k: n >= 2, "lower",  # n (log n)^k
+         lambda n, k: (n, n, k)),
     # needs n > e^4200, which no materialized n meets; the formula is
     # lower_bound_L3, parameterized by log n
     Bound("iter_lower_huge_n", ("all",), lambda n, k: False, "lower", None),
@@ -74,8 +87,8 @@ def _rounded(row, n, k, prec):
         bits *= 2
 
 
-def _settle(row, n, k, value, digits):
-    """(holds, text): the row's verdict on ``value`` and its bound to ``digits`` digits.
+def _settle(row, n, k, value, digits, term):
+    """sign_and_text's (sign, text) for the row's bound; ``term`` is row.term(n, k) or None.
 
     Each enclosure has twice the bits of the last while ``sign_and_text``
     leaves it open; at MAX_ESCALATION_PREC digits' worth of bits its
@@ -83,12 +96,11 @@ def _settle(row, n, k, value, digits):
     """
     bits = _START_BITS
     while True:
-        lo, hi = row.enclosure(n, k, bits)
+        lo, hi = _enclose(term, bits) if term else row.enclosure(n, k, bits)
         if bits == _MAX_BITS:
             lo = hi = lo + hi >> 1
         if (settled := sign_and_text(lo, hi, bits, value, digits)) is not None:
-            sign, text = settled
-            return (sign < 0 if row.side == "lower" else sign > 0), text
+            return settled
         bits = min(2 * bits, _MAX_BITS)
 
 
@@ -161,18 +173,24 @@ def check_bounds(n, k, value, suite, digits, tally):
 
     Each row is counted in ``tally`` under its verdict: True or False, and
     None for a row outside its hypothesis, which gets no sides and no verdict.
-    No field needs csv quoting.
+    Rows with the same term c (log m)^j share one decision: at k = 1 the
+    Rosser rows are the iterated ones.  No field needs csv quoting.
     """
     text = str(value)
     head = f"{n},{k},{text},"
     lines = []
+    settled = {}  # a row's term, or the row itself without one -> (sign, bound text)
     for row in SUITES[suite]:
         if not row.applies(n, k):
             lines.append(f"{head}{row.name},,,no,")
             tally[None] += 1
             continue
-        holds, bound = _settle(row, n, k, value, digits)
-        lhs, rhs = (bound, text) if row.side == "lower" else (text, bound)
+        term = row.term(n, k) if row.term else None
+        if (got := settled.get(term or row)) is None:
+            got = settled[term or row] = _settle(row, n, k, value, digits, term)
+        sign, bound = got
+        lower = row.side == "lower"
+        holds, lhs, rhs = (sign < 0, bound, text) if lower else (sign > 0, text, bound)
         lines.append(f"{head}{row.name},{lhs},{rhs},yes,{'yes' if holds else 'no'}")
         tally[holds] += 1
     return lines

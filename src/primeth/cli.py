@@ -8,6 +8,7 @@ usage or out-of-domain arguments.
 import argparse
 import contextlib
 import csv
+import functools
 import sys
 from datetime import datetime, timezone
 
@@ -43,6 +44,7 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+@functools.cache  # built once per process; each main call parses with it
 def _build_parser():
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=iterated.DEFAULT_BUDGET,

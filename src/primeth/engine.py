@@ -14,14 +14,15 @@ integers, to the power of two at or above the largest limit asked for.
 sieve_segment strikes a prime by one slice while the window holds at
 least _STRIKES of its multiples, and the larger ones together by fancy
 indexing: 0.4-0.7 ms for nth_prime's first window at 10^10, and 30-45 ms
-for the table up to 2^24.  For n <= pi(2^24), nth_prime grows the table
-past Rosser's bound p_n < n (ln n + ln ln n), to at most 2^24, and indexes
-it.  Past that it starts at x = R^-1(n), the inverse of Riemann's R
-function, counts pi(x) exactly once, and sieves windows forward or backward
-from x until it reaches the nth prime: the first spans the power of two at
-or above sqrt(x) integers, at most 2^16, as R^-1(n) lands within 0.6
-sqrt(x) of p_n, and each further one doubles.  R only picks where to
-start, so the answer is as exact as prime_count and the sieve.
+for the table up to 2^24.  nth_prime indexes the table once it holds n
+primes; else, for n <= pi(2^24), it grows the table past Rosser's bound
+p_n < n (ln n + ln ln n), to at most 2^24, and indexes it.  Past that it
+starts at x = R^-1(n), the inverse of Riemann's R function, counts pi(x)
+exactly once, and sieves windows forward or backward from x until it
+reaches the nth prime: the first spans the power of two at or above
+sqrt(x) integers, at most 2^16, as R^-1(n) lands within 0.6 sqrt(x) of
+p_n, and each further one doubles.  R only picks where to start, so the
+answer is as exact as prime_count and the sieve.
 """
 
 import functools
@@ -64,21 +65,28 @@ def _prime_table(limit):
     """All primes up to the table's limit, grown first if it ends below limit:
     to the power of two at or above limit (at least 2^8), by windows of at most
     _TABLE_ODDS odd integers past its end, each sieved by sieve_segment with
-    the primes found so far.  The new pair replaces the old one, freeing it."""
+    the primes found so far.  It is a read-only view of a buffer whose room
+    past it takes them in place; a buffer too small is replaced by one with
+    room up to 4 times the limit (at most 2^24), so it is copied once in two
+    doublings."""
     global _TABLE
     top, table = _TABLE
     if top >= limit:
         return table
     limit = 1 << max(limit - 1, 255).bit_length()
-    parts, reach = [table], top  # parts[0] holds the primes up to reach
+    count, buf = len(table), table.base
+    # pi(2^b) < 2^(b+1) / b, as pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld, 1962)
+    if buf is None or len(buf) < 2 * limit // (limit.bit_length() - 1):
+        room = min(limit << 2, _TABLE_LIMIT)
+        buf = np.empty(2 * room // (room.bit_length() - 1), dtype=np.int64)
+        buf[:count] = table
     while top < limit:
         hi = min(top + 2 * _TABLE_ODDS, top * top, limit)
-        if math.isqrt(hi) > reach:
-            reach, parts = top, [np.concatenate(parts)]
-        seg = sieve_segment(top + 1, hi, sieving=parts[0])
-        parts.append(seg.first_odd + 2 * np.flatnonzero(seg.flags))
-        top = hi
-    table = np.concatenate(parts).astype(np.int64, copy=False)
+        seg = sieve_segment(top + 1, hi, sieving=buf[:count])
+        found = np.flatnonzero(seg.flags)
+        buf[count : count + len(found)] = seg.first_odd + 2 * found
+        count, top = count + len(found), hi
+    table = buf[:count]
     table.flags.writeable = False  # shared by every caller, as are its slices
     _TABLE = (limit, table)
     return table
@@ -325,6 +333,8 @@ def nth_prime(n):
     n = int(n)
     if n < 1:
         raise InvalidRangeError("nth_prime requires n >= 1")
+    if n <= len(table := _TABLE[1]):
+        return int(table[n - 1])
     if n <= _TABLE_PRIMES:
         # Rosser's p_n < n (ln n + ln ln n), n >= 6, sizes the table; its length decides
         bound = n * (math.log(n) + math.log(math.log(n))) if n >= 6 else 0

@@ -7,7 +7,8 @@ and exponent, in integers, and trusts it iff |approx - value| > |approx| *
 10^(1 - digits); ``compare_int`` re-runs a function at doubled precision
 until the rule trusts the sign.  ``sign_and_text`` takes a proved integer
 enclosure of the real instead, and gives the sign and the decimal text only
-where every point of the enclosure gives the same (Ziv's rounding test).
+where every point of the enclosure gives the same (Ziv's rounding test);
+for 0 < s < 64 decimal places to shift, it rounds with one binary shift.
 """
 
 import functools
@@ -17,6 +18,7 @@ from mpmath import libmp, mp
 
 DEFAULT_PREC = 50
 MAX_ESCALATION_PREC = 4096
+_POW10 = tuple(10**s for s in range(64))
 _bits = functools.lru_cache(maxsize=64)(libmp.dps_to_prec)  # mp.prec at these digits
 
 
@@ -90,18 +92,25 @@ def sign_and_text(lo, hi, bits, value, digits):
     sign = -1 if hi < v else 1 if lo > v else 0 if lo == hi else None
     if sign is None:
         return None
-    top = _pow10(digits)
     e = math.floor((lo.bit_length() - bits - 1) * 0.3010299956639812)  # 10^e <= r < 2 10^(e+1)
-    if (man := _half_up(lo, bits, digits - 1 - e)) >= top:  # r, or 9.99... rounded, >= 10^(e+1)
-        e += 1
-        man = _half_up(lo, bits, digits - 1 - e)
-    if _half_up(hi, bits, digits - 1 - e) != man:
-        return None
-    text = str(man)
-    if min(-(digits // 3), -5) < e < digits:
-        text = "0." + "0" * (-e - 1) + text if e < 0 else f"{text[:e + 1]}.{text[e + 1:]}"
-        tail = ""
+    if 0 < (s := digits - 1 - e) < 64:  # r 10^s rounds half-up by one shift, even after a carry
+        p, half = _POW10[s], 1 << bits >> 1  # no half unit at bits = 0
+        if (man := lo * p + half >> bits) >= _pow10(digits):  # r, or 9.99... rounded, >= 10^(e+1)
+            e, p = e + 1, _POW10[s - 1]
+            man = lo * p + half >> bits
+        if hi * p + half >> bits != man:
+            return None
     else:
-        text, tail = f"{text[0]}.{text[1:]}", f"e{e:+d}"
-    text = text.rstrip("0")
-    return sign, (text + "0" if text[-1] == "." else text) + tail
+        if (man := _half_up(lo, bits, s)) >= _pow10(digits):
+            e += 1
+            man = _half_up(lo, bits, s - 1)
+        if _half_up(hi, bits, digits - 1 - e) != man:
+            return None
+    text = str(man)
+    if 0 <= e < digits:
+        text = f"{text[:e + 1]}.{text[e + 1:]}".rstrip("0")
+        return sign, text + "0" if text[-1] == "." else text
+    if min(-(digits // 3), -5) < e < 0:
+        return sign, ("0." + "0" * (-e - 1) + text).rstrip("0")
+    text = f"{text[0]}.{text[1:]}".rstrip("0")
+    return sign, (text + "0" if text[-1] == "." else text) + f"e{e:+d}"

@@ -66,27 +66,25 @@ class TowerCache:
 
     def _load(self, path):
         with open(path, "r", encoding="ascii") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if not raw.endswith("\n"):  # only the last line can lack one
-                    raise CacheFormatError(f"{path}:{lineno}: torn record {line!r}")
-                parts = line.split()
-                if len(parts) != 4 or parts[0] != "T":
-                    raise CacheFormatError(f"{path}:{lineno}: bad record {line!r}")
-                try:
-                    n, level, value = (int(p) for p in parts[1:])
-                except ValueError as exc:
-                    raise CacheFormatError(
-                        f"{path}:{lineno}: non-integer field in {line!r}"
-                    ) from exc
-                if n < 1 or level < 1 or not 2 <= value < 1 << 64:  # is_prime's range
-                    raise CacheFormatError(
-                        f"{path}:{lineno}: out-of-range field in {line!r}"
-                    )
-                if self._store.setdefault((n, level), value) != value:
-                    raise CacheFormatError(f"{path}:{lineno}: {line!r} contradicts a record")
+            *lines, tail = fh.read().split("\n")
+        store = self._store
+        for lineno, line in enumerate(lines, start=1):
+            if not (parts := line.split()):
+                continue
+            if len(parts) != 4 or parts[0] != "T":
+                raise CacheFormatError(f"{path}:{lineno}: bad record {line.strip()!r}")
+            try:
+                n, level, value = int(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise CacheFormatError(
+                    f"{path}:{lineno}: non-integer field in {line.strip()!r}"
+                ) from exc
+            if n < 1 or level < 1 or not 2 <= value < 1 << 64:  # is_prime's range
+                raise CacheFormatError(f"{path}:{lineno}: out-of-range field in {line.strip()!r}")
+            if store.setdefault((n, level), value) != value:
+                raise CacheFormatError(f"{path}:{lineno}: {line.strip()!r} contradicts a record")
+        if tail.strip():  # only the last line can lack a newline
+            raise CacheFormatError(f"{path}:{len(lines) + 1}: torn record {tail.strip()!r}")
         self._check_levels(path)
 
     def _check_levels(self, path):
@@ -100,30 +98,32 @@ class TowerCache:
         p_idx either.
         """
         # values below 2^24 are looked up in the table in one numpy pass
-        small = np.array([v for v in self._store.values() if v < _TABLE_LIMIT], np.int64)
+        stored = np.fromiter(self._store.values(), np.uint64, len(self._store))
+        small = stored[stored < _TABLE_LIMIT].astype(np.int64)
         table = base_primes_upto(int(small.max(initial=1)))
         found = table[np.searchsorted(table, small, side="right") - 1] == small
         composite = set(small[~found].tolist())
+        store, tabled = self._store, len(table)
         below = {}  # base n -> the value of its highest level so far
-        indexed = []  # (n, level, index) of the records whose index is tabled
-        for n, level in sorted(self._store):
-            value, floor = self._store[n, level], below.get(n, n)
+        indexed, values = [], []  # (n, level, index) and value of each record with a tabled index
+        for (n, level), value in sorted(store.items()):
+            floor = below.get(n, n)
             if value in composite or (value >= _TABLE_LIMIT and not is_prime(value)):
                 raise CacheFormatError(f"{path}: p_{n}^({level}) = {value} is not prime")
             if value <= floor:
                 raise CacheFormatError(f"{path}: p_{n}^({level}) = {value} is not above {floor}")
             below[n] = value
-            idx = n if level == 1 else self._store.get((n, level - 1), 0)
-            if 0 < idx <= len(table):
+            idx = n if level == 1 else store.get((n, level - 1), 0)
+            if 0 < idx <= tabled:
                 indexed.append((n, level, idx))
-            elif idx > len(table) and (idx <= _TABLE_PRIMES or value < _TABLE_LIMIT):
+                values.append(value)
+            elif idx > tabled and (idx <= _TABLE_PRIMES or value < _TABLE_LIMIT):
                 raise CacheFormatError(f"{path}: p_{n}^({level}) = {value} is not p_{idx}")
-        tabled = table[np.array([idx for _, _, idx in indexed], np.int64) - 1].tolist()
-        for (n, level, idx), p in zip(indexed, tabled):
-            if self._store[n, level] != p:
-                raise CacheFormatError(
-                    f"{path}: p_{n}^({level}) = {self._store[n, level]} is not p_{idx} = {p}"
-                )
+        primes = table[np.array([idx for _, _, idx in indexed], np.int64) - 1].tolist()
+        if values != primes:  # report the first record that is not its tabled prime
+            i = next(i for i, (v, p) in enumerate(zip(values, primes)) if v != p)
+            (n, level, idx), value, p = indexed[i], values[i], primes[i]
+            raise CacheFormatError(f"{path}: p_{n}^({level}) = {value} is not p_{idx} = {p}")
 
     def get(self, n, level):
         return self._store.get((n, level))
@@ -200,7 +200,8 @@ def walk(n, cap, cache=None):
     while True:
         value = cache.get(n, level)
         if value is None:
-            if _value_certainly_above(idx, cap):
+            # idx log idx < idx bitlen(idx) <= cap puts p_idx within reach
+            if idx * idx.bit_length() > cap and _value_certainly_above(idx, cap):
                 return
             value = nth_prime(idx)
             cache.put(n, level, value)

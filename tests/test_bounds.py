@@ -2,6 +2,7 @@ import csv
 import io
 import math
 from collections import namedtuple
+from unittest import mock
 from decimal import Decimal, localcontext
 
 import pytest
@@ -350,6 +351,40 @@ class TestEnclosuresAgainstDecimal:
             scaled = Decimal(x).ln() * Decimal(2) ** bits
         assert lo <= scaled <= hi and hi - lo <= 3
 
+    def test_log_takes_one_rounded_down_log(self, monkeypatch):
+        rounding = []
+
+        def recorded(x, prec, rnd):
+            rounding.append(rnd)
+            return libmp.mpf_log(x, prec, rnd)
+
+        monkeypatch.setattr(bounds, "mpf_log", recorded)
+        bounds._log.cache_clear()
+        try:
+            assert bounds._log(10**6 + 3, 128) == bounds._log(10**6 + 3, 128)
+        finally:
+            bounds._log.cache_clear()
+        assert rounding == ["f"]
+
+    @given(st.integers(min_value=2, max_value=2**64 - 1), st.sampled_from([64, 128]))
+    @settings(max_examples=200, deadline=None)
+    def test_log_encloses_with_a_rounded_down_log_one_unit_low(self, x, bits):
+        # hi = lo + 2 also covers a log that comes out one more unit (of its
+        # bits + t places) below the rounded-down one; hi = lo + 1 would not
+        def one_unit_low(v, prec, rnd):
+            _, man, exp, bc = libmp.mpf_log(v, prec, rnd)
+            return libmp.from_man_exp((man << prec - bc) - 1, exp - (prec - bc))
+
+        bounds._log.cache_clear()
+        try:
+            with mock.patch.object(bounds, "mpf_log", one_unit_low):
+                lo, hi = bounds._log(x, bits)
+        finally:
+            bounds._log.cache_clear()
+        with localcontext() as ctx:
+            ctx.prec = bits // 3 + 40
+            assert lo <= Decimal(x).ln() * Decimal(2) ** bits <= hi
+
     @pytest.mark.parametrize("bits", [64, 128])
     def test_rows_enclose_decimal_bounds(self, bits):
         # every row at n <= 300, k <= 6, against 90 stdlib-decimal digits
@@ -420,6 +455,45 @@ class TestSignAndText:
         assert Decimal(sign_and_text(up, up, bits, 0, digits)[1]) == Decimal(10) ** (e + 1)
         below = Decimal(sign_and_text(up - 1, up - 1, bits, 0, digits)[1])
         assert below == (Decimal(10) ** digits - 1).scaleb(e + 1 - digits)
+
+    @pytest.mark.parametrize("digits", [15, 18, 20])
+    @pytest.mark.parametrize("s", [0, 1, 63, 64])
+    def test_carries_at_the_rounding_branch_edges(self, digits, s):
+        # r 10^s, s = digits - 1 - e, rounds by one shift for 0 < s < 64 and by
+        # a division otherwise; a carry moves s down by one
+        self.test_carries(digits, digits - 1 - s)
+
+    @given(
+        st.integers(min_value=15, max_value=20),
+        st.sampled_from([-2, -1, 0, 1, 2, 62, 63, 64, 65]),
+        st.integers(min_value=1, max_value=80),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rounding_branch_edges_print_as_to_str(self, digits, s, width, data):
+        # a dyadic of ``width`` bits in the decade [10^e, 10^(e + 1)) that
+        # puts r 10^s at the given s; small widths make integers, at bits = 0
+        e, width = digits - 1 - s, min(width, _to_str_bits(digits))
+        man = data.draw(st.integers(min_value=1 << width - 1, max_value=(1 << width) - 1))
+        shift = math.ceil(e * math.log2(10)) - (width - 1)  # man 2^shift in [10^e, 4 10^e)
+        man, bits = (man << shift, 0) if shift >= 0 else (man, -shift)
+        text = libmp.to_str(libmp.from_man_exp(man, -bits), digits)
+        assert sign_and_text(man, man, bits, 0, digits) == (1, text)
+        assert Decimal(text).adjusted() in (e, e + 1)
+
+    @given(st.integers(min_value=15, max_value=20), st.integers(min_value=1, max_value=20),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ties_round_half_up(self, digits, s, data):
+        # at bits = s + 1 an odd mantissa puts r 10^s = man 5^s / 2 halfway
+        # between two integers; the shift must round it up, as to_str does
+        e = digits - 1 - s
+        scale = 1 << s + 1
+        low = scale * 10**e if e >= 0 else -(-scale // 10**-e)
+        high = scale * 10 ** (e + 1) if e >= -1 else scale // 10 ** (-e - 1)
+        man = 2 * data.draw(st.integers(min_value=low // 2, max_value=(high - 2) // 2)) + 1
+        text = libmp.to_str(libmp.from_man_exp(man, -(s + 1)), digits)
+        assert sign_and_text(man, man, s + 1, 0, digits) == (1, text)
 
     def test_layouts(self):
         cases = [(3 << 64, 64, 15, "3.0"), (12 * 10**24, 0, 20, "1.2e+25"), (1, 4, 15, "0.0625"),

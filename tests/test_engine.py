@@ -354,8 +354,8 @@ class TestPrimeTable:
                     assert below == len(table) or table[below] == ref[k]
 
     def test_cold_build_stays_small(self, fresh_table):
-        # 1 MB windows of flags; the 2^24 table itself is 8.6 MB, and joining
-        # the windows' primes briefly holds it twice
+        # 1 MB windows of flags; the 2^24 table itself is 8.6 MB, in a buffer
+        # with room for 11.2 MB that the windows' primes are written into
         tracemalloc.start()
         try:
             assert len(engine._prime_table(engine._TABLE_LIMIT)) == engine._TABLE_PRIMES
@@ -390,12 +390,25 @@ class TestNthPrime:
         assert nth_prime(173) == 1031
         assert engine._TABLE[0] == 1 << 11
 
+    def test_lookup_at_the_end_of_the_table_reads_it(self, monkeypatch, fresh_table):
+        # the table to 2^10 holds pi(2^10) = 172 primes: p_172 is its last, read
+        # as it stands; p_173 = 1031 lies past it, which grows it to 2^11
+        table = engine._prime_table(1 << 10)
+        grown = []
+        grow = engine._prime_table
+        monkeypatch.setattr(engine, "_prime_table", lambda limit: grown.append(limit) or grow(limit))
+        assert nth_prime(len(table)) == 1021 and len(table) == 172
+        assert grown == [] and engine._TABLE[1] is table
+        assert nth_prime(len(table) + 1) == 1031
+        assert grown and engine._TABLE[0] == 1 << 11
+
     def test_small_limit_slices_a_larger_table_already_built(self, fresh_table):
         # once the 2^24 table exists, a small limit reads a slice of it and
-        # builds no 2^13 table
+        # builds no 2^13 table; both are views of the table's buffer
         table = engine._prime_table(engine._TABLE_LIMIT)
         primes = engine.base_primes_upto(5000)
-        assert engine._TABLE[0] == engine._TABLE_LIMIT and primes.base is table
+        assert engine._TABLE[0] == engine._TABLE_LIMIT and primes.base is table.base
+        assert primes.ctypes.data == table.ctypes.data
         assert primes.tolist() == sieve_primes(5000).tolist()
 
     def test_seed_never_decides_the_answer(self, monkeypatch):
