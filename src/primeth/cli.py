@@ -176,14 +176,9 @@ def _cmd_verify(args, cache):
     tally = dict.fromkeys((True, False, None), 0)  # rows by holds; None: inapplicable
     truncated = False
     digits = min(args.prec, 20)  # printed digits of each bound; no verdict depends on them
-    for n in range(1, args.n_max + 1):
-        try:
-            tower = iterated.iterate_prime(n, k_max, budget=args.budget, cache=cache)
-        except BudgetExceededError:
-            truncated = True
-            continue
-        truncated = truncated or tower.truncated
-        for k, value in enumerate(tower.values, start=1):
+    for n, values in iterated.towers(range(1, args.n_max + 1), k_max, args.budget, cache).items():
+        truncated = truncated or len(values) < k_max  # none: p_n itself is above the budget
+        for k, value in enumerate(values, start=1):
             lines += bounds.check_bounds(n, k, value, args.suite, digits, tally)
 
     with _open_out(args) as fh:  # only now, so an error above leaves --out as it was

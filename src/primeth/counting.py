@@ -5,7 +5,7 @@ with p_k^(k) <= x: it advances k while all k levels of base k are <= x.
 Both decide each level from its proved bracket ``iterated.brackets``: a
 level with hi <= x counts, and one with lo > x ends the count, as every
 level above it is larger still.  Only when x lies inside a bracket does the
-count run the exact ``iterated.walk`` for that base, which computes the
+count run the exact ``iterated.towers`` for that base, which computes the
 levels up to one past x and stores them.  So most counts compute no prime
 past a small table, and neither function ever estimates: the only facts
 taken on trust are Dusart's two bounds on p_m.
@@ -17,7 +17,7 @@ from mpmath import mp
 
 from .errors import BudgetExceededError, DomainError, InvalidRangeError, UnsupportedRangeError
 from .hpreal import DEFAULT_PREC
-from .iterated import DEFAULT_BUDGET, EXACT_LIMIT, brackets, walk
+from .iterated import DEFAULT_BUDGET, EXACT_LIMIT, brackets, towers
 
 
 def _count_levels(n, x, levels, cache):
@@ -27,12 +27,12 @@ def _count_levels(n, x, levels, cache):
         if lo > x:
             break
         if hi > x:  # only the exact value decides this level
-            if lo >= EXACT_LIMIT:  # the walk would reach it and fail there
+            if lo >= EXACT_LIMIT:  # towers would reach it and fail there
                 raise UnsupportedRangeError(
                     f"x={x} lies in [{lo}, {hi}], the bracket of p_{n}^({count + 1}), "
                     "whose exact value is past 2^48"
                 )
-            return sum(1 for _ in islice(walk(n, x, cache), levels))
+            return len(towers([n], levels or x, x, cache)[n])  # p_n^(k) > k: x levels at most
         count += 1
     return count
 

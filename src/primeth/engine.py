@@ -1,28 +1,28 @@
 """Prime generation, testing, counting and nth-prime lookup.
 
-All results are exact.  prime_count (x < 2^48) sieves the distinct values
+All results are exact.  prime_counts (x < 2^48) sieves the distinct values
 of x // d by the primes up to x^(1/3), then subtracts Meissel's P2 sum over
-the primes in (x^(1/3), sqrt x].  The sieve takes 2..13 at once, from a
-count table of the residues modulo 30030; each later prime p updates only
-the counts at the d with no prime factor below p, the only ones a later
-stage reads, and past p = x^(1/4) only d = 1 reads another d's count.
-x < 13^3 is read from the prime table.  About 0.005 s at 2*10^9, 0.012 s
-at 10^10, 0.05 s at 10^11, 0.22 s at 10^12 and 1.1 s at 10^13 (2-core
-x86-64 Xeon, Python 3.11, numpy 2.4).  All small primes come from one
-prime table, which only grows, in cache-sized windows of 2^20 odd
-integers, to the power of two at or above the largest limit asked for.
-sieve_segment strikes a prime by one slice while the window holds at
-least _STRIKES of its multiples, and the larger ones together by fancy
-indexing: 0.4-0.7 ms for nth_prime's first window at 10^10, and 30-45 ms
-for the table up to 2^24.  nth_prime indexes the table once it holds n
-primes; else, for n <= pi(2^24), it grows the table past Rosser's bound
-p_n < n (ln n + ln ln n), to at most 2^24, and indexes it.  Past that it
-starts at x = R^-1(n), the inverse of Riemann's R function, counts pi(x)
-exactly once, and sieves windows forward or backward from x until it
-reaches the nth prime: the first spans the power of two at or above
-sqrt(x) integers, at most 2^16, as R^-1(n) lands within 0.6 sqrt(x) of
-p_n, and each further one doubles.  R only picks where to start, so the
-answer is as exact as prime_count and the sieve.
+the primes in (x^(1/3), sqrt x]: one sieve for a batch of x, a column each.
+The sieve takes 2..13 at once, from a count table of the residues modulo
+30030; each later prime p updates only the counts at the d with no prime
+factor below p, the only ones a later stage reads, and past p = x^(1/4)
+only d = 1 reads another d's count.  x < 13^3 is read from the prime
+table.  One x takes about 0.005 s at 2*10^9, 0.012 s at 10^10, 0.05 s at
+10^11, 0.22 s at 10^12 and 1.1 s at 10^13; 61 x in [1.7e7, 1.2e8] take 19
+ms batched, 56 ms one by one (2-core x86-64 Xeon, Python 3.11, numpy 2.4).
+All small primes come from one prime table, which only grows, in
+cache-sized windows of 2^20 odd integers, to the power of two at or above
+the largest limit asked for.  sieve_segment strikes a prime by one slice
+while the window holds at least _STRIKES of its multiples, and the larger
+ones together by fancy indexing: 0.4-0.7 ms for a first walk window at
+10^10, and 30-45 ms for the table up to 2^24.  nth_primes grows the table
+once, past Rosser's bound p_n < n (ln n + ln ln n) on its largest n <=
+pi(2^24), to at most 2^24, and indexes it.  Each larger n starts at x =
+R^-1(n), the inverse of Riemann's R function; one prime_counts call counts
+pi at all these x, and windows are sieved from each x to its prime: the
+first spans the power of two at or above sqrt(x) integers, at most 2^16,
+as R^-1(n) lands within 0.6 sqrt(x) of p_n, and each further one doubles.
+R only picks where to start, so the answer is as exact as the count.
 """
 
 import functools
@@ -50,6 +50,9 @@ _WHEEL = 30030  # their product
 # sieve_segment strikes a prime by one slice while the window holds at least
 # this many of its odd multiples; the larger primes strike together.
 _STRIKES = 32
+# prime_counts sieves blocks of at most _SPAN columns times isqrt(max x): its
+# matrices then hold about 0.19 _SPAN entries, 1.6 MB of int64 each.
+_SPAN = 1 << 20
 # Most integers in the first sieve window of the nth_prime walk.
 _WINDOW = 1 << 16
 # Two Newton steps from n log n land within 0.02 sqrt(x) of R^-1(n) for
@@ -193,25 +196,49 @@ def is_prime(n):
 
 
 def prime_count(x):
-    """Exact number of primes <= x, for 0 <= x < 2^48, by Meissel's split.
+    """Exact number of primes <= x, for 0 <= x < 2^48, by Meissel's split."""
+    return prime_counts([x])[0]
 
-    The ceiling keeps isqrt(x) inside the prime table; above it
-    base_primes_upto raises UnsupportedRangeError before anything is allocated.
+
+def prime_counts(xs):
+    """Exact pi(x) for each x of xs (0 <= x < 2^48), in the order given.
+
+    The distinct x >= 13^3 (the wheel's primes must lie below x^(1/3); the
+    table answers the others) go through _sieve_rough in ascending blocks of
+    at most _SPAN columns times isqrt(max x), a block of one on 1-D arrays.
+    Past the ceiling base_primes_upto raises before anything is allocated.
     """
-    x = int(x)
-    if x < 0:
+    xs = [int(x) for x in xs]
+    if any(x < 0 for x in xs):
         raise InvalidRangeError("prime_count requires x >= 0")
-    if x < _WHEEL_PRIMES[-1] ** 3:  # the sieve needs the wheel's primes below x^(1/3)
-        return len(base_primes_upto(x))
-    v = math.isqrt(x)
-    primes = base_primes_upto(v)  # raises at x >= 2^48
-    a = int(np.searchsorted(primes, _icbrt(x), side="right"))  # p^3 <= x
-    # cs holds S(x // d) for d = 1 and each prime q > x^(1/3) (q^3 > x):
-    # no prime past p_a steps on it, so pi(x) = phi(x, a) + a - 1 - P2(x, a)
-    # subtracts the P2 terms pi(x // q) - i_q, with i_q primes below q
+    seeds = sorted(set(xs))
+    if seeds:
+        base_primes_upto(math.isqrt(seeds[-1]))  # raises at x >= 2^48
+    counts = {x: len(base_primes_upto(x)) for x in seeds if x < _WHEEL_PRIMES[-1] ** 3}
+    seeds = seeds[len(counts) :]
+    while seeds:
+        over = (j for j in range(1, len(seeds)) if (j + 1) * math.isqrt(seeds[j]) > _SPAN)
+        top = next(over, len(seeds))
+        counts.update(zip(seeds[:top], _count_block(seeds[:top])))
+        seeds = seeds[top:]
+    return [counts[x] for x in xs]
+
+
+def _count_block(xs):
+    """pi(x) for the ascending x >= 13^3 of xs, as a list."""
+    v = math.isqrt(xs[-1])
+    primes = base_primes_upto(v)
+    a = int(np.searchsorted(primes, _icbrt(xs[-1]), side="right"))  # p^3 <= max x
+    # cs holds S(x // d) for d = 1 and each prime q > p_a, where p_(a+1)^3
+    # exceeds every x: no prime past p_a steps on them, so pi(x) = phi(x, a)
+    # + a - 1 - P2(x, a), whose P2 terms pi(x // q) - i_q, with i_q primes
+    # below q, run over the q <= isqrt(x) of each column
+    x = np.array(xs, dtype=np.int64) if len(xs) > 1 else xs[0]
     ds, cs = _sieve_rough(x, v, primes[:a])
-    q = ds.searchsorted(primes[a:])
-    return int(cs[0] - np.sum(cs[q] - np.arange(a, len(primes))))
+    ps = primes[a:]
+    terms = (cs[ds.searchsorted(ps)].T - np.arange(a, len(primes))).T
+    terms *= np.less_equal.outer(ps * ps, x) if len(xs) > 1 else 1
+    return np.atleast_1d(cs[0] - np.sum(terms, axis=0)).tolist()
 
 
 # Lucy's recurrence, run by the primes p <= x^(1/3) in turn.  After the
@@ -235,19 +262,29 @@ def _wheel():
     return residues, below
 
 
-def _sieve_rough(x, v, primes):
-    """The d <= v = isqrt(x) free of 2..13, as a set, and S(x // d) at each.
+def _spare(drop, ys, lo, t, p):
+    """drop, of the rows from lo on, zeroed from row t on where ys < p^2, as the
+    stage of p leaves S(y) alone there: only in a batch, past its smallest x."""
+    if t < lo + len(drop):
+        t = max(t, lo)
+        drop[t - lo :] *= ys[t : lo + len(drop)] >= p * p
+    return drop
 
-    primes are the primes up to x^(1/3), 13^3 <= x.  A count of d = 1 or
-    of a prime q > x^(1/3) needs, at the stage of p, only the counts at the
-    rough d, those with no prime factor below p, each of which reads the
+
+def _sieve_rough(x, v, primes):
+    """The d <= v = isqrt(max x) free of 2..13, as a set, and S(x // d) at each:
+    a row per d and, when x is a 1-D array, not one integer, a column per x.
+
+    primes are the primes up to (max x)^(1/3), 13^3 <= x.  A count of d = 1
+    or of a prime q > x^(1/3) needs, at the stage of p, only the counts at
+    the rough d, those with no prime factor below p, each of which reads the
     count at p*d while p*d <= v and smalls[x // (p*d)] = S(x // (p*d)) past
     it.  So the stages run over a set of d, with x // d and counts beside.
-    While p^2 <= v, every count is updated (x // d >= v >= p^2), and the
-    multiples of p leave the set once those pending make up an eighth of
-    it; until then their counts go wrong unread.  Past it, a d > 1 in the
-    set has only prime factors above isqrt(v), so p*d > v: the stage reads
-    the count at p for d = 1 and smalls for the other d <= x // p^2.
+    An entry is updated while x // d >= p^2, as for one x every entry is
+    while p^2 <= v, and the multiples of p leave the set once those pending
+    make up an eighth of it; until then their counts go wrong unread.  Past
+    it, a d > 1 in the set has only prime factors above isqrt(v), so p*d > v:
+    the stage reads the count at p for d = 1 and smalls for the other d.
     """
     residues, below = _wheel()
     n, per = v // _WHEEL + 1, len(residues)  # n blocks of _WHEEL cover [0, v]
@@ -255,9 +292,10 @@ def _sieve_rough(x, v, primes):
     smalls = (below + (np.arange(n, dtype=np.int32) * per + 5)[:, None]).ravel()[: v + 1]
     ds = (residues + np.arange(n)[:, None] * _WHEEL).ravel()
     ds = ds[: ds.searchsorted(v, side="right")]
-    ys = x // ds
+    ys = x // (ds[:, None] if np.ndim(x) else ds)
     q = ys // _WHEEL
     cs = q * per + below[ys - q * _WHEEL] + 5
+    least, most = (int(x.min()), int(x.max())) if np.ndim(x) else (x, x)
     late = max(len(_WHEEL_PRIMES), int(primes.searchsorted(math.isqrt(v), side="right")))
     gone, pending = np.zeros(len(ds), dtype=bool), 0
     for sp, p in enumerate(primes[len(_WHEEL_PRIMES) : late].tolist(), start=len(_WHEEL_PRIMES)):
@@ -273,8 +311,9 @@ def _sieve_rough(x, v, primes):
             read = read[keep[:k]]
             k = len(read)
             gone, pending = np.zeros(len(ds), dtype=bool), 0
-        cs[:k] -= read - sp
-        cs[k:] -= smalls[ys[k:] // p] - sp
+        t = int(ds.searchsorted(least // (p * p), side="right")) if least < most else len(ds)
+        cs[:k] -= _spare(read - sp, ys, 0, t, p)
+        cs[k:] -= _spare(smalls[ys[k:] // p] - sp, ys, k, t, p)
         # the stage on smalls: S(m) -= S(m // p) - sp for p^2 <= m <= v
         n = (v + 1 - p * p) // p  # whole runs of p equal quotients m // p
         drop = smalls[p : p + n + 1] - sp
@@ -282,11 +321,11 @@ def _sieve_rough(x, v, primes):
         runs -= drop[:n, None]
         smalls[p * p + p * n :] -= drop[n]
     ps = primes[late:]
-    tops = ds.searchsorted(x // (ps * ps), side="right")
-    at = ds.searchsorted(ps)
-    for sp, p, t, i in zip(range(late, len(primes)), ps.tolist(), tops.tolist(), at.tolist()):
-        cs[0] -= cs[i] - sp
-        cs[1:t] -= smalls[ys[1:t] // p] - sp
+    starts, tops = (ds.searchsorted(y // (ps * ps), side="right").tolist() for y in (least, most))
+    at = ds.searchsorted(ps).tolist()
+    for sp, p, s, t, i in zip(range(late, len(primes)), ps.tolist(), starts, tops, at):
+        cs[0] -= cs[i] - sp if s else (cs[i] - sp) * (x >= p * p)
+        cs[1:t] -= _spare(smalls[ys[1:t] // p] - sp, ys, 1, s, p)
     return ds, cs
 
 
@@ -330,34 +369,40 @@ def _r_inverse(n):
 
 def nth_prime(n):
     """The nth prime (1-based): p_1 = 2, p_25 = 97."""
-    n = int(n)
-    if n < 1:
+    return nth_primes([n])[0]
+
+
+def nth_primes(ns):
+    """The nth prime (1-based) for each n of ns, in the order given."""
+    ns = [int(n) for n in ns]
+    if any(n < 1 for n in ns):
         raise InvalidRangeError("nth_prime requires n >= 1")
-    if n <= len(table := _TABLE[1]):
-        return int(table[n - 1])
-    if n <= _TABLE_PRIMES:
+    table = _TABLE[1]
+    if (most := max((n for n in ns if n <= _TABLE_PRIMES), default=0)) > len(table):
         # Rosser's p_n < n (ln n + ln ln n), n >= 6, sizes the table; its length decides
-        bound = n * (math.log(n) + math.log(math.log(n))) if n >= 6 else 0
+        bound = most * (math.log(most) + math.log(math.log(most))) if most >= 6 else 0
         limit = min(1 << int(bound).bit_length(), _TABLE_LIMIT)
-        while len(table := _prime_table(limit)) < n:
+        while len(table := _prime_table(limit)) < most:
             limit *= 2
-        return int(table[n - 1])
+    far = list(dict.fromkeys(n for n in ns if n > _TABLE_PRIMES))
     # R only picks where to start; the exact count and the sieve decide.
     # If c < n, p_n is the (n - c)th prime above x, else the (c - n + 1)th
     # prime counting down from x.  x >= 2 keeps the prime 2, which the
     # odd-only windows omit, out of the walk.
-    x = max(_r_inverse(n), 2)
-    c = prime_count(x)
-    up = c < n
-    need = n - c if up else c - n + 1
-    # R^-1(n) lands within sqrt(x) of p_n: one window that wide mostly suffices
-    width = min(_WINDOW, 1 << (math.isqrt(x) - 1).bit_length())
-    while True:
-        lo, hi = (x + 1, x + width) if up else (max(x - width + 1, 2), x)
-        seg = sieve_segment(lo, hi)
-        found = np.flatnonzero(seg.flags)
-        if need <= len(found):
-            return seg.first_odd + 2 * int(found[need - 1 if up else -need])
-        need -= len(found)
-        x = hi if up else lo - 1
-        width *= 2
+    xs, primes = [max(_r_inverse(n), 2) for n in far], {}
+    for n, x, c in zip(far, xs, prime_counts(xs)):
+        up = c < n
+        need = n - c if up else c - n + 1
+        # R^-1(n) lands within sqrt(x) of p_n: one window that wide mostly suffices
+        width = min(_WINDOW, 1 << (math.isqrt(x) - 1).bit_length())
+        while True:
+            lo, hi = (x + 1, x + width) if up else (max(x - width + 1, 2), x)
+            seg = sieve_segment(lo, hi)
+            found = np.flatnonzero(seg.flags)
+            if need <= len(found):
+                primes[n] = seg.first_odd + 2 * int(found[need - 1 if up else -need])
+                break
+            need -= len(found)
+            x = hi if up else lo - 1
+            width *= 2
+    return [int(table[n - 1]) if n <= _TABLE_PRIMES else primes[n] for n in ns]

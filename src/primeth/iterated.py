@@ -1,14 +1,14 @@
 """Iterated primes: towers p_n^(1..k), the diagonal p_k^(k), and ratios.
 
-Each tower level is an nth_prime call on the previous level's value, so
-levels get expensive quickly; computed values go through a persistent
+Each tower level is the prime whose index is the previous level's value,
+so levels get expensive quickly; computed values go through a persistent
 append-only cache keyed by (base index, level).
 
-Towers, ratios and the exact part of counts walk the recursion with
-``walk(n, cap, cache)``, which yields p_n^(1), p_n^(2), ... while they are
-<= cap.  It never computes an uncached level at index idx with
-idx log idx > cap, decided exactly: p_idx > idx log idx (Rosser) puts that
-level above cap.
+Towers, ratios, the exact part of counts and verify walk the recursion with
+``towers(ns, k, cap, cache)``: all bases go up a level at a time, and the
+lookups of a level go to nth_primes together, their counts in one batch.
+It never computes an uncached level at index idx with idx log idx > cap,
+decided exactly: p_idx > idx log idx (Rosser) puts that level above cap.
 
 ``brackets(n, cache)`` encloses the same levels without computing them: a
 level is exact while its index is tabled or the level cached, and past that
@@ -19,12 +19,12 @@ integers lo <= p_n^(k) <= hi.
 import math
 import os
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 from mpmath import mp, mpf
 
-from .engine import _TABLE_LIMIT, _TABLE_PRIMES, base_primes_upto, is_prime, nth_prime
+from .engine import _TABLE_LIMIT, _TABLE_PRIMES, base_primes_upto, is_prime, nth_primes
 from .errors import BudgetExceededError, CacheFormatError, InvalidRangeError
 from .hpreal import DEFAULT_PREC, compare_int
 
@@ -52,9 +52,9 @@ class TowerCache:
     the next store would extend it), non-prime values, levels of a base that
     do not rise from n on, values that are not the tabled prime their index
     names, and records or stores that contradict a stored value are hard
-    errors.  Each record goes out in one ``write`` to an ``O_APPEND``
-    descriptor, opened on the first store and released by ``close``, so
-    writers sharing the file never split each other's lines.
+    errors.  Each store, of one record or a batch, goes out in one ``write``
+    to an ``O_APPEND`` descriptor, opened on the first store and released by
+    ``close``, so writers sharing the file never split each other's lines.
     """
 
     def __init__(self, path=None):
@@ -95,52 +95,66 @@ class TowerCache:
         must be the tabled prime.  The table ends at the largest value below
         2^24, so an index past it names a prime above every value below 2^24,
         and for idx <= pi(2^24) a prime below 2^24, so above it no value is
-        p_idx either.
+        p_idx either.  Each check runs over arrays of the records in (n, level)
+        order; the first record failing reports, a tabled prime only if no other.
         """
+        store = self._store
+        try:
+            keys = np.fromiter(chain.from_iterable(store), np.int64, 2 * len(store))
+            value = np.fromiter(store.values(), np.int64, len(store))
+        except OverflowError:  # a key or value past int64: arrays of Python ints
+            keys = np.fromiter(chain.from_iterable(store), object, 2 * len(store))
+            value = np.fromiter(store.values(), object, len(store))
+        order = np.lexsort(keys.reshape(-1, 2).T[::-1])  # by n, then by level
+        (n, level), value = keys.reshape(-1, 2)[order].T, value[order]
         # values below 2^24 are looked up in the table in one numpy pass
-        stored = np.fromiter(self._store.values(), np.uint64, len(self._store))
-        small = stored[stored < _TABLE_LIMIT].astype(np.int64)
-        table = base_primes_upto(int(small.max(initial=1)))
-        found = table[np.searchsorted(table, small, side="right") - 1] == small
-        composite = set(small[~found].tolist())
-        store, tabled = self._store, len(table)
-        below = {}  # base n -> the value of its highest level so far
-        indexed, values = [], []  # (n, level, index) and value of each record with a tabled index
-        for (n, level), value in sorted(store.items()):
-            floor = below.get(n, n)
-            if value in composite or (value >= _TABLE_LIMIT and not is_prime(value)):
-                raise CacheFormatError(f"{path}: p_{n}^({level}) = {value} is not prime")
-            if value <= floor:
-                raise CacheFormatError(f"{path}: p_{n}^({level}) = {value} is not above {floor}")
-            below[n] = value
-            idx = n if level == 1 else store.get((n, level - 1), 0)
-            if 0 < idx <= tabled:
-                indexed.append((n, level, idx))
-                values.append(value)
-            elif idx > tabled and (idx <= _TABLE_PRIMES or value < _TABLE_LIMIT):
-                raise CacheFormatError(f"{path}: p_{n}^({level}) = {value} is not p_{idx}")
-        primes = table[np.array([idx for _, _, idx in indexed], np.int64) - 1].tolist()
-        if values != primes:  # report the first record that is not its tabled prime
-            i = next(i for i, (v, p) in enumerate(zip(values, primes)) if v != p)
-            (n, level, idx), value, p = indexed[i], values[i], primes[i]
-            raise CacheFormatError(f"{path}: p_{n}^({level}) = {value} is not p_{idx} = {p}")
+        small = value < _TABLE_LIMIT
+        low = value[small].astype(np.int64)
+        table = base_primes_upto(int(low.max(initial=1)))
+        prime = np.empty(len(value), dtype=bool)
+        prime[small] = table[np.searchsorted(table, low, side="right") - 1] == low
+        prime[~small] = [is_prime(int(v)) for v in value[~small]]
+        first = np.r_[True, n[1:] != n[:-1]]  # the lowest level stored of its base
+        floor = np.where(first, n, np.roll(value, 1))
+        below = ~first & (np.roll(level, 1) == level - 1)
+        idx = np.where(level == 1, n, np.where(below, np.roll(value, 1), 0))
+        untabled = (idx > len(table)) & ((idx <= _TABLE_PRIMES) | small)
+        if (bad := np.flatnonzero(~prime | (value <= floor) | untabled)).size:
+            i = bad[0]
+            reason = ("is not prime" if not prime[i] else
+                      f"is not above {floor[i]}" if value[i] <= floor[i] else f"is not p_{idx[i]}")
+            raise CacheFormatError(f"{path}: p_{n[i]}^({level[i]}) = {value[i]} {reason}")
+        listed = np.flatnonzero((idx > 0) & (idx <= len(table)))
+        primes = table[idx[listed].astype(np.int64) - 1]
+        if (bad := np.flatnonzero(value[listed] != primes)).size:
+            i, p = listed[bad[0]], primes[bad[0]]
+            raise CacheFormatError(
+                f"{path}: p_{n[i]}^({level[i]}) = {value[i]} is not p_{idx[i]} = {p}"
+            )
 
     def get(self, n, level):
         return self._store.get((n, level))
 
     def put(self, n, level, value):
-        key = (n, level)
-        if key in self._store:
-            if self._store[key] != value:
-                raise CacheFormatError(f"p_{n}^({level}) = {value} contradicts {self._store[key]}")
-            return
-        self._store[key] = value
-        if self.path is not None:
+        self.put_many([(n, level, value)])
+
+    def put_many(self, records):
+        """Store the (n, level, value) records; those not held yet go to the
+        file in (n, level) order, as whole lines in one write."""
+        fresh = {}
+        for n, level, value in sorted(records):
+            held = self._store.get((n, level), fresh.get((n, level)))
+            if held is None:
+                fresh[n, level] = value
+            elif held != value:
+                raise CacheFormatError(f"p_{n}^({level}) = {value} contradicts {held}")
+        self._store.update(fresh)
+        if self.path is not None and fresh:
             if self._fd is None:
                 self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-            record = f"T {n} {level} {value}\n".encode("ascii")
-            if os.write(self._fd, record) != len(record):
-                raise OSError(f"{self.path}: short write of cache record {record!r}")
+            data = "".join(f"T {n} {level} {value}\n" for (n, level), value in fresh.items())
+            if os.write(self._fd, data.encode("ascii")) != len(data):
+                raise OSError(f"{self.path}: short write of {len(fresh)} cache records")
 
     def close(self):
         """Release the append descriptor; a later store opens it again."""
@@ -178,7 +192,7 @@ def _value_certainly_above(idx, cap):
     2^-50 of idx ln idx, so it decides when it is farther than _FLOAT_BAND
     from cap; inside that band ``compare_int`` decides.
     """
-    if idx < 2:
+    if idx * idx.bit_length() <= cap:  # idx log idx < idx bitlen(idx)
         return False
     approx = idx * math.log(idx)
     if approx * (1 - _FLOAT_BAND) > cap:
@@ -188,27 +202,33 @@ def _value_certainly_above(idx, cap):
     return compare_int(cap, lambda: idx * mp.log(idx), 15)[0] > 0
 
 
-def walk(n, cap, cache=None):
-    """Yield p_n^(1), p_n^(2), ... while they are <= cap.
+def towers(ns, k, cap, cache=None):
+    """{n: [p_n^(1), p_n^(2), ...]} for each distinct n of ns: its levels <= cap, at most k.
 
-    A cache miss ends the walk if ``_value_certainly_above`` holds; otherwise
-    the level is computed and stored, even when it lands above cap.
+    The live bases climb one level at a time; a cache miss ends its base if
+    ``_value_certainly_above`` holds, and the others look up the indices they
+    name in one nth_primes call.  A computed level is stored even when it
+    lands above cap, and all computed levels go to the cache in one put_many,
+    also when an error ends the walk.
     """
-    if cache is None:
-        cache = TowerCache()
-    idx, level = n, 1
-    while True:
-        value = cache.get(n, level)
-        if value is None:
-            # idx log idx < idx bitlen(idx) <= cap puts p_idx within reach
-            if idx * idx.bit_length() > cap and _value_certainly_above(idx, cap):
-                return
-            value = nth_prime(idx)
-            cache.put(n, level, value)
-        if value > cap:
-            return
-        yield value
-        idx, level = value, level + 1
+    cache = TowerCache() if cache is None else cache
+    out = {int(n): [] for n in ns}
+    live, computed, level = list(out), [], 1
+    try:
+        while live and level <= k:
+            got = {n: cache.get(n, level) for n in live}
+            idx = {n: out[n][-1] if out[n] else n for n in live}
+            miss = [n for n in live if got[n] is None and not _value_certainly_above(idx[n], cap)]
+            if miss:  # distinct indices: p_n^(level - 1) rises with n
+                got.update(zip(miss, nth_primes([idx[n] for n in miss])))
+            computed += [(n, level, got[n]) for n in miss]
+            live = [n for n in live if got[n] is not None and got[n] <= cap]
+            for n in live:
+                out[n].append(got[n])
+            level += 1
+    finally:
+        cache.put_many(computed)
+    return out
 
 
 def _dusart(a, b):
@@ -261,7 +281,7 @@ def iterate_prime(n, k, budget=DEFAULT_BUDGET, cache=None):
     n, k = int(n), int(k)
     if n < 1 or k < 1:
         raise InvalidRangeError("tower requires n >= 1 and k >= 1")
-    values = list(islice(walk(n, budget, cache), k))
+    values = towers([n], k, budget, cache)[n]
     if not values:
         raise BudgetExceededError(f"p_{n} already exceeds budget {budget}", deepest_level=0)
     return Tower(n=n, values=values, truncated=len(values) < k)

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from primeth import TowerCache, engine, iterate_prime
+from primeth import TowerCache, engine
+from primeth.iterated import towers
 
 from oracle import sieve_primes
 
@@ -43,8 +44,4 @@ def primes_1e7():
 @pytest.fixture(scope="session")
 def towers_to_1e9(cache):
     """All towers for n <= 100 truncated at value 10^9, computed once."""
-    out = {}
-    for n in range(1, 101):
-        tower = iterate_prime(n, 12, budget=10**9, cache=cache)
-        out[n] = tower.values
-    return out
+    return towers(range(1, 101), 12, 10**9, cache)

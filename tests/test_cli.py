@@ -769,10 +769,19 @@ class TestDeterminismAndCache:
                 "d52b1b917cd0259e97cef6fe5c489e604efbbe68112517898e3885298954708e",
                 "truncated at level 6 of 11: next value exceeds budget 100000\n",
             ),
+            # recorded at fe57e9f, before towers went level by level: 61 of
+            # its 600 levels lie past the 2^24 table
+            (
+                ["verify", "all", "--n-max", "100", "--k-max", "6", "--no-timestamp"], 0,
+                "26576683a4282a5ac8f02b7426154e188342a7f2e8b67b99580ffcde3e40bf23",
+                "3997db219ba9d8b89e9a57082f8ddb2cbba0e55070c2716c6de3dbf022f1d0ae",
+                "suite=all applicable=1343 held=1343 violated=0 inapplicable=2257\n",
+            ),
         ],
         ids=[
             "iter_truncated", "table_ratios", "table_counts", "table_counts_below_16",
             "table_counts_inside", "table_residuals", "table_residuals_budget", "table_ratios_budget",
+            "verify_sweep",
         ],
     )
     def test_output_and_cache_pinned(
@@ -794,6 +803,25 @@ class TestDeterminismAndCache:
             for record in cache_path.read_text().splitlines():
                 n, level, value = map(int, record.split()[1:])
                 assert tower_by_sieve(n, level, primes_3e6)[-1] == value
+
+
+    def test_verify_stores_its_records_in_one_write(self, capsys, tmp_path, monkeypatch):
+        # 2000 bases of 3 levels each: 6000 records, all in one write
+        writes, write = [], os.write
+
+        def recorded(fd, data):
+            if data.startswith(b"T "):
+                writes.append(data.count(b"\n"))
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", recorded)
+        cache_path = tmp_path / "towers.txt"
+        code, _, _ = run(
+            capsys, "verify", "all", "--n-max", "2000", "--k-max", "3", "--no-timestamp",
+            "--cache", str(cache_path),
+        )
+        assert code == 0 and writes == [6000]
+        assert len(cache_path.read_text().splitlines()) == 6000
 
 
 def _readme_cli_lines():

@@ -32,14 +32,14 @@ DIAG_PAST_7 = [50728129, 1559861749, 64988430769, 2428095424619, 119543903707171
 def _walk_count_diag(x, cache):
     """count_diag as the walk alone decided it, before brackets."""
     k = 1
-    while len(list(islice(iterated.walk(k, x, cache), k))) == k:
+    while len(iterated.towers([k], k, x, cache)[k]) == k:
         k += 1
     return k - 1
 
 
 def _walk_count_tower(n, x, cache):
     """count_tower as the walk alone decided it, before brackets."""
-    return sum(1 for _ in iterated.walk(n, x, cache))
+    return len(iterated.towers([n], x, x, cache)[n])
 
 
 class TestCountDiag:
@@ -165,7 +165,8 @@ class TestCountIdentity:
         # level is bracketed afresh
         values = DIAG + DIAG_PAST_7[:3]
         for n in self.BASES:
-            values += list(iterated.walk(n, iterated.DEFAULT_BUDGET - 1, cache))
+            cap = iterated.DEFAULT_BUDGET - 1
+            values += iterated.towers([n], cap, cap, cache)[n]
         for x in sorted({x for v in values for x in (v - 1, v, v + 1)}):
             assert count_diag(x) == _walk_count_diag(x, cache), x
             for n in self.BASES:
@@ -180,10 +181,10 @@ class TestCountIdentity:
 
     def test_decision_at_the_bracket_ends(self, monkeypatch):
         # a level counts once x >= hi, ends the count while x < lo, and sends
-        # x in [lo, hi) to the exact walk, here a stub yielding 9 levels
+        # x in [lo, hi) to the exact walk, here a stub giving 9 levels
         levels = [(7, 7), (20, 25), (30, 40)]
         monkeypatch.setattr(counting, "brackets", lambda n, cache: iter(levels))
-        monkeypatch.setattr(counting, "walk", lambda n, x, cache: iter(range(9)))
+        monkeypatch.setattr(counting, "towers", lambda ns, k, x, cache: {n: [0] * 9 for n in ns})
         xs = (6, 7, 19, 20, 24, 25, 29, 30, 39, 40)
         assert [count_tower(1, x) for x in xs] == [0, 1, 1, 9, 9, 2, 2, 9, 9, 3]
 
@@ -240,13 +241,13 @@ class TestTowerWork:
     def test_nth_prime_calls_pinned(self, monkeypatch, call, recorded, digest, exact):
         assert hashlib.sha256(" ".join(map(str, recorded)).encode()).hexdigest() == digest
         calls = []
-        nth_prime = iterated.nth_prime
+        nth_primes = iterated.nth_primes
 
-        def recorded_call(idx):
-            calls.append(idx)
-            return nth_prime(idx)
+        def recorded_call(idxs):
+            calls.extend(idxs)
+            return nth_primes(idxs)
 
-        monkeypatch.setattr(iterated, "nth_prime", recorded_call)
+        monkeypatch.setattr(iterated, "nth_primes", recorded_call)
         call()
         if exact:
             assert calls == recorded
@@ -254,8 +255,8 @@ class TestTowerWork:
             assert set(calls) <= set(recorded)
 
     def test_count_diag_1e10_computes_no_prime(self, monkeypatch, fresh_table):
-        # brackets decide every level: no nth_prime call and only the 2^19 table
-        monkeypatch.setattr(iterated, "nth_prime", lambda idx: pytest.fail(f"nth_prime({idx})"))
+        # brackets decide every level: no lookup and only the 2^19 table
+        monkeypatch.setattr(iterated, "nth_primes", lambda idxs: pytest.fail(f"nth_primes({idxs})"))
         tracemalloc.start()
         try:
             assert count_diag(10**10) == 9

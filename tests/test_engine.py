@@ -18,7 +18,7 @@ from primeth import (
     prime_count,
     sieve_segment,
 )
-from primeth import engine, iterated
+from primeth import engine
 from primeth.cli import main
 
 from oracle import pi_by_sieve, primes_in_window, sieve_primes, trial_isprime, window_primes
@@ -108,7 +108,7 @@ class TestSieveSegment:
     def test_ceiling_exits_3_from_cli(self, monkeypatch, capsys):
         # a walk that crosses the ceiling is out of range, like a count above it
         monkeypatch.setattr(engine, "_r_inverse", lambda n: 2**48 - 100)
-        monkeypatch.setattr(engine, "prime_count", lambda x: 0)
+        monkeypatch.setattr(engine, "prime_counts", lambda xs: [0] * len(xs))
         assert main(["nth", str(10**8)]) == 3
         assert capsys.readouterr().err.startswith("error: sieving primes")
 
@@ -298,6 +298,61 @@ class TestPrimeCount:
         assert "2^48" in capsys.readouterr().err
 
 
+class TestPrimeCounts:
+    """prime_counts counts a batch of x in one rough sieve, a column per x."""
+
+    # the x of TestPrimeCount.test_switch_points
+    SWITCH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 47, 53, 251, 257, 997, 2203, 3137)
+
+    def test_unsorted_batch_with_duplicates(self, primes_1e7):
+        # x below 13^3 read the table, the others share one sieve; the
+        # counts come back in the order given, once per x given
+        xs = [10**7, 5, 2197, 0, 2196, 10**7, 2198, 1, 123456, 2, 10**6, 5, 2197]
+        assert engine.prime_counts(xs) == [pi_by_sieve(x, primes_1e7) for x in xs]
+        assert engine.prime_counts([]) == []
+        assert engine.prime_counts(iter([100, 10])) == [25, 4]
+
+    def test_switch_points_in_one_batch(self, primes_1e7):
+        # up to 10^7 against the sieve, and past it as differences against a
+        # sieved window (lo, x]; every x of a block has its own stop rows
+        small, windows = [], []
+        for p in self.SWITCH_PRIMES:
+            for m in (p * p, 2 * p * p, p**3, p**4):
+                if m + 1 <= 10**7:
+                    small += [m - 1, m, m + 1]
+                elif m <= 2**33:
+                    windows.append((m - 10**5, [m - 1, m, m + 1]))
+        xs = small + [x for lo, top in windows for x in [lo, *top]]
+        counts = dict(zip(xs, engine.prime_counts(xs)))
+        assert [counts[x] for x in small] == [pi_by_sieve(x, primes_1e7) for x in small]
+        for lo, top in windows:
+            for x in top:
+                assert counts[x] - counts[lo] == primes_in_window(lo + 1, x), x
+
+    def test_batch_equals_one_by_one(self):
+        # 40 x in [13^3, 3*10^8] in blocks, and 13^3 beside 10^11 in one block
+        rng = np.random.default_rng(3)
+        xs = rng.integers(13**3, 3 * 10**8, 40).tolist()
+        assert engine.prime_counts(xs) == [prime_count(x) for x in xs]
+        assert engine.prime_counts([10**11, 13**3]) == [4118054813, 327]
+
+    @given(st.lists(st.integers(min_value=0, max_value=10**7), max_size=30))
+    @settings(max_examples=30, deadline=None)
+    def test_random_batches(self, primes_1e7, xs):
+        assert engine.prime_counts(xs) == [pi_by_sieve(x, primes_1e7) for x in xs]
+
+    def test_ceiling_of_any_x(self):
+        with pytest.raises(UnsupportedRangeError):
+            engine.prime_counts([10, 2**48, 100])
+        with pytest.raises(InvalidRangeError):
+            engine.prime_counts([10, -1])
+
+    def test_nth_primes_in_the_order_given(self):
+        ns = [10**7, 25, 3_000_000, 1, 10**7, engine._TABLE_PRIMES + 1]
+        assert engine.nth_primes(ns) == [nth_prime(n) for n in ns]
+        assert engine.nth_primes(ns)[:2] == [179424673, 97]
+
+
 def _r_inverse_by_mpmath(n):
     """Reference seed: the same Newton steps on mpmath's riemannr at 15 digits."""
     x = n * math.log(n)
@@ -466,8 +521,10 @@ class TestNthPrime:
     def test_one_exit_code_either_side_of_the_ceiling(self, monkeypatch, capsys):
         # a seed just below 2^48 makes the walk cross the ceiling; a seed at
         # 2^48 makes the exact count refuse it; both are the same bad request
-        count = engine.prime_count
-        monkeypatch.setattr(engine, "prime_count", lambda x: 0 if x < 2**48 else count(x))
+        counts = engine.prime_counts
+        monkeypatch.setattr(
+            engine, "prime_counts", lambda xs: [0 if x < 2**48 else counts([x])[0] for x in xs]
+        )
         codes = []
         for seed in (2**48 - 100, 2**48):
             monkeypatch.setattr(engine, "_r_inverse", lambda n, s=seed: s)
@@ -476,47 +533,44 @@ class TestNthPrime:
         assert codes == [3, 3]
 
     def test_one_exact_count_per_lookup(self, monkeypatch):
-        xs = []
+        batches = []
+        counts = engine.prime_counts
 
-        def counting(x):
-            xs.append(x)
-            return prime_count(x)
+        def counting(xs):
+            batches.append(list(xs))
+            return counts(xs)
 
-        monkeypatch.setattr(engine, "prime_count", counting)
+        monkeypatch.setattr(engine, "prime_counts", counting)
         nth_prime(1000)
-        assert xs == []
+        assert [len(batch) for batch in batches if batch] == []
         nth_prime(3_000_000)
-        assert len(xs) == 1
+        assert [len(batch) for batch in batches if batch] == [1]
 
     def test_one_count_and_one_window_per_lookup_of_the_sweep(self, monkeypatch, capsys):
-        # verify all --n-max 100 --k-max 6 looks up 61 primes past the table;
+        # verify all --n-max 100 --k-max 6 looks up 61 primes past the table,
+        # all at level 6: one prime_counts call counts at their 61 seeds, and
         # R^-1 lands within 0.45 sqrt(x) of each, so the first window holds it
-        lookups, open_lookup = [], []
-        count, segment, lookup = engine.prime_count, engine.sieve_segment, iterated.nth_prime
+        batches, windows = [], []
+        counts, segment = engine.prime_counts, engine.sieve_segment
 
-        def counting(x):
-            open_lookup[-1][0] += 1
-            return count(x)
+        def counting(xs):
+            batches.append(list(xs))
+            return counts(xs)
 
         def sieving(lo, hi, **kwargs):
             if lo > engine._TABLE_LIMIT:  # a walk window, not a table window
-                open_lookup[-1][1] += 1
+                windows.append((lo, hi))
             return segment(lo, hi, **kwargs)
 
-        def looking_up(n):
-            if n <= engine._TABLE_PRIMES:
-                return lookup(n)
-            open_lookup.append([0, 0])
-            p = lookup(n)
-            lookups.append(tuple(open_lookup.pop()))
-            return p
-
-        monkeypatch.setattr(engine, "prime_count", counting)
+        monkeypatch.setattr(engine, "prime_counts", counting)
         monkeypatch.setattr(engine, "sieve_segment", sieving)
-        monkeypatch.setattr(iterated, "nth_prime", looking_up)
         assert main(["verify", "all", "--n-max", "100", "--k-max", "6", "--no-timestamp"]) == 0
         capsys.readouterr()
-        assert lookups == [(1, 1)] * 61
+        seeds = [x for batch in batches for x in batch]
+        assert [len(batch) for batch in batches if batch] == [61]
+        assert len(set(seeds)) == 61 and min(seeds) > engine._TABLE_LIMIT
+        assert len(windows) == 61
+        assert all(min(abs(lo - 1 - x), abs(hi - x)) == 0 for (lo, hi), x in zip(windows, seeds))
 
     @given(st.integers(min_value=1, max_value=10_000))
     @settings(max_examples=60, deadline=None)

@@ -1,7 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy
 from mpmath import mp, mpf
 
 from primeth import (
@@ -14,9 +17,9 @@ from primeth import (
     nth_prime,
     ratio_to_diagonal,
 )
-from primeth import engine
+from primeth import engine, iterated
 from primeth.hpreal import DEFAULT_PREC
-from primeth.iterated import _FLOAT_BAND, _value_certainly_above
+from primeth.iterated import _FLOAT_BAND, _value_certainly_above, towers
 
 from oracle import n_log_n_by_decimal, sieve_primes, tower_by_sieve
 
@@ -68,6 +71,83 @@ class TestIteratePrime:
         for n in range(1, 11):
             for k in range(4):
                 assert grid[n][k] < grid[n][k + 1]
+
+
+class TestTowers:
+    """towers walks all its bases one level at a time, one lookup per level."""
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        """The index lists of the nth_primes calls towers makes."""
+        calls, nth_primes = [], iterated.nth_primes
+
+        def recorded(idxs):
+            calls.append(list(idxs))
+            return nth_primes(idxs)
+
+        monkeypatch.setattr(iterated, "nth_primes", recorded)
+        return calls
+
+    def test_against_the_sieve(self, primes_1e7, lookups):
+        # the levels <= 10^7 of each base n <= 300, at most 6: a level is
+        # <= 10^7 exactly while its index is at most pi(10^7)
+        cache = TowerCache()
+        got = towers(range(1, 301), 6, 10**7, cache)
+        assert list(got) == list(range(1, 301))
+        for n, values in got.items():
+            expected, idx = [], n
+            while len(expected) < 6 and idx <= len(primes_1e7):
+                idx = int(primes_1e7[idx - 1])
+                expected.append(idx)
+            assert values == expected, n
+            if len(values) < 6:  # the level past the cap: stored unless skipped
+                idx = values[-1] if values else n
+                stored = cache.get(n, len(values) + 1)
+                assert (stored is None) == _value_certainly_above(idx, 10**7), n
+                assert stored is None or stored > 10**7
+        assert len(lookups) == 6  # one call per level
+        assert all(len(set(idxs)) == len(idxs) for idxs in lookups)
+
+    def test_truncation_skip_and_level_stored_above_the_cap(self):
+        # p_1^(12) = p_9737333 = 174440041, and 9737333 ln 9737333 ~ 1.566e8:
+        # at cap 10^8 the skip decides level 12 unseen; at cap 1.6e8 it is
+        # computed, stored, and lies above the cap
+        for cap, stored in ((10**8, None), (160_000_000, 174440041)):
+            cache = TowerCache()
+            assert towers([1], 20, cap, cache)[1] == PRIMETH_RECURRENCE + [648391, 9737333]
+            assert cache.get(1, 12) == stored
+        assert towers([1], 3, 10**9)[1] == [2, 3, 5]
+
+    def test_bases_that_share_an_index(self, lookups):
+        # base 2 repeats: it is walked once; p_2 is level 1 of base 2 and level
+        # 2 of base 1, p_3 level 1 of base 3 and level 2 of base 2
+        cache = TowerCache()
+        got = towers([3, 2, 1, 2], 4, 10**6, cache)
+        assert got == {3: [5, 11, 31, 127], 2: [3, 5, 11, 31], 1: [2, 3, 5, 11]}
+        assert lookups == [[3, 2, 1], [5, 3, 2], [11, 5, 3], [31, 11, 5]]
+        assert len(cache) == 12
+        lookups.clear()
+        assert towers([2, 2, 5], 2, 10**6, cache) == {2: [3, 5], 5: [11, 31]}
+        assert lookups == [[5], [11]]  # base 2 is cached
+
+    def test_stores_in_base_and_level_order_also_on_error(self, tmp_path, monkeypatch):
+        # the file gets the records sorted by (n, level) in one write, and
+        # the levels computed before an error still reach it: level 3 looks
+        # up p_17, and the probe fails past p_10
+        path = tmp_path / "towers.txt"
+        nth_primes = iterated.nth_primes
+
+        def failing(idxs):
+            if max(idxs) > 10:
+                raise BudgetExceededError("probe", deepest_level=0)
+            return nth_primes(idxs)
+
+        monkeypatch.setattr(iterated, "nth_primes", failing)
+        with pytest.raises(BudgetExceededError):
+            towers([4, 1, 3], 5, 10**6, TowerCache(str(path)))
+        assert path.read_text().splitlines() == [
+            "T 1 1 2", "T 1 2 3", "T 3 1 5", "T 3 2 11", "T 4 1 7", "T 4 2 17",
+        ]
 
 
 class TestValueCertainlyAbove:
@@ -165,6 +245,32 @@ class TestRatioToDiagonal:
         assert ratio < float(Fraction(tower[7], tower[8]))
 
 
+def _level_error_by_loop(path, store, primes):
+    """The CacheFormatError message of TowerCache's level checks on store, or
+    None, as the loop over one record at a time decided it.
+
+    primes are the primes up to 10^7, above every value of store below 2^24.
+    """
+    small = [v for v in store.values() if v < 2**24]
+    table = primes[: np.searchsorted(primes, max(small, default=1), side="right")].tolist()
+    tabled, listed = len(table), set(table)
+    below, mismatch = {}, None
+    for (n, level), value in sorted(store.items()):
+        floor = below.get(n, n)
+        if not (value in listed if value < 2**24 else sympy.isprime(value)):
+            return f"{path}: p_{n}^({level}) = {value} is not prime"
+        if value <= floor:
+            return f"{path}: p_{n}^({level}) = {value} is not above {floor}"
+        below[n] = value
+        idx = n if level == 1 else store.get((n, level - 1), 0)
+        if 0 < idx <= tabled:
+            if mismatch is None and value != table[idx - 1]:
+                mismatch = f"{path}: p_{n}^({level}) = {value} is not p_{idx} = {table[idx - 1]}"
+        elif idx > tabled and (idx <= engine._TABLE_PRIMES or value < 2**24):
+            return f"{path}: p_{n}^({level}) = {value} is not p_{idx}"
+    return mismatch
+
+
 class TestTowerCache:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "towers.txt"
@@ -239,6 +345,59 @@ class TestTowerCache:
         assert len(reloaded) == 900 and reloaded.get(300, 3) == 191551
         assert engine._TABLE[0] == 1 << 18
 
+    @pytest.mark.parametrize(
+        "lines, reason",
+        [
+            # the rise and prime checks of a later record come before the
+            # tabled prime check of an earlier one: p_5 = 11, not 13
+            (["T 9 1 23", "T 9 2 84", "T 3 1 5", "T 3 2 13"], "p_9\\^\\(2\\) = 84 is not prime"),
+            (["T 9 2 83", "T 9 1 89", "T 3 1 5", "T 3 2 13"], "p_9\\^\\(2\\) = 83 is not above 89"),
+            (["T 8 1 19", "T 3 2 13", "T 3 1 5", "T 7 2 53"], "p_3\\^\\(2\\) = 13 is not p_5 = 11"),
+            # the first of two bad records in (n, level) order
+            (["T 9 1 23", "T 9 2 84", "T 5 1 11", "T 5 2 12"], "p_5\\^\\(2\\) = 12 is not prime"),
+            (["T 7 1 17", "T 7 2 61", "T 7 3 19"], "p_7\\^\\(3\\) = 19 is not above 61"),
+        ],
+    )
+    def test_bad_record_after_a_valid_one(self, tmp_path, lines, reason):
+        path = tmp_path / "towers.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CacheFormatError, match=reason):
+            TowerCache(str(path))
+
+    def test_checks_agree_with_the_per_record_loop(self, tmp_path, primes_1e7):
+        # random towers, some records changed or left out, some keys and
+        # values past int64, against the checks made one record at a time
+        rng = random.Random(11)
+        big = [32452843, 32452867, 4294967311, 9223372036854775837, 18446744073709551557]
+        path = tmp_path / "towers.txt"
+        outcomes = set()
+        for _ in range(300):
+            store = {}
+            bases = rng.sample(range(1, 60), rng.randrange(1, 6))
+            for n in bases + rng.sample([2_000_000, 2**63 + 1], rng.randrange(0, 2)):
+                idx = n
+                for level in range(1, rng.randrange(2, 6)):
+                    value = int(primes_1e7[idx - 1]) if idx <= len(primes_1e7) else rng.choice(big)
+                    roll = rng.random()
+                    if roll < 0.05:
+                        value = value + 2 if value < 10**7 else rng.choice(big)
+                    elif roll < 0.1:
+                        value = int(primes_1e7[rng.randrange(2000)])
+                    elif roll < 0.13:
+                        continue
+                    store[n, level] = idx = value
+                    if idx > 10**6:
+                        break
+            path.write_text("".join(f"T {n} {level} {v}\n" for (n, level), v in store.items()))
+            try:
+                TowerCache(str(path))
+                got = None
+            except CacheFormatError as exc:
+                got = str(exc)
+            assert got == _level_error_by_loop(str(path), store, primes_1e7), store
+            outcomes.add(got and got.split(" is not ")[1].split(" ")[0])
+        assert outcomes >= {None, "prime", "above"} and len(outcomes) >= 5
+
     def test_valid_records_load(self, tmp_path):
         # levels may be missing, records repeat, and bases interleave
         path = tmp_path / "towers.txt"
@@ -289,6 +448,30 @@ class TestTowerCache:
         reloaded = TowerCache(str(path))
         assert len(reloaded) == 600
         assert reloaded.get(600, 1) == primes[599]
+
+    def test_two_writers_interleaving_batches_keep_whole_lines(self, tmp_path):
+        # each batch goes out sorted, in one write, between the other
+        # writer's batches; the file reloads with every record whole
+        primes = sieve_primes(10_000).tolist()
+        path = tmp_path / "towers.txt"
+        first, second = TowerCache(str(path)), TowerCache(str(path))
+        for start in range(1, 601, 50):
+            cache = second if start // 50 % 2 else first
+            cache.put_many([(n, 1, primes[n - 1]) for n in reversed(range(start, start + 50))])
+        first.put_many([])
+        first.close()
+        second.close()
+        assert path.read_text().splitlines() == [f"T {n} 1 {primes[n - 1]}" for n in range(1, 601)]
+        assert len(TowerCache(str(path))) == 600
+
+    def test_batch_that_contradicts_a_record_stores_nothing(self, tmp_path):
+        path = tmp_path / "towers.txt"
+        cache = TowerCache(str(path))
+        cache.put_many([(3, 1, 5), (3, 1, 5)])
+        with pytest.raises(CacheFormatError, match="= 7 contradicts 5"):
+            cache.put_many([(2, 1, 3), (3, 1, 7)])
+        cache.close()
+        assert path.read_text() == "T 3 1 5\n" and cache.get(2, 1) is None
 
     def test_store_after_close_reopens(self, tmp_path):
         path = tmp_path / "towers.txt"
