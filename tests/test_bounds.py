@@ -97,7 +97,7 @@ class TestUpperBoundL1:
         assert abs(float(upper_bound_L1(9, 10)) / expected - 1) < 1e-12
 
     def test_hypothesis(self):
-        with pytest.raises(InapplicableIndexError):
+        with pytest.raises(InapplicableIndexError, match=r"^upper bound needs n >= 9$"):
             upper_bound_L1(8, 1)
         with pytest.raises(DomainError):
             upper_bound_L1(9, 0)
@@ -139,15 +139,17 @@ class TestLowerBoundSimple:
         assert bound < tower.values[-1]
 
     def test_hypothesis(self):
-        with pytest.raises(InapplicableIndexError):
+        with pytest.raises(
+            InapplicableIndexError, match=r"^lower bound is vacuous at n = 1 \(log 1 = 0\)$"
+        ):
             lower_bound_simple(1, 3)
 
 
 class TestLowerBoundL3:
     def test_hypothesis_edges(self):
-        with pytest.raises(HypothesisViolatedError):
+        with pytest.raises(HypothesisViolatedError, match=r"^needs log n > 4200$"):
             lower_bound_L3(4200, 4200)
-        with pytest.raises(HypothesisViolatedError):
+        with pytest.raises(HypothesisViolatedError, match=r"^needs k >= floor\(log n\)$"):
             lower_bound_L3(4201, 4200)
 
     def test_cancellation_at_boundary(self):

@@ -207,6 +207,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "nth", "0")
         assert code == 3 and "error" in err
 
+    # out-of-domain arguments: each prints its one line and exits 3
+    DOMAIN_LINES = [
+        (["pi", "-1"], "prime_count requires x >= 0"),
+        (["nth", "0"], "nth_prime requires n >= 1"),
+        (["iter", "0", "3"], "tower requires n >= 1 and k >= 1"),
+        (["iter", "3", "0"], "tower requires n >= 1 and k >= 1"),
+        (["diag", "0"], "diag_prime requires k >= 1"),
+        (["count", "diag", "0"], "count_diag requires x >= 1"),
+        (["count", "tower", "0", "5"], "count_tower requires n >= 1 and x >= 1"),
+        (["table", "counts", "30,20"], "xs must be sorted ascending"),
+        (["table", "ratios", "0", "3"], "ratio table requires n >= 1 and k_max >= 1"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, line", DOMAIN_LINES, ids=[" ".join(argv) for argv, _ in DOMAIN_LINES]
+    )
+    def test_domain_error_line_pinned(self, capsys, argv, line):
+        assert run(capsys, *argv) == (3, "", f"error: {line}\n")
+
     def test_bad_cache_exits_3(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("garbage\n")

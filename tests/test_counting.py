@@ -64,7 +64,7 @@ class TestCountDiag:
             count_diag(10**7, budget=10**6, cache=cache)
 
     def test_invalid(self, cache):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidRangeError, match=r"^count_diag requires x >= 1$"):
             count_diag(0, cache=cache)
 
 
@@ -304,7 +304,7 @@ class TestRatioSeries:
         assert [row[:4] for row in rows] == [(10**4, 5, 1, 8), (10**4, 5, 2, 7)]
 
     def test_requires_sorted_xs(self, cache):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidRangeError, match=r"^xs must be sorted ascending$"):
             ratio_series([100, 10], [], cache=cache)
 
     def test_csv_layout(self, capsys):

@@ -79,9 +79,9 @@ class TestSieveSegment:
         assert peak < 16 * 2**20
 
     def test_invalid_range(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidRangeError, match=r"^lo=10 > hi=5$"):
             sieve_segment(10, 5)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidRangeError, match=r"^lo=1 < 2$"):
             sieve_segment(1, 5)
 
     def test_budget(self):
@@ -89,7 +89,8 @@ class TestSieveSegment:
         # before it allocates the 64 MB of flags
         tracemalloc.start()
         try:
-            with pytest.raises(SegmentTooLargeError):
+            message = r"^segment holds 67108865 odd integers, the limit is 67108864$"
+            with pytest.raises(SegmentTooLargeError, match=message):
                 sieve_segment(3, 3 + 2**27)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -140,6 +141,11 @@ class TestIsPrime:
         # strong pseudoprime to several small bases
         assert not is_prime(3215031751)
 
+    def test_rejects_negative(self):
+        message = r"^primality is defined for non-negative integers$"
+        with pytest.raises(InvalidRangeError, match=message):
+            is_prime(-1)
+
     def test_rejects_beyond_deterministic_regime(self):
         with pytest.raises(UnsupportedRangeError):
             is_prime(2**64)
@@ -159,7 +165,7 @@ class TestPrimeCount:
         assert prime_count(10**6) == 78498
 
     def test_negative(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidRangeError, match=r"^prime_count requires x >= 0$"):
             prime_count(-1)
 
     @given(st.integers(min_value=0, max_value=10**7))
@@ -432,7 +438,7 @@ class TestNthPrime:
         assert 10 * math.log(10) < p < 20 * math.log(10)
 
     def test_invalid(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidRangeError, match=r"^nth_prime requires n >= 1$"):
             nth_prime(0)
 
     def test_reads_a_smaller_table_already_built(self, fresh_table):

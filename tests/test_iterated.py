@@ -51,9 +51,9 @@ class TestIteratePrime:
         assert exc.value.deepest_level == 0
 
     def test_invalid_spec(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidRangeError, match=r"^tower requires n >= 1 and k >= 1$"):
             iterate_prime(0, 1)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidRangeError, match=r"^tower requires n >= 1 and k >= 1$"):
             iterate_prime(1, 0)
 
     def test_strictly_increasing_and_prime_levels(self, cache, primes_3e6):
