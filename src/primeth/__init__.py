@@ -34,17 +34,12 @@ from .errors import (
     BudgetExceededError,
     CacheFormatError,
     DomainError,
-    HypothesisViolatedError,
-    InapplicableIndexError,
-    InvalidRangeError,
     PrimethError,
-    SegmentTooLargeError,
     ThresholdViolatedError,
     UnsupportedRangeError,
 )
 from .iterated import (
     DEFAULT_BUDGET,
-    DiagEntry,
     Tower,
     TowerCache,
     diag_prime,
@@ -59,14 +54,9 @@ __all__ = [
     "CacheFormatError",
     "CertReport",
     "DEFAULT_BUDGET",
-    "DiagEntry",
     "DomainError",
-    "HypothesisViolatedError",
-    "InapplicableIndexError",
-    "InvalidRangeError",
     "PrimethError",
     "SegmentTable",
-    "SegmentTooLargeError",
     "ThresholdViolatedError",
     "Tower",
     "TowerCache",

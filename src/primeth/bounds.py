@@ -22,7 +22,7 @@ from collections import namedtuple
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_log, to_fixed
 
-from .errors import DomainError, HypothesisViolatedError, InapplicableIndexError
+from .errors import DomainError
 from .hpreal import DEFAULT_PREC, MAX_ESCALATION_PREC, sign_and_text
 
 
@@ -108,7 +108,7 @@ def upper_bound_L1(n, k, prec=DEFAULT_PREC):
     """2^(2k-1) * n * (k-1)! * (log max(k, n))^k, valid for n >= 9."""
     n, k = int(n), int(k)
     if n < 9:
-        raise InapplicableIndexError("upper bound needs n >= 9")
+        raise DomainError("upper bound needs n >= 9")
     if k < 1:
         raise DomainError("upper bound needs k >= 1")
     return _rounded(_ROW["iter_upper"], n, k, prec)
@@ -118,7 +118,7 @@ def lower_bound_simple(n, k, prec=DEFAULT_PREC):
     """n (log n)^k, valid for n >= 2."""
     n, k = int(n), int(k)
     if n < 2:
-        raise InapplicableIndexError("lower bound is vacuous at n = 1 (log 1 = 0)")
+        raise DomainError("lower bound is vacuous at n = 1 (log 1 = 0)")
     if k < 1:
         raise DomainError("lower bound needs k >= 1")
     return _rounded(_ROW["iter_lower"], n, k, prec)
@@ -128,9 +128,9 @@ def _l3_log_n(log_n, k):
     """log n as an mpf, once the hypothesis of lower_bound_L3 is checked."""
     log_n = mpf(log_n)
     if not log_n > 4200:
-        raise HypothesisViolatedError("needs log n > 4200")
+        raise DomainError("needs log n > 4200")
     if k < mp.floor(log_n):
-        raise HypothesisViolatedError("needs k >= floor(log n)")
+        raise DomainError("needs k >= floor(log n)")
     return log_n
 
 

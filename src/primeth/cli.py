@@ -15,9 +15,7 @@ from datetime import datetime, timezone
 from mpmath import mp, mpf
 
 from . import bounds, certify, counting, engine, iterated
-from .errors import (
-    BudgetExceededError, DomainError, InvalidRangeError, PrimethError, ThresholdViolatedError,
-)
+from .errors import BudgetExceededError, DomainError, PrimethError, ThresholdViolatedError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -153,8 +151,7 @@ def _cmd_iter(args, cache):
 
 
 def _cmd_diag(args, cache):
-    entry = iterated.diag_prime(args.k, budget=args.budget, cache=cache)
-    print(entry.value)
+    print(iterated.diag_prime(args.k, budget=args.budget, cache=cache))
     return EXIT_OK
 
 
@@ -171,7 +168,7 @@ def _cmd_count(args, cache):
 def _cmd_verify(args, cache):
     k_max = 1 if args.suite == "rosser" else args.k_max
     if args.n_max < 1 or k_max < 1:
-        raise InvalidRangeError("tower requires n >= 1 and k >= 1")
+        raise DomainError("tower requires n >= 1 and k >= 1")
     lines = []
     tally = dict.fromkeys((True, False, None), 0)  # rows by holds; None: inapplicable
     truncated = False
@@ -228,11 +225,11 @@ def _cmd_table(args, cache):
         rows = []
         for k in range(3, k_max + 1):
             try:
-                entry = iterated.diag_prime(k, budget=args.budget, cache=cache)
+                value = iterated.diag_prime(k, budget=args.budget, cache=cache)
             except BudgetExceededError:
                 depth = k - 1
                 break
-            rows.append((k, entry.value, bounds.theorem4_residual(k, k, entry.value, args.prec)))
+            rows.append((k, value, bounds.theorem4_residual(k, k, value, args.prec)))
     else:
         header = ["k", "numerator", "denominator", "ratio"]
         rows = iterated.ratio_to_diagonal(

@@ -15,7 +15,7 @@ from itertools import islice
 
 from mpmath import mp
 
-from .errors import BudgetExceededError, DomainError, InvalidRangeError, UnsupportedRangeError
+from .errors import BudgetExceededError, DomainError, UnsupportedRangeError
 from .hpreal import DEFAULT_PREC
 from .iterated import DEFAULT_BUDGET, EXACT_LIMIT, brackets, towers
 
@@ -41,7 +41,7 @@ def count_diag(x, budget=DEFAULT_BUDGET, cache=None):
     """Number of k with p_k^(k) <= x."""
     x = int(x)
     if x < 1:
-        raise InvalidRangeError("count_diag requires x >= 1")
+        raise DomainError("count_diag requires x >= 1")
     if x > budget:
         raise BudgetExceededError(
             f"x={x} above budget {budget}: bracketing element not computable"
@@ -56,7 +56,7 @@ def count_tower(n, x, budget=DEFAULT_BUDGET, cache=None):
     """Number of k with p_n^(k) <= x."""
     n, x = int(n), int(x)
     if n < 1 or x < 1:
-        raise InvalidRangeError("count_tower requires n >= 1 and x >= 1")
+        raise DomainError("count_tower requires n >= 1 and x >= 1")
     if x > budget:
         raise BudgetExceededError(
             f"x={x} above budget {budget}: bracketing element not computable"
@@ -84,7 +84,7 @@ def ratio_series(xs, ns, budget=DEFAULT_BUDGET, prec=DEFAULT_PREC, cache=None):
     xs = [int(x) for x in xs]
     ns = [int(n) for n in ns]
     if any(a > b for a, b in zip(xs, xs[1:])):
-        raise InvalidRangeError("xs must be sorted ascending")
+        raise DomainError("xs must be sorted ascending")
     rows = []
     for x in xs:
         diag = count_diag(x, budget=budget, cache=cache)

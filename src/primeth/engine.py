@@ -32,11 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, zeta
 
-from .errors import (
-    InvalidRangeError,
-    SegmentTooLargeError,
-    UnsupportedRangeError,
-)
+from .errors import BudgetExceededError, DomainError, UnsupportedRangeError
 
 # Most odd integers one sieve segment tracks, at one byte of flags each.
 _SEGMENT_ODDS = 1 << 26
@@ -125,17 +121,17 @@ def sieve_segment(lo, hi, *, sieving=None):
     flags exactly mark the primes.  It sieves by sieving, the ascending primes
     from 2 up to at least isqrt(hi), when given, else by the prime table, above
     whose ceiling it raises UnsupportedRangeError.  Past _SEGMENT_ODDS odd
-    integers it raises SegmentTooLargeError, and both before any allocation.
+    integers it raises BudgetExceededError, and both before any allocation.
     """
     lo, hi = int(lo), int(hi)
     if lo > hi:
-        raise InvalidRangeError(f"lo={lo} > hi={hi}")
+        raise DomainError(f"lo={lo} > hi={hi}")
     if lo < 2:
-        raise InvalidRangeError(f"lo={lo} < 2")
+        raise DomainError(f"lo={lo} < 2")
     first_odd = lo if lo % 2 else lo + 1
     n_odd = max(0, (hi - first_odd) // 2 + 1)
     if n_odd > _SEGMENT_ODDS:
-        raise SegmentTooLargeError(
+        raise BudgetExceededError(
             f"segment holds {n_odd} odd integers, the limit is {_SEGMENT_ODDS}"
         )
     if sieving is None:
@@ -167,7 +163,7 @@ def is_prime(n):
     """Deterministic primality for 0 <= n < 2^64."""
     n = int(n)
     if n < 0:
-        raise InvalidRangeError("primality is defined for non-negative integers")
+        raise DomainError("primality is defined for non-negative integers")
     if n >= 1 << 64:
         raise UnsupportedRangeError(
             "deterministic witness set only covers n < 2^64"
@@ -210,7 +206,7 @@ def prime_counts(xs):
     """
     xs = [int(x) for x in xs]
     if any(x < 0 for x in xs):
-        raise InvalidRangeError("prime_count requires x >= 0")
+        raise DomainError("prime_count requires x >= 0")
     seeds = sorted(set(xs))
     if seeds:
         base_primes_upto(math.isqrt(seeds[-1]))  # raises at x >= 2^48
@@ -376,7 +372,9 @@ def nth_primes(ns):
     """The nth prime (1-based) for each n of ns, in the order given."""
     ns = [int(n) for n in ns]
     if any(n < 1 for n in ns):
-        raise InvalidRangeError("nth_prime requires n >= 1")
+        raise DomainError("nth_prime requires n >= 1")
+    if max(ns, default=0) >= _TABLE_LIMIT**2:  # then p_n > n is past every sieve
+        raise UnsupportedRangeError("nth_prime requires n < 2^48, as p_n > n must stay below it")
     table = _TABLE[1]
     if (most := max((n for n in ns if n <= _TABLE_PRIMES), default=0)) > len(table):
         # Rosser's p_n < n (ln n + ln ln n), n >= 6, sizes the table; its length decides

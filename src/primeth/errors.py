@@ -1,4 +1,9 @@
-"""primeth's exceptions; each class carries its CLI ``exit_code`` and stderr ``prefix``."""
+"""primeth's exceptions; each class carries its CLI ``exit_code`` and stderr ``prefix``.
+
+One class per remedy: fix the arguments (DomainError), raise the budget
+(BudgetExceededError), use a larger machine (UnsupportedRangeError), start
+a fresh cache file (CacheFormatError), or report a defect (ThresholdViolatedError).
+"""
 
 
 class PrimethError(Exception):
@@ -8,23 +13,13 @@ class PrimethError(Exception):
     prefix = "error"
 
 
-class InvalidRangeError(PrimethError):
-    """A sieving range with lo > hi or lo < 2."""
-
-
-class SegmentTooLargeError(PrimethError):
-    """A sieve segment would hold more odd integers than its size limit."""
-
-    exit_code = 2
-    prefix = "budget exhausted"
-
-
 class UnsupportedRangeError(PrimethError):
     """Input lies beyond the supported range (primality from 2^64, counts and sieves from 2^48)."""
 
 
 class BudgetExceededError(PrimethError):
-    """A computation needed a prime value above the configured budget.
+    """A computation needed a prime value above the configured budget, or a
+    sieve segment more odd integers than its size limit.
 
     ``deepest_level`` reports the last tower level that completed before
     the budget stopped the computation (0 when nothing completed).
@@ -43,15 +38,8 @@ class CacheFormatError(PrimethError):
 
 
 class DomainError(PrimethError):
-    """Argument outside the mathematical domain of a formula."""
-
-
-class InapplicableIndexError(PrimethError):
-    """A bound was requested for an index outside its stated hypothesis."""
-
-
-class HypothesisViolatedError(PrimethError):
-    """The huge-n lower bound was evaluated outside its hypothesis."""
+    """An argument outside what a function accepts: a range, an index below
+    a bound's stated hypothesis, or a formula's hypothesis that fails."""
 
 
 class ThresholdViolatedError(PrimethError):

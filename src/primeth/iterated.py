@@ -25,7 +25,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .engine import _TABLE_LIMIT, _TABLE_PRIMES, base_primes_upto, is_prime, nth_primes
-from .errors import BudgetExceededError, CacheFormatError, InvalidRangeError
+from .errors import BudgetExceededError, CacheFormatError, DomainError
 from .hpreal import DEFAULT_PREC, compare_int
 
 # Bounds the VALUE of a prime, not its index; reaches the diagonal
@@ -179,25 +179,22 @@ class Tower:
         return len(self.values)
 
 
-@dataclass
-class DiagEntry:
-    k: int
-    value: int
-
-
 def _value_certainly_above(idx, cap):
     """True when p_idx > cap follows already from p_idx > idx log idx (Rosser).
 
-    With a faithful libm log, idx*log(idx) in floats is within a relative
-    2^-50 of idx ln idx, so it decides when it is farther than _FLOAT_BAND
-    from cap; inside that band ``compare_int`` decides.
+    With a faithful libm log, log(idx) in floats is within a relative 2^-50
+    of ln idx and cap / idx (below bitlen(idx) there) is rounded correctly,
+    so they decide when farther apart than _FLOAT_BAND; inside that band
+    ``compare_int`` decides.  No float holds idx, so no index overflows one.
     """
+    if idx > cap:  # then idx log idx > cap too, for idx >= 2
+        return True
     if idx * idx.bit_length() <= cap:  # idx log idx < idx bitlen(idx)
         return False
-    approx = idx * math.log(idx)
-    if approx * (1 - _FLOAT_BAND) > cap:
+    log, ratio = math.log(idx), cap / idx
+    if log * (1 - _FLOAT_BAND) > ratio:
         return True
-    if approx * (1 + _FLOAT_BAND) < cap:
+    if log * (1 + _FLOAT_BAND) < ratio:
         return False
     return compare_int(cap, lambda: idx * mp.log(idx), 15)[0] > 0
 
@@ -280,7 +277,7 @@ def iterate_prime(n, k, budget=DEFAULT_BUDGET, cache=None):
     """
     n, k = int(n), int(k)
     if n < 1 or k < 1:
-        raise InvalidRangeError("tower requires n >= 1 and k >= 1")
+        raise DomainError("tower requires n >= 1 and k >= 1")
     values = towers([n], k, budget, cache)[n]
     if not values:
         raise BudgetExceededError(f"p_{n} already exceeds budget {budget}", deepest_level=0)
@@ -288,10 +285,10 @@ def iterate_prime(n, k, budget=DEFAULT_BUDGET, cache=None):
 
 
 def diag_prime(k, budget=DEFAULT_BUDGET, cache=None):
-    """Diagonal element p_k^(k)."""
+    """Diagonal element p_k^(k), an int."""
     k = int(k)
     if k < 1:
-        raise InvalidRangeError("diag_prime requires k >= 1")
+        raise DomainError("diag_prime requires k >= 1")
     tower = iterate_prime(k, k, budget=budget, cache=cache)
     if tower.truncated:
         raise BudgetExceededError(
@@ -299,7 +296,7 @@ def diag_prime(k, budget=DEFAULT_BUDGET, cache=None):
             f"deepest completed level: {tower.depth}",
             deepest_level=tower.depth,
         )
-    return DiagEntry(k=k, value=tower.values[-1])
+    return tower.values[-1]
 
 
 def ratio_to_diagonal(n, k_max, budget=DEFAULT_BUDGET, prec=DEFAULT_PREC, cache=None):
@@ -310,12 +307,12 @@ def ratio_to_diagonal(n, k_max, budget=DEFAULT_BUDGET, prec=DEFAULT_PREC, cache=
     """
     n, k_max = int(n), int(k_max)
     if n < 1 or k_max < 1:
-        raise InvalidRangeError("ratio table requires n >= 1 and k_max >= 1")
+        raise DomainError("ratio table requires n >= 1 and k_max >= 1")
     tower = iterate_prime(n, k_max, budget=budget, cache=cache)
     out = []
     for k, numerator in enumerate(tower.values, start=1):
         try:
-            denominator = diag_prime(k, budget=budget, cache=cache).value
+            denominator = diag_prime(k, budget=budget, cache=cache)
         except BudgetExceededError:
             break
         with mp.workdps(prec):

@@ -130,7 +130,7 @@ def test_criterion_06_diagonal_fixtures(cache, primes_3e6):
     sieve_chain = [tower_by_sieve(k, k, primes_3e6)[-1] for k in range(1, 8)]
     values_ok = (
         sieve_chain == DIAG_FIXTURE
-        and [diag_prime(k, cache=cache).value for k in range(1, 8)] == DIAG_FIXTURE
+        and [diag_prime(k, cache=cache) for k in range(1, 8)] == DIAG_FIXTURE
     )
     brackets_ok = all(
         count_diag(v, cache=cache) == k and count_diag(v - 1, cache=cache) == k - 1
@@ -153,7 +153,7 @@ def test_criterion_08_diag_dominated_by_towers(cache, towers_to_1e9):
     violations = 0
     checked = 0
     for n in (1, 2, 3, 4):
-        p_nn = diag_prime(n, cache=cache).value
+        p_nn = diag_prime(n, cache=cache)
         for exp in range(2, 10):
             x = 10**exp
             if x < p_nn:
@@ -167,7 +167,7 @@ def test_criterion_08_diag_dominated_by_towers(cache, towers_to_1e9):
 def test_criterion_09_ratio_strictly_decreasing(cache):
     tower = iterate_prime(1, 7, cache=cache).values
     ratios = [
-        Fraction(tower[k - 1], diag_prime(k, cache=cache).value)
+        Fraction(tower[k - 1], diag_prime(k, cache=cache))
         for k in range(2, 8)
     ]
     expected = [
@@ -186,7 +186,7 @@ def test_criterion_10_residual_window(cache):
     # k = 9 is the deepest diagonal element within a 2*10^9 value budget
     ok = True
     for k in range(3, 10):
-        value = diag_prime(k, budget=2 * 10**9, cache=cache).value
+        value = diag_prime(k, budget=2 * 10**9, cache=cache)
         residual = theorem4_residual(k, k, value, prec=50)
         ok = ok and abs(residual) <= 5
     report("10 growth residual window", ok, "k = 3..9")
@@ -200,7 +200,7 @@ def test_criterion_11_performance_floor(cache):
     in_bracket = n * math.log(n) < p < 2 * n * math.log(n)
     round_trip = prime_count(p) == n
     # the floor exists to enable diagonal depth >= 9
-    diag9 = diag_prime(9, cache=cache).value
+    diag9 = diag_prime(9, cache=cache)
     diag9_ok = prime_count(diag9) == 77_557_187
     report(
         "11 performance floor",

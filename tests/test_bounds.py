@@ -12,8 +12,6 @@ from mpmath import libmp, mp, mpf
 
 from primeth import (
     DomainError,
-    HypothesisViolatedError,
-    InapplicableIndexError,
     bounds,
     iterate_prime,
     log_lower_bound_L3,
@@ -97,7 +95,7 @@ class TestUpperBoundL1:
         assert abs(float(upper_bound_L1(9, 10)) / expected - 1) < 1e-12
 
     def test_hypothesis(self):
-        with pytest.raises(InapplicableIndexError, match=r"^upper bound needs n >= 9$"):
+        with pytest.raises(DomainError, match=r"^upper bound needs n >= 9$"):
             upper_bound_L1(8, 1)
         with pytest.raises(DomainError):
             upper_bound_L1(9, 0)
@@ -140,16 +138,16 @@ class TestLowerBoundSimple:
 
     def test_hypothesis(self):
         with pytest.raises(
-            InapplicableIndexError, match=r"^lower bound is vacuous at n = 1 \(log 1 = 0\)$"
+            DomainError, match=r"^lower bound is vacuous at n = 1 \(log 1 = 0\)$"
         ):
             lower_bound_simple(1, 3)
 
 
 class TestLowerBoundL3:
     def test_hypothesis_edges(self):
-        with pytest.raises(HypothesisViolatedError, match=r"^needs log n > 4200$"):
+        with pytest.raises(DomainError, match=r"^needs log n > 4200$"):
             lower_bound_L3(4200, 4200)
-        with pytest.raises(HypothesisViolatedError, match=r"^needs k >= floor\(log n\)$"):
+        with pytest.raises(DomainError, match=r"^needs k >= floor\(log n\)$"):
             lower_bound_L3(4201, 4200)
 
     def test_cancellation_at_boundary(self):

@@ -226,6 +226,26 @@ class TestExitCodes:
     def test_domain_error_line_pinned(self, capsys, argv, line):
         assert run(capsys, *argv) == (3, "", f"error: {line}\n")
 
+    HUGE = 10**400
+    PAST_2_48 = "error: nth_prime requires n < 2^48, as p_n > n must stay below it"
+    ABOVE = f"budget exhausted: p_{HUGE} already exceeds budget"
+
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            (["nth", f"{HUGE}"], 3, PAST_2_48),
+            (["iter", f"{HUGE}", "2"], 2, f"{ABOVE} 100000000000"),
+            (["diag", f"{HUGE}"], 2, f"{ABOVE} 100000000000"),
+            (["table", "ratios", f"{HUGE}", "3"], 2, f"{ABOVE} 100000000000"),
+            (["iter", f"{HUGE}", "2", "--budget", f"{10**402}"], 2, f"{ABOVE} {10**402}"),
+            (["iter", f"{HUGE}", "2", "--budget", f"{10**500}"], 3, PAST_2_48),
+        ],
+        ids=["nth", "iter", "diag", "table_ratios", "iter_budget_1e402", "iter_budget_1e500"],
+    )
+    def test_huge_index_prints_one_line(self, capsys, argv, code, line):
+        # an index past the float range once raised OverflowError, exit 1
+        assert run(capsys, *argv) == (code, "", line + "\n")
+
     def test_bad_cache_exits_3(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("garbage\n")
@@ -285,14 +305,10 @@ class TestExitCodes:
     # exit codes and stderr prefixes as the README's exit-code contract states
     DOCUMENTED = {
         errors.PrimethError: (3, "error: "),
-        errors.InvalidRangeError: (3, "error: "),
-        errors.SegmentTooLargeError: (2, "budget exhausted: "),
         errors.UnsupportedRangeError: (3, "error: "),
         errors.BudgetExceededError: (2, "budget exhausted: "),
         errors.CacheFormatError: (3, "error: "),
         errors.DomainError: (3, "error: "),
-        errors.InapplicableIndexError: (3, "error: "),
-        errors.HypothesisViolatedError: (3, "error: "),
         errors.ThresholdViolatedError: (1, "mathematical violation: "),
     }
 

@@ -9,7 +9,6 @@ import pytest
 from primeth import (
     BudgetExceededError,
     DomainError,
-    InvalidRangeError,
     TowerCache,
     UnsupportedRangeError,
     comparator,
@@ -64,7 +63,7 @@ class TestCountDiag:
             count_diag(10**7, budget=10**6, cache=cache)
 
     def test_invalid(self, cache):
-        with pytest.raises(InvalidRangeError, match=r"^count_diag requires x >= 1$"):
+        with pytest.raises(DomainError, match=r"^count_diag requires x >= 1$"):
             count_diag(0, cache=cache)
 
 
@@ -102,7 +101,7 @@ class TestCountTower:
     def test_diag_dominated_by_towers(self, cache):
         # DiagP(x) <= P_n^T(x) whenever x >= p_n^(n), small-n desk scale
         for n in (1, 2, 3, 4):
-            p_nn = diag_prime(n, cache=cache).value
+            p_nn = diag_prime(n, cache=cache)
             for x in (100, 10**3, 10**4, 10**5, 10**6):
                 if x < p_nn:
                     continue
@@ -304,7 +303,7 @@ class TestRatioSeries:
         assert [row[:4] for row in rows] == [(10**4, 5, 1, 8), (10**4, 5, 2, 7)]
 
     def test_requires_sorted_xs(self, cache):
-        with pytest.raises(InvalidRangeError, match=r"^xs must be sorted ascending$"):
+        with pytest.raises(DomainError, match=r"^xs must be sorted ascending$"):
             ratio_series([100, 10], [], cache=cache)
 
     def test_csv_layout(self, capsys):

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeth import (
-    InvalidRangeError,
-    SegmentTooLargeError,
+    BudgetExceededError,
+    DomainError,
     UnsupportedRangeError,
     is_prime,
     nth_prime,
@@ -79,9 +79,9 @@ class TestSieveSegment:
         assert peak < 16 * 2**20
 
     def test_invalid_range(self):
-        with pytest.raises(InvalidRangeError, match=r"^lo=10 > hi=5$"):
+        with pytest.raises(DomainError, match=r"^lo=10 > hi=5$"):
             sieve_segment(10, 5)
-        with pytest.raises(InvalidRangeError, match=r"^lo=1 < 2$"):
+        with pytest.raises(DomainError, match=r"^lo=1 < 2$"):
             sieve_segment(1, 5)
 
     def test_budget(self):
@@ -90,12 +90,13 @@ class TestSieveSegment:
         tracemalloc.start()
         try:
             message = r"^segment holds 67108865 odd integers, the limit is 67108864$"
-            with pytest.raises(SegmentTooLargeError, match=message):
+            with pytest.raises(BudgetExceededError, match=message) as exc:
                 sieve_segment(3, 3 + 2**27)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+        assert exc.value.deepest_level == 0
 
     def test_ceiling(self):
         # sieving primes come from the 2^24 table, so hi must stay below 2^48
@@ -143,7 +144,7 @@ class TestIsPrime:
 
     def test_rejects_negative(self):
         message = r"^primality is defined for non-negative integers$"
-        with pytest.raises(InvalidRangeError, match=message):
+        with pytest.raises(DomainError, match=message):
             is_prime(-1)
 
     def test_rejects_beyond_deterministic_regime(self):
@@ -165,7 +166,7 @@ class TestPrimeCount:
         assert prime_count(10**6) == 78498
 
     def test_negative(self):
-        with pytest.raises(InvalidRangeError, match=r"^prime_count requires x >= 0$"):
+        with pytest.raises(DomainError, match=r"^prime_count requires x >= 0$"):
             prime_count(-1)
 
     @given(st.integers(min_value=0, max_value=10**7))
@@ -350,7 +351,7 @@ class TestPrimeCounts:
     def test_ceiling_of_any_x(self):
         with pytest.raises(UnsupportedRangeError):
             engine.prime_counts([10, 2**48, 100])
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(DomainError):
             engine.prime_counts([10, -1])
 
     def test_nth_primes_in_the_order_given(self):
@@ -438,8 +439,14 @@ class TestNthPrime:
         assert 10 * math.log(10) < p < 20 * math.log(10)
 
     def test_invalid(self):
-        with pytest.raises(InvalidRangeError, match=r"^nth_prime requires n >= 1$"):
+        with pytest.raises(DomainError, match=r"^nth_prime requires n >= 1$"):
             nth_prime(0)
+
+    @pytest.mark.parametrize("n", [2**48, 10**400])
+    def test_index_past_the_ceiling(self, n):
+        # p_n > n >= 2^48 lies past every sieve, and 10^400 past every float
+        with pytest.raises(UnsupportedRangeError, match=r"^nth_prime requires n < 2\^48"):
+            nth_prime(n)
 
     def test_reads_a_smaller_table_already_built(self, fresh_table):
         # Rosser's bound on p_n lies below 2^10 for n <= 100, so those n read

@@ -10,7 +10,7 @@ from mpmath import mp, mpf
 from primeth import (
     BudgetExceededError,
     CacheFormatError,
-    InvalidRangeError,
+    DomainError,
     TowerCache,
     diag_prime,
     iterate_prime,
@@ -51,9 +51,9 @@ class TestIteratePrime:
         assert exc.value.deepest_level == 0
 
     def test_invalid_spec(self):
-        with pytest.raises(InvalidRangeError, match=r"^tower requires n >= 1 and k >= 1$"):
+        with pytest.raises(DomainError, match=r"^tower requires n >= 1 and k >= 1$"):
             iterate_prime(0, 1)
-        with pytest.raises(InvalidRangeError, match=r"^tower requires n >= 1 and k >= 1$"):
+        with pytest.raises(DomainError, match=r"^tower requires n >= 1 and k >= 1$"):
             iterate_prime(1, 0)
 
     def test_strictly_increasing_and_prime_levels(self, cache, primes_3e6):
@@ -183,16 +183,25 @@ class TestValueCertainlyAbove:
         assert not _value_certainly_above(10**6, 10**400)
         assert iterate_prime(1, 5, budget=10**400).values == [2, 3, 5, 11, 31]
 
+    def test_index_beyond_float_range(self):
+        # no float holds the index: 10^400 log 10^400 is about 9.2 * 10^402
+        assert _value_certainly_above(10**400, 10**400 - 1)
+        assert _value_certainly_above(10**400, 9 * 10**402)
+        assert not _value_certainly_above(10**400, 10**403)
+        x = n_log_n_by_decimal(10**400, 440)
+        assert _value_certainly_above(10**400, math.floor(x))
+        assert not _value_certainly_above(10**400, math.ceil(x))
+
 class TestDiagPrime:
     def test_examples(self, cache):
-        assert diag_prime(1, cache=cache).value == 2
-        assert diag_prime(3, cache=cache).value == 31
-        assert diag_prime(4, cache=cache).value == 277
+        assert diag_prime(1, cache=cache) == 2
+        assert diag_prime(3, cache=cache) == 31
+        assert diag_prime(4, cache=cache) == 277
 
     def test_matches_sieve_chain(self, cache, primes_3e6):
         for k in range(1, 8):
             expected = tower_by_sieve(k, k, primes_3e6)[-1]
-            assert diag_prime(k, cache=cache).value == expected
+            assert diag_prime(k, cache=cache) == expected
 
     def test_budget_error_reports_deepest_level(self, cache):
         with pytest.raises(BudgetExceededError) as exc:
@@ -216,7 +225,7 @@ class TestRatioToDiagonal:
             assert [row[0] for row in rows] == list(range(1, 8))
             for k, numerator, denominator, ratio in rows:
                 assert numerator == iterate_prime(n, k, cache=cache).values[k - 1]
-                assert denominator == diag_prime(k, cache=cache).value
+                assert denominator == diag_prime(k, cache=cache)
                 with mp.workdps(DEFAULT_PREC):
                     assert ratio == mpf(numerator) / denominator
 
