@@ -2,35 +2,35 @@
 
 All results are exact.  prime_counts (x < 2^48) sieves the distinct values
 of x // d by the primes up to x^(1/3), then subtracts Meissel's P2 sum over
-the primes in (x^(1/3), sqrt x]: one sieve for a batch of x, a column each.
-The sieve takes 2..13 at once, from a count table of the residues modulo
-30030; each later prime p updates only the counts at the d with no prime
-factor below p, the only ones a later stage reads, and past p = x^(1/4)
-only d = 1 reads another d's count.  x < 13^3 is read from the prime
-table.  One x takes about 0.005 s at 2*10^9, 0.012 s at 10^10, 0.05 s at
-10^11, 0.22 s at 10^12 and 1.1 s at 10^13; 61 x in [1.7e7, 1.2e8] take 19
-ms batched, 56 ms one by one (2-core x86-64 Xeon, Python 3.11, numpy 2.4).
-All small primes come from one prime table, which only grows, in
-cache-sized windows of 2^20 odd integers, to the power of two at or above
-the largest limit asked for.  sieve_segment strikes a prime by one slice
-while the window holds at least _STRIKES of its multiples, and the larger
-ones together by fancy indexing: 0.4-0.7 ms for a first walk window at
-10^10, and 30-45 ms for the table up to 2^24.  nth_primes grows the table
-once, past Rosser's bound p_n < n (ln n + ln ln n) on its largest n <=
-pi(2^24), to at most 2^24, and indexes it.  Each larger n starts at x =
-R^-1(n), the inverse of Riemann's R function; one prime_counts call counts
-pi at all these x, and windows are sieved from each x to its prime: the
-first spans the power of two at or above sqrt(x) integers, at most 2^16,
-as R^-1(n) lands within 0.6 sqrt(x) of p_n, and each further one doubles.
-R only picks where to start, so the answer is as exact as the count.
+the primes in (x^(1/3), sqrt x]: one sieve per block of x within a factor 3,
+a column each.  The sieve takes 2..13 at once, from a count table of the
+residues modulo 30030; each later prime p updates only the counts at the d
+with no prime factor below p, the only ones a later stage reads, and past p
+= x^(1/4) only d = 1 reads another d's count.  x < 13^3 is read from the
+prime table.  One x takes about 0.005 s at 2*10^9, 0.012 s at 10^10, 0.05 s
+at 10^11, 0.22 s at 10^12 and 1.1 s at 10^13; the 122 x in [2e6, 1.2e8] of
+verify all --n-max 100 --k-max 6 take 16-22 ms in blocks, 90-110 ms one by one
+(2-core x86-64 Xeon, Python 3.11, numpy 2.4).  The one prime table only
+grows, in windows of 2^20 odd integers, to the power of two at or above the
+limit asked for: 30-45 ms up to 2^24.  sieve_segment strikes a prime by one
+slice while the window holds at least _STRIKES of its multiples, and the
+larger ones at once, a running sum of steps: 0.05-0.08 ms for 2^10 odd integers
+at 10^6, 0.4-0.7 ms for a first walk window at 10^10.  nth_primes reads the
+n the table holds, grows it where its lookups are dense (see nth_primes),
+and starts every other n at x = R^-1(n), the inverse of Riemann's R; one
+prime_counts call counts pi at these x, and windows are sieved from each x
+to its prime: the first spans the power of two at or above sqrt(x), at most
+2^16, as R^-1(n) lands within 0.6 sqrt(x) of p_n, and each further one
+doubles.  R only picks where to start, so the answer is as exact as the count.
 """
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, zeta
+from mpmath import fp
 
 from .errors import BudgetExceededError, DomainError, UnsupportedRangeError
 
@@ -47,8 +47,10 @@ _WHEEL = 30030  # their product
 # this many of its odd multiples; the larger primes strike together.
 _STRIKES = 32
 # prime_counts sieves blocks of at most _SPAN columns times isqrt(max x): its
-# matrices then hold about 0.19 _SPAN entries, 1.6 MB of int64 each.
-_SPAN = 1 << 20
+# matrices then hold about 0.19 _SPAN entries, 1.6 MB of int64 each.  A
+# block's x lie within _SPREAD times its smallest, as isqrt(max x) sets the
+# rows that every column pays for.
+_SPAN, _SPREAD = 1 << 20, 3
 # Most integers in the first sieve window of the nth_prime walk.
 _WINDOW = 1 << 16
 # Two Newton steps from n log n land within 0.02 sqrt(x) of R^-1(n) for
@@ -56,8 +58,9 @@ _WINDOW = 1 << 16
 _NEWTON_STEPS = 2
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# (limit, the primes up to it): the one prime table, replaced as it grows
-_TABLE = (2, np.array([2], dtype=np.int64))
+# (limit, the primes up to it): the one prime table, replaced as it grows;
+# and the lookups nth_primes has counted, not read, since it last grew it
+_TABLE, _RENTED = (2, np.array([2], dtype=np.int64)), 0
 
 
 def _prime_table(limit):
@@ -146,16 +149,23 @@ def sieve_segment(lo, hi, *, sieving=None):
     keep = start <= hi
     at, p = (start[keep] - first_odd) // 2, p[keep]
     # a slice per prime while p strikes at least _STRIKES flags; the larger
-    # primes strike together, a fancy index over them for each multiple
+    # primes strike together, in passes of at most max(len(p), _WINDOW)
+    # multiples: a running sum of steps of p, where each prime's first step
+    # jumps from the last multiple of the prime before it
     cut = int(p.searchsorted(n_odd // _STRIKES, side="right"))
     for i, step in zip(at[:cut].tolist(), p[:cut].tolist()):
         flags[i::step] = False
     at, p = at[cut:], p[cut:]
-    while len(at):
-        flags[at] = False
-        at += p
-        inside = at < n_odd
-        at, p = at[inside], p[inside]
+    many = (n_odd - 1 - at) // p + 1  # multiples of each p in the window
+    ends, jump = np.cumsum(many), at - np.concatenate(([0], (at + (many - 1) * p)[:-1]))
+    i, room = 0, max(len(p), _WINDOW)
+    while i < len(p):
+        done = int(ends[i] - many[i])  # multiples struck before p[i]
+        j = int(ends.searchsorted(done + room, side="right"))
+        steps = np.repeat(p[i:j], many[i:j])
+        steps[ends[i:j] - many[i:j] - done] = jump[i:j]
+        flags[np.cumsum(steps) + (at[i] - jump[i])] = False  # from p[i - 1]'s last, or 0
+        i = j
     return SegmentTable(lo=lo, hi=hi, first_odd=first_odd, flags=flags)
 
 
@@ -214,7 +224,7 @@ def prime_counts(xs):
     seeds = seeds[len(counts) :]
     while seeds:
         over = (j for j in range(1, len(seeds)) if (j + 1) * math.isqrt(seeds[j]) > _SPAN)
-        top = next(over, len(seeds))
+        top = min(next(over, len(seeds)), bisect_right(seeds, _SPREAD * seeds[0]))
         counts.update(zip(seeds[:top], _count_block(seeds[:top])))
         seeds = seeds[top:]
     return [counts[x] for x in xs]
@@ -336,31 +346,29 @@ def _icbrt(x):
 @functools.cache
 def _zeta_table():
     """zeta(2), ..., zeta(65) as floats; past them zeta rounds to 1.0."""
-    with mp.workdps(20):
-        return tuple(float(zeta(s)) for s in range(2, 66))
+    return tuple(fp.zeta(s) for s in range(2, 66))
 
 
 def _riemann_r(x):
-    """R(x) = 1 + sum (log x)^k / (k k! zeta(k+1)) by Gram's series, x > 1.
+    """R(x) = 1 + sum (log x)^k / (k k! zeta(k+1)) by Gram's series, x > 1 (or an array).
 
-    The terms are positive, so floats carry the sum to a few ulps.  They
-    rise until k ~ log x, then fall; the sum stops once they are below an ulp.
+    The terms are positive, so floats carry the sum to a few ulps.  They rise
+    until k ~ log x, then fall below an ulp of the sum by k = 3 log x + 20.
     """
-    zetas, lnx = _zeta_table(), math.log(x)
-    r, power, k = 1.0, 1.0, 1
-    while r + power > r:
-        power *= lnx / k  # (log x)^k / k!
-        r += power / (k * (zetas[k - 1] if k <= len(zetas) else 1.0))
-        k += 1
-    return r
+    lnx = np.asarray(np.log(x))
+    k = np.arange(1, int(3 * lnx.max()) + 21)
+    zetas = np.r_[_zeta_table(), np.ones(len(k))][: len(k)]  # zeta rounds to 1.0 past 65
+    powers = np.cumprod(lnx[..., None] / k, axis=-1)  # (log x)^k / k!
+    return 1 + np.sum(powers / (k * zetas), axis=-1)
 
 
-def _r_inverse(n):
-    """x with R(x) ~= n: Newton steps on Riemann's R, starting at n log n."""
-    x = n * math.log(n)
+def _r_inverse(ns):
+    """[x with R(x) ~= n for n in ns]: Newton steps on Riemann's R from n log n."""
+    n = np.array(ns, dtype=float)
+    x = n * np.log(n)
     for _ in range(_NEWTON_STEPS):
-        x -= (_riemann_r(x) - n) * math.log(x)  # R'(x) ~ 1 / log x
-    return int(x)
+        x -= (_riemann_r(x) - n) * np.log(x)  # R'(x) ~ 1 / log x
+    return x.astype(np.int64).tolist()
 
 
 def nth_prime(n):
@@ -370,24 +378,33 @@ def nth_prime(n):
 
 def nth_primes(ns):
     """The nth prime (1-based) for each n of ns, in the order given."""
+    global _RENTED
     ns = [int(n) for n in ns]
     if any(n < 1 for n in ns):
         raise DomainError("nth_prime requires n >= 1")
     if max(ns, default=0) >= _TABLE_LIMIT**2:  # then p_n > n is past every sieve
         raise UnsupportedRangeError("nth_prime requires n < 2^48, as p_n > n must stay below it")
-    table = _TABLE[1]
-    if (most := max((n for n in ns if n <= _TABLE_PRIMES), default=0)) > len(table):
-        # Rosser's p_n < n (ln n + ln ln n), n >= 6, sizes the table; its length decides
-        bound = most * (math.log(most) + math.log(math.log(most))) if most >= 6 else 0
-        limit = min(1 << int(bound).bit_length(), _TABLE_LIMIT)
-        while len(table := _prime_table(limit)) < most:
-            limit *= 2
-    far = list(dict.fromkeys(n for n in ns if n > _TABLE_PRIMES))
+    top, table = _TABLE
+    # Rent or buy: growing the table from top to L sieves about L - top
+    # integers, and counting a lookup costs about _WINDOW of them.  A lookup
+    # n <= pi(2^24) past the table is placed at Dusart's lower bound n (ln n
+    # + ln ln n - 1) <= p_n; the table grows to the L that gains the most, if
+    # any gains, and the lookups counted since it last grew add to every L.
+    if near := [n for n in ns if len(table) < n <= _TABLE_PRIMES]:
+        near = np.array(sorted(set(near)), dtype=float)
+        at = np.maximum(near * (np.log(near) + np.log(np.log(near)) - 1), top + 1)
+        gains = (_RENTED + np.arange(1, len(at) + 1)) * _WINDOW - (at - top)
+        if gains.max() > 0:
+            table, _RENTED = _prime_table(int(at[gains.argmax()])), 0
+    far = list(dict.fromkeys(n for n in ns if n > len(table)))
+    if not far:
+        return [int(table[n - 1]) for n in ns]
+    _RENTED += sum(n <= _TABLE_PRIMES for n in far)
     # R only picks where to start; the exact count and the sieve decide.
     # If c < n, p_n is the (n - c)th prime above x, else the (c - n + 1)th
     # prime counting down from x.  x >= 2 keeps the prime 2, which the
     # odd-only windows omit, out of the walk.
-    xs, primes = [max(_r_inverse(n), 2) for n in far], {}
+    xs, primes = [max(x, 2) for x in _r_inverse(far)], {}
     for n, x, c in zip(far, xs, prime_counts(xs)):
         up = c < n
         need = n - c if up else c - n + 1
@@ -403,4 +420,4 @@ def nth_primes(ns):
             need -= len(found)
             x = hi if up else lo - 1
             width *= 2
-    return [int(table[n - 1]) if n <= _TABLE_PRIMES else primes[n] for n in ns]
+    return [int(table[n - 1]) if n <= len(table) else primes[n] for n in ns]

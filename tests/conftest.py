@@ -14,11 +14,13 @@ from oracle import sieve_primes
 
 @pytest.fixture
 def fresh_table(monkeypatch):
-    """Reset the prime table to hold only the prime 2, now and on each call
-    of the returned function; the table grown before the test returns after it."""
+    """Reset the prime table to hold only the prime 2, and the tally of the
+    lookups counted past it to 0, now and on each call of the returned
+    function; the table and tally from before the test return after it."""
 
     def reset():
         monkeypatch.setattr(engine, "_TABLE", (2, np.array([2], dtype=np.int64)))
+        monkeypatch.setattr(engine, "_RENTED", 0)
 
     reset()
     return reset

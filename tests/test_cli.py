@@ -125,14 +125,15 @@ class TestScalarCommands:
     @pytest.mark.parametrize(
         "argv, expected, table",
         [
-            (["nth", "1000"], "7919\n", 1 << 14),
+            (["nth", "1000"], "7919\n", 1 << 13),
             (["iter", "5", "4"], "11\n31\n127\n709\n", 1 << 10),
         ],
         ids=["nth", "iter"],
     )
     def test_small_levels_read_a_small_table(self, capsys, fresh_table, argv, expected, table):
-        # each lookup grows the table past Rosser's bound on its prime:
-        # 1000 (ln 1000 + ln ln 1000) < 2^14, 127 (ln 127 + ln ln 127) < 2^10
+        # each lookup grows the table to the power of two at or above Dusart's
+        # lower bound on its prime, which holds it: 1000 (ln 1000 + ln ln 1000
+        # - 1) < 7919 < 2^13, 127 (ln 127 + ln ln 127 - 1) < 709 < 2^10
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (0, expected)
         assert engine._TABLE[0] == table

@@ -21,7 +21,14 @@ from primeth import (
 from primeth import engine
 from primeth.cli import main
 
-from oracle import pi_by_sieve, primes_in_window, sieve_primes, trial_isprime, window_primes
+from oracle import (
+    pi_by_sieve,
+    primes_in_window,
+    sieve_primes,
+    tower_by_sieve,
+    trial_isprime,
+    window_primes,
+)
 
 
 def segment_primes(seg):
@@ -67,6 +74,24 @@ class TestSieveSegment:
                 hi = lo + 2 * n_odd - 1
                 assert segment_primes(sieve_segment(lo, hi)) == window_primes(lo, hi).tolist()
 
+    def test_batched_prime_strikes_1_to_32_times(self):
+        # a window of p (m - 1) + 1 odd integers from an odd multiple of p
+        # holds m of its multiples, and p strikes with the batch for each m
+        # up to _STRIKES, beside the other batched primes
+        for base in (10**7, 10**9):
+            for p in (1009, 4099):
+                for m in range(1, engine._STRIKES + 1):
+                    lo = p * (base // p | 1)
+                    hi = lo + 2 * p * (m - 1)
+                    assert p > (p * (m - 1) + 1) // engine._STRIKES
+                    assert segment_primes(sieve_segment(lo, hi)) == window_primes(lo, hi).tolist()
+
+    def test_batched_strikes_in_several_passes(self):
+        # 2^20 odd integers at 10^12: about 75000 batched primes strike about
+        # 300000 times, so in 4 passes
+        lo, hi = 10**12, 10**12 + 2**21 - 1
+        assert segment_primes(sieve_segment(lo, hi)) == window_primes(lo, hi).tolist()
+
     def test_batched_strikes_stay_small(self):
         # 2^22 odd integers at 10^12: 4 MB of flags, and index arrays that
         # hold at most one multiple of each batched prime at a time
@@ -109,7 +134,7 @@ class TestSieveSegment:
 
     def test_ceiling_exits_3_from_cli(self, monkeypatch, capsys):
         # a walk that crosses the ceiling is out of range, like a count above it
-        monkeypatch.setattr(engine, "_r_inverse", lambda n: 2**48 - 100)
+        monkeypatch.setattr(engine, "_r_inverse", lambda ns: [2**48 - 100] * len(ns))
         monkeypatch.setattr(engine, "prime_counts", lambda xs: [0] * len(xs))
         assert main(["nth", str(10**8)]) == 3
         assert capsys.readouterr().err.startswith("error: sieving primes")
@@ -337,11 +362,15 @@ class TestPrimeCounts:
                 assert counts[x] - counts[lo] == primes_in_window(lo + 1, x), x
 
     def test_batch_equals_one_by_one(self):
-        # 40 x in [13^3, 3*10^8] in blocks, and 13^3 beside 10^11 in one block
+        # 40 x in [13^3, 3*10^8] in blocks, and 13^3 beside 10^11
         rng = np.random.default_rng(3)
         xs = rng.integers(13**3, 3 * 10**8, 40).tolist()
         assert engine.prime_counts(xs) == [prime_count(x) for x in xs]
         assert engine.prime_counts([10**11, 13**3]) == [4118054813, 327]
+        # and x from 13^3 to 10^11 in one batch, in blocks by magnitude
+        xs = [13**3, *np.geomspace(10**4, 10**11, 22).astype(np.int64).tolist(), 10**11]
+        xs += rng.integers(13**3, 10**11, 10).tolist()
+        assert engine.prime_counts(xs) == [prime_count(x) for x in xs]
 
     @given(st.lists(st.integers(min_value=0, max_value=10**7), max_size=30))
     @settings(max_examples=30, deadline=None)
@@ -371,14 +400,24 @@ def _r_inverse_by_mpmath(n):
 
 class TestRiemannR:
     def test_float_series_matches_mpmath(self):
-        for x in np.geomspace(1e7, 1e12, 11).tolist():
-            assert engine._riemann_r(x) == pytest.approx(
-                float(mpmath.riemannr(x)), rel=1e-12
-            )
+        with mpmath.workdps(20):
+            assert engine._zeta_table() == tuple(float(mpmath.zeta(s)) for s in range(2, 66))
+        xs = np.geomspace(1e7, 1e12, 11)
+        expected = [float(mpmath.riemannr(x)) for x in xs.tolist()]
+        assert engine._riemann_r(xs).tolist() == pytest.approx(expected, rel=1e-12)
+        for x, r in zip(xs.tolist(), expected):
+            assert engine._riemann_r(x) == pytest.approx(r, rel=1e-12)
 
     def test_seed_matches_mpmath_seed(self):
-        for n in (1077872, 10**8, 455052512, 10**10):
-            assert abs(engine._r_inverse(n) - _r_inverse_by_mpmath(n)) <= 1
+        # one batch: fixed n and a seeded sample from 10^4 to 10^13, the
+        # counted lookups inside the table's range among them
+        rng = np.random.default_rng(5)
+        ns = [1077872, 10**8, 455052512, 10**10, *np.geomspace(10**4, 10**13, 40).astype(int)]
+        ns += rng.integers(10**4, 10**13, 20).tolist()
+        seeds = engine._r_inverse(ns)
+        assert len(seeds) == len(ns) and all(type(x) is int for x in seeds)
+        for n, x in zip(ns, seeds):
+            assert abs(x - _r_inverse_by_mpmath(int(n))) <= 1, n
 
 
 class TestPrimeTable:
@@ -449,9 +488,9 @@ class TestNthPrime:
             nth_prime(n)
 
     def test_reads_a_smaller_table_already_built(self, fresh_table):
-        # Rosser's bound on p_n lies below 2^10 for n <= 100, so those n read
-        # the 2^10 table; for n = 173 it lies in (2^10, 2^11), which grows it
-        # to 2^11, not to 2^24
+        # the 2^10 table holds p_n for n <= 172, so those n read it; p_173 =
+        # 1031 lies past it, and growing the table by 2^10 integers costs less
+        # than counting one lookup, so it grows to 2^11, not to 2^24
         engine.base_primes_upto(1000)
         assert [nth_prime(n) for n in (1, 25, 100)] == [2, 97, 541]
         assert engine._TABLE[0] == 1 << 10
@@ -488,7 +527,7 @@ class TestNthPrime:
             p = int(primes[n - 1])
             r = math.isqrt(p)
             for seed in (engine._TABLE_LIMIT + 1, 1000, p - 5 * r, p + 5 * r, 3 * p):
-                monkeypatch.setattr(engine, "_r_inverse", lambda n, s=seed: s)
+                monkeypatch.setattr(engine, "_r_inverse", lambda ns, s=seed: [s] * len(ns))
                 assert nth_prime(n) == p
 
     @pytest.mark.parametrize("window", [2, 64])
@@ -500,7 +539,7 @@ class TestNthPrime:
         p = int(sieve_primes(33_000_000)[n - 1])
         monkeypatch.setattr(engine, "_WINDOW", window)
         for seed in (p - 1, p - window, p, p + window - 1):
-            monkeypatch.setattr(engine, "_r_inverse", lambda n, s=seed: s)
+            monkeypatch.setattr(engine, "_r_inverse", lambda ns, s=seed: [s] * len(ns))
             assert nth_prime(n) == p
 
     def test_table_edge(self):
@@ -508,7 +547,7 @@ class TestNthPrime:
         n = len(engine._prime_table(engine._TABLE_LIMIT))
         assert n == engine._TABLE_PRIMES
         assert nth_prime(n) == primes[n - 1] == 16777213  # largest p < 2^24
-        assert engine._TABLE[0] == engine._TABLE_LIMIT  # Rosser's bound is clamped to 2^24
+        assert engine._TABLE[0] == engine._TABLE_LIMIT  # the table stops at 2^24
         assert nth_prime(n + 1) == primes[n] == 16777259
 
     def test_lookup_past_the_table_skips_it(self, fresh_table):
@@ -540,7 +579,7 @@ class TestNthPrime:
         )
         codes = []
         for seed in (2**48 - 100, 2**48):
-            monkeypatch.setattr(engine, "_r_inverse", lambda n, s=seed: s)
+            monkeypatch.setattr(engine, "_r_inverse", lambda ns, s=seed: [s] * len(ns))
             codes.append(main(["nth", str(10**8)]))
             assert "2^48" in capsys.readouterr().err
         assert codes == [3, 3]
@@ -559,10 +598,14 @@ class TestNthPrime:
         nth_prime(3_000_000)
         assert [len(batch) for batch in batches if batch] == [1]
 
-    def test_one_count_and_one_window_per_lookup_of_the_sweep(self, monkeypatch, capsys):
-        # verify all --n-max 100 --k-max 6 looks up 61 primes past the table,
-        # all at level 6: one prime_counts call counts at their 61 seeds, and
-        # R^-1 lands within 0.45 sqrt(x) of each, so the first window holds it
+    def test_one_count_and_one_window_per_lookup_of_the_sweep(
+        self, monkeypatch, capsys, fresh_table
+    ):
+        # verify all --n-max 100 --k-max 6 from a cold table counts the 44
+        # level-5 lookups it finds too sparse to table, then the 78 of level
+        # 6: the 61 past pi(2^24) and 17 below it.  One prime_counts call per
+        # level counts at their seeds, R^-1 lands within 0.45 sqrt(x) of
+        # each, so the first window holds it, and the table stays at 2^22
         batches, windows = [], []
         counts, segment = engine.prime_counts, engine.sieve_segment
 
@@ -571,7 +614,7 @@ class TestNthPrime:
             return counts(xs)
 
         def sieving(lo, hi, **kwargs):
-            if lo > engine._TABLE_LIMIT:  # a walk window, not a table window
+            if not kwargs:  # a walk window, not a table window
                 windows.append((lo, hi))
             return segment(lo, hi, **kwargs)
 
@@ -580,10 +623,12 @@ class TestNthPrime:
         assert main(["verify", "all", "--n-max", "100", "--k-max", "6", "--no-timestamp"]) == 0
         capsys.readouterr()
         seeds = [x for batch in batches for x in batch]
-        assert [len(batch) for batch in batches if batch] == [61]
-        assert len(set(seeds)) == 61 and min(seeds) > engine._TABLE_LIMIT
-        assert len(windows) == 61
+        assert [len(batch) for batch in batches if batch] == [44, 78]
+        assert all(len(set(batch)) == len(batch) for batch in batches)
+        assert sum(x > engine._TABLE_LIMIT for x in seeds) == 61
+        assert len(windows) == 122
         assert all(min(abs(lo - 1 - x), abs(hi - x)) == 0 for (lo, hi), x in zip(windows, seeds))
+        assert engine._TABLE[0] == 1 << 22
 
     @given(st.integers(min_value=1, max_value=10_000))
     @settings(max_examples=60, deadline=None)
@@ -595,6 +640,80 @@ class TestNthPrime:
     def test_sandwich(self, x):
         c = prime_count(x)
         assert nth_prime(c) <= x < nth_prime(c + 1)
+
+
+class TestRentOrBuy:
+    """nth_primes grows the table only as far as its lookups are dense; the
+    other lookups below pi(2^24) are counted like those past it."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The x that prime_counts is asked for, one list entry per x."""
+        xs, counts = [], engine.prime_counts
+        monkeypatch.setattr(engine, "prime_counts", lambda b: xs.extend(b) or counts(b))
+        return xs
+
+    def test_sparse_batch_is_counted(self, fresh_table, counted):
+        # the 100 level-6 indices of n <= 100, p_n^(5) from 31 to 6415081:
+        # 39 are at most pi(2^24), their primes spread up to 2^24, and 61
+        # lie past it; from a cold table 94 are counted and the table grows
+        # to 2^17
+        primes = sieve_primes(6_500_000)
+        ns = [tower_by_sieve(n, 5, primes)[-1] for n in range(1, 101)]
+        assert sum(n <= engine._TABLE_PRIMES for n in ns) == 39
+        got = engine.nth_primes(ns)
+        assert engine._TABLE[0] <= 1 << 22
+        assert 61 < len(counted) < 100
+        # below 2^24 against the plain sieve; from there to 2^25 each prime
+        # and the count of primes between it and the one before
+        primes = sieve_primes(engine._TABLE_LIMIT)
+        pairs = sorted(zip(ns, got))
+        assert [p for n, p in pairs if n <= len(primes)] == [
+            int(primes[n - 1]) for n, _ in pairs if n <= len(primes)
+        ]
+        before, below = len(primes), engine._TABLE_LIMIT
+        for n, p in (pair for pair in pairs if engine._TABLE_LIMIT < pair[1] < 1 << 25):
+            window = window_primes(below + 1, p)
+            assert window[-1] == p and len(window) == n - before
+            before, below = n, p
+        assert before > len(primes)
+
+    def test_dense_batch_grows_the_table(self, fresh_table, counted):
+        ns = range(10**6 - 1000, 10**6 + 1000)
+        got = engine.nth_primes(ns)
+        assert counted == [] and len(engine._TABLE[1]) >= 10**6 + 1000
+        assert got == sieve_primes(engine._TABLE_LIMIT)[10**6 - 1001 : 10**6 + 999].tolist()
+
+    def test_dense_levels_grow_the_table_level_by_level(
+        self, monkeypatch, capsys, fresh_table, counted
+    ):
+        # verify for n <= 2000, k <= 3 grows the table once a level, to hold
+        # p_2000 = 17389, p_17389 = 192737 and p_192737 = 2642389, and counts none
+        tops, grow = [], engine._prime_table
+
+        def growing(limit):
+            table = grow(limit)
+            if not tops or tops[-1] != engine._TABLE[0]:
+                tops.append(engine._TABLE[0])
+            return table
+
+        monkeypatch.setattr(engine, "_prime_table", growing)
+        argv = ["ineq3", "--n-max", "2000", "--k-max", "3", "--prec", "15", "--no-timestamp"]
+        assert main(["verify", *argv]) == 0
+        capsys.readouterr()
+        assert tops == [1 << 15, 1 << 18, 1 << 22] and counted == []
+
+    def test_ascending_single_lookups_grow_the_table(self, fresh_table, counted):
+        primes = sieve_primes(1_300_000)
+        assert all(nth_prime(n) == primes[n - 1] for n in range(1, 10**5 + 1))
+        assert len(counted) <= 10**3
+
+    def test_random_single_lookups_buy_the_table_in_time(self, fresh_table, counted):
+        # each counted lookup adds to what growing the table would save
+        primes = sieve_primes(engine._TABLE_LIMIT)
+        ns = np.random.default_rng(11).integers(1, 10**6, 3000).tolist()
+        assert [nth_prime(n) for n in ns] == primes[np.array(ns) - 1].tolist()
+        assert len(counted) <= 150
 
 
 def test_rosser_enclosure_to_one_million():
