@@ -2,14 +2,14 @@
 
 ``BOUNDS`` is the one table of checked bounds.  Each row holds the name, the
 suites that report it, the hypothesis on (n, k), the side (lower: bound <
-p_n^(k); upper: p_n^(k) < bound) and the enclosure (n, k, bits) -> (lo, hi),
-integers with lo * 2^-bits <= bound <= hi * 2^-bits.  Each bound is
-c (log m)^j for an integer c, with (c, m, j) = term(n, k), enclosed in
-exact integers from memoised powers of an enclosure of log m by one call of
-mpmath's log rounded down.  Out-of-hypothesis rows are flagged
-inapplicable, never evaluated, since a bound can fail outside its
-hypothesis without meaning anything.  ``check_bounds`` turns one tower
-level into CSV lines: ``_settle`` decides and prints each distinct term
+p_n^(k); upper: p_n^(k) < bound) and the term: the bound is c (log m)^j for
+an integer c, with (c, m, j) = term(n, k).  ``_enclose`` holds it in exact
+integers lo * 2^-bits <= bound <= hi * 2^-bits, from memoised powers of an
+enclosure of log m by one call of mpmath's log rounded down; ``_ln`` encloses
+the log of a fixed-point m 2^e the same way, unmemoised.  Out-of-hypothesis
+rows are flagged inapplicable, never evaluated, since a bound can fail
+outside its hypothesis without meaning anything.  ``check_bounds`` turns one
+tower level into CSV lines: ``_settle`` decides and prints each distinct term
 once, from enclosures of 128, 256, ... bits, so the verdict and every
 printed digit hold for the exact bound.  ``upper_bound_L1`` and
 ``lower_bound_simple`` round the same enclosures to the nearest mpf.
@@ -20,22 +20,28 @@ import math
 from collections import namedtuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_log, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_log, to_fixed
 
 from .errors import DomainError
 from .hpreal import DEFAULT_PREC, MAX_ESCALATION_PREC, sign_and_text
 
 
+def _ln(m, bits, e=0):
+    """(lo, hi): lo <= 2^bits log(m 2^e) <= hi for integers m, e with m 2^e >= 1.  mpmath's
+    log rounded down at bits + t bits, log(m 2^e) < 2^t, is within an ulp <= 2^-bits of
+    it; lo floors it, and lo + 2 allows one more unit for that rounding."""
+    t = (m.bit_length() + e).bit_length()
+    lo = to_fixed(mpf_log(from_man_exp(m, e), bits + t, "f"), bits)
+    return lo, lo + 2
+
+
 @functools.lru_cache(maxsize=256)
 def _log(m, bits, j=1):
-    """(lo, hi): lo <= 2^(bits j) (log m)^j <= hi for integers m, j >= 1.  mpmath's log
-    of m rounded down at bits + t bits, log m < 2^t, is within an ulp <= 2^-bits of
-    it; lo floors it, and lo + 2 allows one more unit for that rounding."""
+    """(lo, hi): lo <= 2^(bits j) (log m)^j <= hi for integers m, j >= 1, from ``_ln``."""
     if j > 1:
         lo, hi = _log(m, bits, 1)
         return lo**j, hi**j
-    lo = to_fixed(mpf_log(from_int(m), bits + m.bit_length().bit_length(), "f"), bits)
-    return lo, lo + 2
+    return _ln(m, bits)
 
 
 def _enclose(term, bits):
@@ -46,26 +52,21 @@ def _enclose(term, bits):
     return c * lo >> shift, -(-c * hi >> shift)
 
 
-Bound = namedtuple("Bound", "name suites applies side enclosure term", defaults=(None,))
-
-
-def _row(name, suites, applies, side, term):
-    """The row of the bound c (log m)^j, with (c, m, j) = term(n, k)."""
-    return Bound(name, suites, applies, side, lambda n, k, bits: _enclose(term(n, k), bits), term)
+Bound = namedtuple("Bound", "name suites applies side term")
 
 
 BOUNDS = (
-    _row("rosser_lower", ("rosser", "all"), lambda n, k: k == 1 and n >= 2, "lower",
-         lambda n, k: (n, n, 1)),  # n log n
-    _row("rosser_upper", ("rosser", "all"), lambda n, k: k == 1 and n >= 3, "upper",
-         lambda n, k: (2 * n, n, 1)),  # 2 n log n
-    _row("iter_upper", ("lemma1", "all"), lambda n, k: n >= 9, "upper",  # 2^(2k-1) n (k-1)!
-         lambda n, k: (n * math.factorial(k - 1) << 2 * k - 1, max(k, n), k)),
+    Bound("rosser_lower", ("rosser", "all"), lambda n, k: k == 1 and n >= 2, "lower",
+          lambda n, k: (n, n, 1)),  # n log n
+    Bound("rosser_upper", ("rosser", "all"), lambda n, k: k == 1 and n >= 3, "upper",
+          lambda n, k: (2 * n, n, 1)),  # 2 n log n
+    Bound("iter_upper", ("lemma1", "all"), lambda n, k: n >= 9, "upper",  # 2^(2k-1) n (k-1)!
+          lambda n, k: (n * math.factorial(k - 1) << 2 * k - 1, max(k, n), k)),
     # intended for k >= max(n, 9); (4 k log k)^k
-    _row("iter_upper_simple", ("lemma1", "all"), lambda n, k: n >= 9 and k >= n, "upper",
-         lambda n, k: ((4 * k) ** k, k, k)),
-    _row("iter_lower", ("ineq3", "all"), lambda n, k: n >= 2, "lower",  # n (log n)^k
-         lambda n, k: (n, n, k)),
+    Bound("iter_upper_simple", ("lemma1", "all"), lambda n, k: n >= 9 and k >= n, "upper",
+          lambda n, k: ((4 * k) ** k, k, k)),
+    Bound("iter_lower", ("ineq3", "all"), lambda n, k: n >= 2, "lower",  # n (log n)^k
+          lambda n, k: (n, n, k)),
     # needs n > e^4200, which no materialized n meets; the formula is
     # lower_bound_L3, parameterized by log n
     Bound("iter_lower_huge_n", ("all",), lambda n, k: False, "lower", None),
@@ -76,19 +77,19 @@ _START_BITS = 128
 _MAX_BITS = dps_to_prec(MAX_ESCALATION_PREC)
 
 
-def _rounded(row, n, k, prec):
-    """The bound of ``row`` at (n, k) rounded to the nearest mpf at ``prec`` digits."""
+def _rounded(term, prec):
+    """The bound c (log m)^j, (c, m, j) = term, rounded to the nearest mpf at ``prec`` digits."""
     p = dps_to_prec(prec)
     bits = p + 64
     while True:  # both ends round alike, so the bound does too
-        lo, hi = (from_man_exp(end, -bits, p, "n") for end in row.enclosure(n, k, bits))
+        lo, hi = (from_man_exp(end, -bits, p, "n") for end in _enclose(term, bits))
         if lo == hi:
             return mp.make_mpf(lo)
         bits *= 2
 
 
-def _settle(row, n, k, value, digits, term):
-    """sign_and_text's (sign, text) for the row's bound; ``term`` is row.term(n, k) or None.
+def _settle(term, value, digits):
+    """sign_and_text's (sign, text) for the bound c (log m)^j, with (c, m, j) = term.
 
     Each enclosure has twice the bits of the last while ``sign_and_text``
     leaves it open; at MAX_ESCALATION_PREC digits' worth of bits its
@@ -96,7 +97,7 @@ def _settle(row, n, k, value, digits, term):
     """
     bits = _START_BITS
     while True:
-        lo, hi = _enclose(term, bits) if term else row.enclosure(n, k, bits)
+        lo, hi = _enclose(term, bits)
         if bits == _MAX_BITS:
             lo = hi = lo + hi >> 1
         if (settled := sign_and_text(lo, hi, bits, value, digits)) is not None:
@@ -111,7 +112,7 @@ def upper_bound_L1(n, k, prec=DEFAULT_PREC):
         raise DomainError("upper bound needs n >= 9")
     if k < 1:
         raise DomainError("upper bound needs k >= 1")
-    return _rounded(_ROW["iter_upper"], n, k, prec)
+    return _rounded(_ROW["iter_upper"].term(n, k), prec)
 
 
 def lower_bound_simple(n, k, prec=DEFAULT_PREC):
@@ -121,7 +122,7 @@ def lower_bound_simple(n, k, prec=DEFAULT_PREC):
         raise DomainError("lower bound is vacuous at n = 1 (log 1 = 0)")
     if k < 1:
         raise DomainError("lower bound needs k >= 1")
-    return _rounded(_ROW["iter_lower"], n, k, prec)
+    return _rounded(_ROW["iter_lower"].term(n, k), prec)
 
 
 def _l3_log_n(log_n, k):
@@ -179,15 +180,14 @@ def check_bounds(n, k, value, suite, digits, tally):
     text = str(value)
     head = f"{n},{k},{text},"
     lines = []
-    settled = {}  # a row's term, or the row itself without one -> (sign, bound text)
+    settled = {}  # a row's term -> (sign, bound text)
     for row in SUITES[suite]:
         if not row.applies(n, k):
             lines.append(f"{head}{row.name},,,no,")
             tally[None] += 1
             continue
-        term = row.term(n, k) if row.term else None
-        if (got := settled.get(term or row)) is None:
-            got = settled[term or row] = _settle(row, n, k, value, digits, term)
+        if (got := settled.get(term := row.term(n, k))) is None:
+            got = settled[term] = _settle(term, value, digits)
         sign, bound = got
         lower = row.side == "lower"
         holds, lhs, rhs = (sign < 0, bound, text) if lower else (sign > 0, text, bound)

@@ -1,14 +1,16 @@
 """High-precision real helpers built on mpmath.
 
 Precision is expressed everywhere in significant decimal digits.  A real
-is compared with an exact integer in one of two ways.  ``int_sign`` takes
-the sign of a raw libmp value minus the integer from the value's mantissa
-and exponent, in integers, and trusts it iff |approx - value| > |approx| *
-10^(1 - digits); ``compare_int`` re-runs a function at doubled precision
-until the rule trusts the sign.  ``sign_and_text`` takes a proved integer
-enclosure of the real instead, and gives the sign and the decimal text only
-where every point of the enclosure gives the same (Ziv's rounding test);
-for 0 < s < 64 decimal places to shift, it rounds with one binary shift.
+is compared with an exact integer in one of two ways.  ``sign_and_text``
+takes a proved integer enclosure of the real, and gives the sign and the
+decimal text only where every point of the enclosure gives the same (Ziv's
+rounding test); for 0 < s < 64 decimal places to shift, it rounds with one
+binary shift.  It decides every bound row, and the same integer enclosures
+decide the tower walker's skip and the count brackets.  ``compare_int``,
+which certify alone uses, takes the sign of an mpmath function's value minus
+the integer from the value's mantissa and exponent, in integers, and re-runs
+the function at doubled precision until the margin exceeds one unit in the
+last digit.
 """
 
 import functools
@@ -19,7 +21,6 @@ from mpmath import libmp, mp
 DEFAULT_PREC = 50
 MAX_ESCALATION_PREC = 4096
 _POW10 = tuple(10**s for s in range(64))
-_bits = functools.lru_cache(maxsize=64)(libmp.dps_to_prec)  # mp.prec at these digits
 
 
 @functools.lru_cache(maxsize=256)
@@ -27,50 +28,33 @@ def _pow10(e):
     return 10**e
 
 
-def _eval_at(fn, digits):
-    """fn() and its value rounded to ``digits``; a context is entered only if needed."""
-    if mp.prec == _bits(digits):  # no context to enter
-        return (raw := fn()), (raw if raw._mpf_[3] <= mp.prec else +raw)  # fits: +raw is raw
-    with mp.workdps(digits):
-        return _eval_at(fn, digits)
-
-
-def int_sign(raw, value, digits):
-    """Sign of the libmp value ``raw`` minus the exact integer ``value``, or None.
-
-    None means the margin is at most one unit in the ``digits``-th digit of
-    raw, so that raw may be rounding noise; at MAX_ESCALATION_PREC digits the
-    sign is returned all the same.  An infinity has its own sign; nan raises
-    ValueError.
-    """
-    s, man, exp, bc = raw
-    if not man and bc:  # mpf specials: +-inf and nan
-        if raw == libmp.fnan:
-            raise ValueError("the real is nan, so no sign exists")
-        return -1 if s else 1
-    a, v = -man if s else man, int(value)
-    if exp >= 0:  # both sides as integers in units of 2^min(exp, 0)
-        a <<= exp
-    else:
-        v <<= -exp
-    if abs(a - v) * _pow10(digits - 1) > abs(a) or digits >= MAX_ESCALATION_PREC:
-        return (a > v) - (a < v)
-    return None
-
-
 def compare_int(value, fn, prec):
     """Sign of ``fn() - value`` for an exact integer ``value``.
 
     Returns ``(sign, evaluated)``: sign is -1, 0 or +1 (+-1 for an infinity;
-    nan raises ValueError), evaluated is fn() at the digits that decided.
-    Precision doubles (to MAX_ESCALATION_PREC digits) while ``int_sign``
-    finds the margin too narrow.
+    nan raises ValueError), evaluated is fn() rounded to the digits that
+    decided.  fn runs at max(prec, 15) digits, and again at doubled digits
+    while its value r lies within |r| 10^(1 - digits) of ``value``, so that
+    the sign may be rounding noise; at MAX_ESCALATION_PREC digits it is
+    returned all the same.
     """
     digits = max(prec, 15)
     while True:
-        raw, approx = _eval_at(fn, digits)
-        if (sign := int_sign(raw._mpf_, value, digits)) is not None:
-            return sign, approx
+        with mp.workdps(digits):
+            raw = fn()
+            approx = +raw
+        s, man, exp, bc = raw._mpf_
+        if not man and bc:  # mpf specials: +-inf and nan
+            if raw._mpf_ == libmp.fnan:
+                raise ValueError("the real is nan, so no sign exists")
+            return (-1 if s else 1), approx
+        a, v = -man if s else man, int(value)
+        if exp >= 0:  # both sides as integers in units of 2^min(exp, 0)
+            a <<= exp
+        else:
+            v <<= -exp
+        if abs(a - v) * _pow10(digits - 1) > abs(a) or digits >= MAX_ESCALATION_PREC:
+            return (a > v) - (a < v), approx
         digits = min(digits * 2, MAX_ESCALATION_PREC)
 
 

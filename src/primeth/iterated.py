@@ -8,15 +8,15 @@ Towers, ratios, the exact part of counts and verify walk the recursion with
 ``towers(ns, k, cap, cache)``: all bases go up a level at a time, and the
 lookups of a level go to nth_primes together, their counts in one batch.
 It never computes an uncached level at index idx with idx log idx > cap,
-decided exactly: p_idx > idx log idx (Rosser) puts that level above cap.
+decided by an integer enclosure of log idx: p_idx > idx log idx (Rosser)
+puts that level above cap.
 
 ``brackets(n, cache)`` encloses the same levels without computing them: a
 level is exact while its index is tabled or the level cached, and past that
-Dusart's bounds on p_m, applied to the ends of its index's bracket, give
-integers lo <= p_n^(k) <= hi.
+Dusart's bounds on p_m, applied to the ends of its index's bracket and
+enclosed in integers, give integers lo <= p_n^(k) <= hi.
 """
 
-import math
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -24,15 +24,14 @@ from itertools import chain
 import numpy as np
 from mpmath import mp, mpf
 
+from .bounds import _MAX_BITS, _START_BITS, _ln, _log
 from .engine import _TABLE_LIMIT, _TABLE_PRIMES, base_primes_upto, is_prime, nth_primes
 from .errors import BudgetExceededError, CacheFormatError, DomainError
-from .hpreal import DEFAULT_PREC, compare_int
+from .hpreal import DEFAULT_PREC
 
 # Bounds the VALUE of a prime, not its index; reaches the diagonal
 # through k = 9..10 in minutes.
 DEFAULT_BUDGET = 10**11
-
-_FLOAT_BAND = 2.0**-40
 
 # Dusart (Math. Comp. 68 (1999)) proves m (ln m + ln ln m - 1) <= p_m for
 # m >= 2 and p_m <= m (ln m + ln ln m - 0.9484) for m >= 39017.  brackets
@@ -182,21 +181,23 @@ class Tower:
 def _value_certainly_above(idx, cap):
     """True when p_idx > cap follows already from p_idx > idx log idx (Rosser).
 
-    With a faithful libm log, log(idx) in floats is within a relative 2^-50
-    of ln idx and cap / idx (below bitlen(idx) there) is rounded correctly,
-    so they decide when farther apart than _FLOAT_BAND; inside that band
-    ``compare_int`` decides.  No float holds idx, so no index overflows one.
+    An enclosure lo <= 2^bits log idx <= hi from ``_log`` decides where idx lo
+    lies above cap 2^bits or idx hi at or below it, at 128, 256, ... bits up to
+    _MAX_BITS; one still open there answers False, so the walker computes the
+    level.  No float holds idx or cap, so neither overflows one.
     """
     if idx > cap:  # then idx log idx > cap too, for idx >= 2
         return True
     if idx * idx.bit_length() <= cap:  # idx log idx < idx bitlen(idx)
         return False
-    log, ratio = math.log(idx), cap / idx
-    if log * (1 - _FLOAT_BAND) > ratio:
-        return True
-    if log * (1 + _FLOAT_BAND) < ratio:
-        return False
-    return compare_int(cap, lambda: idx * mp.log(idx), 15)[0] > 0
+    bits = _START_BITS
+    while True:
+        lo, hi = _log(idx, bits)
+        if idx * lo > cap << bits:
+            return True
+        if idx * hi <= cap << bits or bits == _MAX_BITS:
+            return False
+        bits = min(2 * bits, _MAX_BITS)
 
 
 def towers(ns, k, cap, cache=None):
@@ -231,21 +232,16 @@ def towers(ns, k, cap, cache=None):
 def _dusart(a, b):
     """Integers lo <= a (ln a + ln ln a - 1) and hi >= b (ln b + ln ln b - 0.9484).
 
-    For a, b >= 39017 each factor is a float above 11, within a few units in
-    its last place (a relative 2^-50) of the exact one, with libm's log taken
-    as faithful as in _value_certainly_above; 0.9484 as a float is off by
-    2^-54.  Scaled by 1 -+ _FLOAT_BAND, it lies safely below or above the
-    exact factor, and it is multiplied exactly as the ratio of two integers.
+    ``_log`` puts ln m in [l, h] 2^-bits, so ln ln m lies in [ln(l 2^-bits),
+    ln(h 2^-bits)], whose ends ``_ln`` encloses in the same units; with 0.9484
+    as 9484/10^4, each factor is a rational bound, multiplied exactly.
     """
-
-    def factor(m, c, scale):
-        f = math.log(m)
-        return ((f + math.log(f) - c) * scale).as_integer_ratio()
-
-    num, den = factor(a, 1, 1 - _FLOAT_BAND)
-    lo = a * num // den
-    num, den = factor(b, 0.9484, 1 + _FLOAT_BAND)
-    return lo, -(-b * num // den)
+    bits = _START_BITS
+    ln_a, _ = _log(a, bits)
+    lo = a * (ln_a + _ln(ln_a, bits, -bits)[0] - (1 << bits)) >> bits
+    _, ln_b = _log(b, bits)
+    hi = b * ((ln_b + _ln(ln_b, bits, -bits)[1]) * 10**4 - (9484 << bits))
+    return lo, -(-hi // (10**4 << bits))
 
 
 def brackets(n, cache=None):

@@ -53,7 +53,7 @@ def _rows(n, k, value, digits=15):
 
 def _bound(name, n, k, prec=50):
     """The bound of one BOUNDS row, rounded to the nearest mpf at ``prec`` digits."""
-    return bounds._rounded(bounds._ROW[name], n, k, prec)
+    return bounds._rounded(bounds._ROW[name].term(n, k), prec)
 
 
 class TestRosserBracket:
@@ -295,9 +295,9 @@ class TestBoundsTable:
             assert rows[name].holds == ("yes" if exact < value else "no")
             assert rows[name].lhs == mp.nstr(exact, 15) == "3.45387763949107e+16"
         assert rows["rosser_upper"].holds == rows["iter_upper"].holds == "yes"
-        enclosure = bounds._ROW["rosser_lower"].enclosure
-        lo, hi = enclosure(n, 1, 128)
-        lo2, hi2 = enclosure(n, 1, 256)
+        term = bounds._ROW["rosser_lower"].term(n, 1)
+        lo, hi = bounds._enclose(term, 128)
+        lo2, hi2 = bounds._enclose(term, 256)
         assert lo << 128 <= lo2 < hi2 <= hi << 128 and hi2 - lo2 < (hi - lo) << 64
 
 
@@ -325,10 +325,10 @@ class TestFormulaEnclosures:
     def test_rows_and_wrappers_enclose_the_mpf_expressions(self, n, k, bits, prec):
         # the expressions at 64 bits past the enclosure's last unit and the
         # bound's magnitude; the enclosure is at most 8 k (bound + 1) units wide
-        rows = [row for row in BOUNDS if row.enclosure is not None]
+        rows = [row for row in BOUNDS if row.term is not None]
         assert {row.name for row in rows} == set(MPF_EXPRESSIONS)
         for row in rows:
-            lo, hi = row.enclosure(n, k, bits)
+            lo, hi = bounds._enclose(row.term(n, k), bits)
             with mp.workprec(bits + hi.bit_length() + 64):
                 exact = MPF_EXPRESSIONS[row.name](n, k)
                 assert lo <= mp.ldexp(exact, bits) <= hi
@@ -350,6 +350,21 @@ class TestEnclosuresAgainstDecimal:
             ctx.prec = bits // 3 + 40  # 2^bits log x with about 35 digits to spare
             scaled = Decimal(x).ln() * Decimal(2) ** bits
         assert lo <= scaled <= hi and hi - lo <= 3
+
+    @given(
+        st.integers(min_value=1, max_value=2**200),
+        st.integers(min_value=-200, max_value=40),
+        st.sampled_from([64, 128, 256]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ln_encloses_a_fixed_point_argument(self, m, e, bits):
+        # the brackets take log log n as the log of m 2^-bits; any m 2^e >= 1
+        e = max(e, 1 - m.bit_length())
+        lo, hi = bounds._ln(m, bits, e)
+        with localcontext() as ctx:
+            ctx.prec = bits // 3 + 80
+            scaled = (Decimal(m) * Decimal(2) ** e).ln() * Decimal(2) ** bits
+        assert lo <= scaled <= hi and hi - lo == 2
 
     def test_log_takes_one_rounded_down_log(self, monkeypatch):
         rounding = []
@@ -392,13 +407,13 @@ class TestEnclosuresAgainstDecimal:
             ctx.prec = 120
             unit = Decimal(2) ** bits
         for row in BOUNDS:
-            if row.enclosure is None:
+            if row.term is None:
                 continue
             for n in range(2, 301):
                 for k in range(1, 7):
                     if row.name == "iter_upper_simple" and k < 2:
                         continue
-                    lo, hi = row.enclosure(n, k, bits)
+                    lo, hi = bounds._enclose(row.term(n, k), bits)
                     exact = bound_by_decimal(row.name, n, k, 90)
                     with localcontext() as ctx:
                         ctx.prec = 120
@@ -406,9 +421,9 @@ class TestEnclosuresAgainstDecimal:
 
     @pytest.mark.parametrize("bits", [64, 128])
     def test_simple_row_to_k_40(self, bits):
-        enclosure = bounds._ROW["iter_upper_simple"].enclosure
+        term = bounds._ROW["iter_upper_simple"].term
         for k in range(2, 41):
-            lo, hi = enclosure(k, k, bits)
+            lo, hi = bounds._enclose(term(k, k), bits)
             exact = bound_by_decimal("iter_upper_simple", k, k, 200)
             with localcontext() as ctx:
                 ctx.prec = 240

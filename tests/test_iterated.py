@@ -17,13 +17,16 @@ from primeth import (
     nth_prime,
     ratio_to_diagonal,
 )
-from primeth import engine, iterated
+from primeth import bounds, engine, iterated
 from primeth.hpreal import DEFAULT_PREC
-from primeth.iterated import _FLOAT_BAND, _value_certainly_above, towers
+from primeth.iterated import _value_certainly_above, towers
 
 from oracle import n_log_n_by_decimal, sieve_primes, tower_by_sieve
 
 PRIMETH_RECURRENCE = [2, 3, 5, 11, 31, 127, 709, 5381, 52711]
+# caps a relative 2^-40 from the float product idx * log(idx), where a float
+# filter would be near its rounding limit, probe the skip
+_FLOAT_BAND = 2.0**-40
 
 
 class TestIteratePrime:
@@ -191,6 +194,26 @@ class TestValueCertainlyAbove:
         x = n_log_n_by_decimal(10**400, 440)
         assert _value_certainly_above(10**400, math.floor(x))
         assert not _value_certainly_above(10**400, math.ceil(x))
+
+    def test_undecided_skip_computes_the_level(self, monkeypatch):
+        # an enclosure of log idx that always holds cap / idx leaves the skip
+        # open at every bits up to _MAX_BITS, so it answers False, and towers
+        # computes level 12 of base 1 (index 9737333), which the exact skip
+        # decides unseen at cap 10^8
+        cap, tried = 10**8, []
+
+        def straddling(m, bits):
+            tried.append(bits)
+            q = (cap << bits) // m
+            return q - 1, q + 1
+
+        monkeypatch.setattr(iterated, "_log", straddling)
+        assert not _value_certainly_above(9737333, cap)
+        assert tried == [128, 256, 512, 1024, 2048, 4096, 8192, bounds._MAX_BITS]
+        cache = TowerCache()
+        assert towers([1], 20, cap, cache)[1] == PRIMETH_RECURRENCE + [648391, 9737333]
+        assert cache.get(1, 12) == 174440041
+
 
 class TestDiagPrime:
     def test_examples(self, cache):
