@@ -46,7 +46,7 @@ def _int_list(text):
 def _build_parser():
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=iterated.DEFAULT_BUDGET,
-                        help="largest permissible prime value (default 10^11)")
+                        help="largest permissible prime value (default 10^11; pi ignores it)")
     cache = argparse.ArgumentParser(add_help=False)
     cache.add_argument("--cache", metavar="PATH", default=None,
                        help="persistent tower cache file")
@@ -132,7 +132,9 @@ def _truncated(depth, k, budget):
 
 
 def _cmd_nth(args, cache):
-    print(engine.nth_prime(args.n))
+    if iterated.proved_above(args.n, args.budget) or (p := engine.nth_prime(args.n)) > args.budget:
+        raise BudgetExceededError(f"p_{args.n} already exceeds budget {args.budget}")
+    print(p)
     return EXIT_OK
 
 
@@ -260,6 +262,9 @@ def main(argv=None):
     except PrimethError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # an unusable --cache or --out path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     finally:
         if cache is not None:
             cache.close()

@@ -6,9 +6,9 @@ Both decide each level from its proved bracket ``iterated.brackets``: a
 level with hi <= x counts, and one with lo > x ends the count, as every
 level above it is larger still.  Only when x lies inside a bracket does the
 count run the exact ``iterated.towers`` for that base, which computes the
-levels up to one past x and stores them.  So most counts compute no prime
-past a small table, and neither function ever estimates: the only facts
-taken on trust are Dusart's two bounds on p_m.
+levels up to one past x and stores them, and only that walk needs x within
+the budget.  So most counts compute no prime past a small table, and they
+never estimate: the only facts taken on trust are Dusart's two bounds.
 """
 
 from itertools import islice
@@ -20,7 +20,7 @@ from .hpreal import DEFAULT_PREC
 from .iterated import DEFAULT_BUDGET, EXACT_LIMIT, brackets, towers
 
 
-def _count_levels(n, x, levels, cache):
+def _count_levels(n, x, levels, budget, cache):
     """Number of the levels p_n^(1..levels) that are <= x; levels None: all of them."""
     count = 0
     for lo, hi in islice(brackets(n, cache), levels):
@@ -32,6 +32,10 @@ def _count_levels(n, x, levels, cache):
                     f"x={x} lies in [{lo}, {hi}], the bracket of p_{n}^({count + 1}), "
                     "whose exact value is past 2^48"
                 )
+            if x > budget:  # the walk would compute primes up to x
+                raise BudgetExceededError(
+                    f"x={x} above budget {budget}: bracketing element not computable"
+                )
             return len(towers([n], levels or x, x, cache)[n])  # p_n^(k) > k: x levels at most
         count += 1
     return count
@@ -42,12 +46,8 @@ def count_diag(x, budget=DEFAULT_BUDGET, cache=None):
     x = int(x)
     if x < 1:
         raise DomainError("count_diag requires x >= 1")
-    if x > budget:
-        raise BudgetExceededError(
-            f"x={x} above budget {budget}: bracketing element not computable"
-        )
     k = 1
-    while _count_levels(k, x, k, cache) == k:
+    while _count_levels(k, x, k, budget, cache) == k:
         k += 1
     return k - 1
 
@@ -57,11 +57,7 @@ def count_tower(n, x, budget=DEFAULT_BUDGET, cache=None):
     n, x = int(n), int(x)
     if n < 1 or x < 1:
         raise DomainError("count_tower requires n >= 1 and x >= 1")
-    if x > budget:
-        raise BudgetExceededError(
-            f"x={x} above budget {budget}: bracketing element not computable"
-        )
-    return _count_levels(n, x, None, cache)
+    return _count_levels(n, x, None, budget, cache)
 
 
 def comparator(x, prec=DEFAULT_PREC):

@@ -67,21 +67,17 @@ def _prime_table(limit):
     """All primes up to the table's limit, grown first if it ends below limit:
     to the power of two at or above limit (at least 2^8), by windows of at most
     _TABLE_ODDS odd integers past its end, each sieved by sieve_segment with
-    the primes found so far.  It is a read-only view of a buffer whose room
-    past it takes them in place; a buffer too small is replaced by one with
-    room up to 4 times the limit (at most 2^24), so it is copied once in two
-    doublings."""
+    the primes found so far.  Each growth copies the table into one buffer
+    sized for the new limit, and the new primes go into it in place."""
     global _TABLE
     top, table = _TABLE
     if top >= limit:
         return table
     limit = 1 << max(limit - 1, 255).bit_length()
-    count, buf = len(table), table.base
+    count = len(table)
     # pi(2^b) < 2^(b+1) / b, as pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld, 1962)
-    if buf is None or len(buf) < 2 * limit // (limit.bit_length() - 1):
-        room = min(limit << 2, _TABLE_LIMIT)
-        buf = np.empty(2 * room // (room.bit_length() - 1), dtype=np.int64)
-        buf[:count] = table
+    buf = np.empty(2 * limit // (limit.bit_length() - 1), dtype=np.int64)
+    buf[:count] = table
     while top < limit:
         hi = min(top + 2 * _TABLE_ODDS, top * top, limit)
         seg = sieve_segment(top + 1, hi, sieving=buf[:count])

@@ -4,13 +4,13 @@ Precision is expressed everywhere in significant decimal digits.  A real
 is compared with an exact integer in one of two ways.  ``sign_and_text``
 takes a proved integer enclosure of the real, and gives the sign and the
 decimal text only where every point of the enclosure gives the same (Ziv's
-rounding test); for 0 < s < 64 decimal places to shift, it rounds with one
-binary shift.  It decides every bound row, and the same integer enclosures
-decide the tower walker's skip and the count brackets.  ``compare_int``,
-which certify alone uses, takes the sign of an mpmath function's value minus
-the integer from the value's mantissa and exponent, in integers, and re-runs
-the function at doubled precision until the margin exceeds one unit in the
-last digit.
+rounding test); it rounds by one binary shift, or by one division where the
+real has more integer digits than it prints.  It decides every bound row,
+and the same integer enclosures give Dusart's brackets, which decide the
+counts and the tower walker's skip.  ``compare_int``, which certify alone
+uses, takes the sign of an mpmath function's value minus the integer from
+the value's mantissa and exponent, in integers, and re-runs the function at
+doubled precision until the margin exceeds one unit in the last digit.
 """
 
 import functools
@@ -20,7 +20,6 @@ from mpmath import libmp, mp
 
 DEFAULT_PREC = 50
 MAX_ESCALATION_PREC = 4096
-_POW10 = tuple(10**s for s in range(64))
 
 
 @functools.lru_cache(maxsize=256)
@@ -58,10 +57,13 @@ def compare_int(value, fn, prec):
         digits = min(digits * 2, MAX_ESCALATION_PREC)
 
 
-def _half_up(m, bits, shift):
-    """m * 2^-bits * 10^shift rounded half-up to an integer, for m >= 0."""
-    num, den = (m * _pow10(shift), 1 << bits) if shift >= 0 else (m, _pow10(-shift) << bits)
-    return (2 * num + den) // (2 * den)
+def _half_up(lo, hi, bits, shift):
+    """lo and hi times 2^-bits 10^shift, each rounded half-up to an integer, for 0 <= lo <= hi."""
+    if shift >= 0:  # one shift; no half unit at bits = 0
+        p, half = _pow10(shift), 1 << bits >> 1
+        return lo * p + half >> bits, hi * p + half >> bits
+    den = _pow10(-shift) << bits
+    return (2 * lo + den) // (2 * den), (2 * hi + den) // (2 * den)
 
 
 def sign_and_text(lo, hi, bits, value, digits):
@@ -77,19 +79,12 @@ def sign_and_text(lo, hi, bits, value, digits):
     if sign is None:
         return None
     e = math.floor((lo.bit_length() - bits - 1) * 0.3010299956639812)  # 10^e <= r < 2 10^(e+1)
-    if 0 < (s := digits - 1 - e) < 64:  # r 10^s rounds half-up by one shift, even after a carry
-        p, half = _POW10[s], 1 << bits >> 1  # no half unit at bits = 0
-        if (man := lo * p + half >> bits) >= _pow10(digits):  # r, or 9.99... rounded, >= 10^(e+1)
-            e, p = e + 1, _POW10[s - 1]
-            man = lo * p + half >> bits
-        if hi * p + half >> bits != man:
-            return None
-    else:
-        if (man := _half_up(lo, bits, s)) >= _pow10(digits):
-            e += 1
-            man = _half_up(lo, bits, s - 1)
-        if _half_up(hi, bits, digits - 1 - e) != man:
-            return None
+    man, top = _half_up(lo, hi, bits, digits - 1 - e)
+    if man >= _pow10(digits):  # r rounds to 10^(e+1)
+        e += 1
+        man, top = _half_up(lo, hi, bits, digits - 1 - e)
+    if top != man:
+        return None
     text = str(man)
     if 0 <= e < digits:
         text = f"{text[:e + 1]}.{text[e + 1:]}".rstrip("0")

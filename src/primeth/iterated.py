@@ -7,9 +7,9 @@ append-only cache keyed by (base index, level).
 Towers, ratios, the exact part of counts and verify walk the recursion with
 ``towers(ns, k, cap, cache)``: all bases go up a level at a time, and the
 lookups of a level go to nth_primes together, their counts in one batch.
-It never computes an uncached level at index idx with idx log idx > cap,
-decided by an integer enclosure of log idx: p_idx > idx log idx (Rosser)
-puts that level above cap.
+It never computes an uncached level at index idx that ``proved_above``
+puts above cap: idx > cap, or the integer lower end of Dusart's lower bound
+on p_idx above cap.
 
 ``brackets(n, cache)`` encloses the same levels without computing them: a
 level is exact while its index is tabled or the level cached, and past that
@@ -24,7 +24,7 @@ from itertools import chain
 import numpy as np
 from mpmath import mp, mpf
 
-from .bounds import _MAX_BITS, _START_BITS, _ln, _log
+from .bounds import _START_BITS, _ln, _log
 from .engine import _TABLE_LIMIT, _TABLE_PRIMES, base_primes_upto, is_prime, nth_primes
 from .errors import BudgetExceededError, CacheFormatError, DomainError
 from .hpreal import DEFAULT_PREC
@@ -42,11 +42,16 @@ _DUSART_TABLE = 1 << 19
 EXACT_LIMIT = _TABLE_LIMIT**2
 
 
+def _quoted(line):
+    """A cache line as errors quote it: the str repr of its ASCII text, other bytes as \\xNN."""
+    return repr(line.strip())[1:]  # a bytes repr without its b
+
+
 class TowerCache:
     """Persistent (n, level) -> p_n^(level) store.
 
     File format: one record per line, ``T <n> <level> <value>`` with
-    decimal integers.  The file is loaded fully at construction and
+    fields of ASCII digits.  The file is loaded fully at construction and
     appended on every store.  Malformed lines, a torn last line (no newline:
     the next store would extend it), non-prime values, levels of a base that
     do not rise from n on, values that are not the tabled prime their index
@@ -64,26 +69,24 @@ class TowerCache:
             self._load(path)
 
     def _load(self, path):
-        with open(path, "r", encoding="ascii") as fh:
-            *lines, tail = fh.read().split("\n")
+        with open(path, "rb") as fh:  # bytes: their isdigit takes ASCII digits alone
+            *lines, tail = fh.read().split(b"\n")
         store = self._store
         for lineno, line in enumerate(lines, start=1):
             if not (parts := line.split()):
                 continue
-            if len(parts) != 4 or parts[0] != "T":
-                raise CacheFormatError(f"{path}:{lineno}: bad record {line.strip()!r}")
-            try:
-                n, level, value = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise CacheFormatError(
-                    f"{path}:{lineno}: non-integer field in {line.strip()!r}"
-                ) from exc
+            # int() also reads "+", "-" and "_"; a byte past ASCII fails here too
+            if len(parts) != 4 or parts[0] != b"T" or not (
+                parts[1].isdigit() and parts[2].isdigit() and parts[3].isdigit()
+            ):
+                raise CacheFormatError(f"{path}:{lineno}: bad record {_quoted(line)}")
+            n, level, value = int(parts[1]), int(parts[2]), int(parts[3])
             if n < 1 or level < 1 or not 2 <= value < 1 << 64:  # is_prime's range
-                raise CacheFormatError(f"{path}:{lineno}: out-of-range field in {line.strip()!r}")
+                raise CacheFormatError(f"{path}:{lineno}: out-of-range field in {_quoted(line)}")
             if store.setdefault((n, level), value) != value:
-                raise CacheFormatError(f"{path}:{lineno}: {line.strip()!r} contradicts a record")
+                raise CacheFormatError(f"{path}:{lineno}: {_quoted(line)} contradicts a record")
         if tail.strip():  # only the last line can lack a newline
-            raise CacheFormatError(f"{path}:{len(lines) + 1}: torn record {tail.strip()!r}")
+            raise CacheFormatError(f"{path}:{len(lines) + 1}: torn record {_quoted(tail)}")
         self._check_levels(path)
 
     def _check_levels(self, path):
@@ -178,36 +181,23 @@ class Tower:
         return len(self.values)
 
 
-def _value_certainly_above(idx, cap):
-    """True when p_idx > cap follows already from p_idx > idx log idx (Rosser).
-
-    An enclosure lo <= 2^bits log idx <= hi from ``_log`` decides where idx lo
-    lies above cap 2^bits or idx hi at or below it, at 128, 256, ... bits up to
-    _MAX_BITS; one still open there answers False, so the walker computes the
-    level.  No float holds idx or cap, so neither overflows one.
-    """
-    if idx > cap:  # then idx log idx > cap too, for idx >= 2
-        return True
-    if idx * idx.bit_length() <= cap:  # idx log idx < idx bitlen(idx)
-        return False
-    bits = _START_BITS
-    while True:
-        lo, hi = _log(idx, bits)
-        if idx * lo > cap << bits:
-            return True
-        if idx * hi <= cap << bits or bits == _MAX_BITS:
-            return False
-        bits = min(2 * bits, _MAX_BITS)
+def proved_above(idx, cap):
+    """True when p_idx > cap is proved without computing p_idx: by p_idx > idx,
+    or by Dusart's lower bound (m >= 2), whose lower end ``_dusart`` encloses.
+    That bound lies below idx log2 idx <= idx bitlen(idx), so a cap at or above
+    this takes no logarithm.  A lower end at or below cap answers False, and
+    the walker computes the level, so no rounding decides a skip."""
+    return idx > cap or idx * idx.bit_length() > cap and _dusart(idx, idx)[0] > cap
 
 
 def towers(ns, k, cap, cache=None):
     """{n: [p_n^(1), p_n^(2), ...]} for each distinct n of ns: its levels <= cap, at most k.
 
     The live bases climb one level at a time; a cache miss ends its base if
-    ``_value_certainly_above`` holds, and the others look up the indices they
-    name in one nth_primes call.  A computed level is stored even when it
-    lands above cap, and all computed levels go to the cache in one put_many,
-    also when an error ends the walk.
+    ``proved_above`` holds, and the others look up the indices they name in
+    one nth_primes call.  A computed level is stored even when it lands above
+    cap, and all computed levels go to the cache in one put_many, also when
+    an error ends the walk.
     """
     cache = TowerCache() if cache is None else cache
     out = {int(n): [] for n in ns}
@@ -216,7 +206,7 @@ def towers(ns, k, cap, cache=None):
         while live and level <= k:
             got = {n: cache.get(n, level) for n in live}
             idx = {n: out[n][-1] if out[n] else n for n in live}
-            miss = [n for n in live if got[n] is None and not _value_certainly_above(idx[n], cap)]
+            miss = [n for n in live if got[n] is None and not proved_above(idx[n], cap)]
             if miss:  # distinct indices: p_n^(level - 1) rises with n
                 got.update(zip(miss, nth_primes([idx[n] for n in miss])))
             computed += [(n, level, got[n]) for n in miss]

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -193,8 +194,42 @@ class TestExitCodes:
         assert code == 2 and "budget" in err
 
     def test_count_above_budget(self, capsys):
-        code, _, err = run(capsys, "count", "diag", "10000000", "--budget", "1000")
+        # x = p_7^(7) lies inside its bracket, so the walk must run
+        assert run(capsys, "count", "diag", "2269733", "--budget", "1000") == (
+            2, "", "budget exhausted: x=2269733 above budget 1000: "
+                   "bracketing element not computable\n",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["count", "diag", f"{10**21}"], 16),
+            (["count", "diag", f"{10**100}"], 52),
+            (["count", "tower", "1", f"{10**50}"], 35),
+            (["count", "diag", "10000000", "--budget", "1000"], 7),
+        ],
+        ids=["diag_1e21", "diag_1e100", "tower_1e50", "diag_1e7_budget_1000"],
+    )
+    def test_count_decided_by_brackets_needs_no_budget(self, capsys, argv, count):
+        assert run(capsys, *argv) == (0, f"{count}\n", "")
+
+    def test_nth_above_budget(self, capsys):
+        line = "budget exhausted: p_{} already exceeds budget {}\n"
+        assert run(capsys, "nth", "100000000000") == (2, "", line.format(10**11, 10**11))
+        # Dusart's lower end, 7840, leaves p_1000 = 7919 to the lookup
+        assert run(capsys, "nth", "1000", "--budget", "7918") == (2, "", line.format(1000, 7918))
+        assert run(capsys, "nth", "1000", "--budget", "7919") == (0, "7919\n", "")
+
+    def test_nth_above_budget_allocates_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "nth_prime", lambda n: pytest.fail(f"nth_prime({n})"))
+        tracemalloc.start()
+        try:
+            code = main(["nth", "100000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 2
+        assert peak < 1 << 20
 
     def test_count_inside_a_bracket_past_2_48_exits_3(self, capsys):
         # 5.5e15 lies in the bracket of p_13^(13), whose exact value is past 2^48
@@ -234,7 +269,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, code, line",
         [
-            (["nth", f"{HUGE}"], 3, PAST_2_48),
+            (["nth", f"{HUGE}"], 2, f"{ABOVE} 100000000000"),
             (["iter", f"{HUGE}", "2"], 2, f"{ABOVE} 100000000000"),
             (["diag", f"{HUGE}"], 2, f"{ABOVE} 100000000000"),
             (["table", "ratios", f"{HUGE}", "3"], 2, f"{ABOVE} 100000000000"),
@@ -258,6 +293,26 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["iter", "1", "3", "--cache", "{tmp}"],
+            ["verify", "all", "--n-max", "5", "--k-max", "2", "--out", "{tmp}/missing/x.csv"],
+        ],
+        ids=["cache_is_a_directory", "out_in_a_missing_directory"],
+    )
+    def test_unusable_path_exits_3(self, tmp_path, argv):
+        # each once ended in an OSError traceback, exit 1
+        env = {**os.environ, "PYTHONPATH": str(Path(primeth.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "primeth", *(a.format(tmp=tmp_path) for a in argv)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        assert str(tmp_path) in proc.stderr
         assert proc.stdout == ""
 
     def test_non_prime_cache_value_exits_3(self, tmp_path):

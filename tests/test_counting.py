@@ -58,9 +58,18 @@ class TestCountDiag:
             if value > 1:
                 assert count_diag(value - 1, cache=cache) == k - 1
 
-    def test_budget_guard(self, cache):
-        with pytest.raises(BudgetExceededError):
-            count_diag(10**7, budget=10**6, cache=cache)
+    def test_budget_guard(self):
+        # x = p_7^(7) lies inside its bracket with no cache: only the walk,
+        # which the budget bounds, decides it; the brackets alone decide 10^7
+        with pytest.raises(
+            BudgetExceededError,
+            match=r"^x=2269733 above budget 1000: bracketing element not computable$",
+        ):
+            count_diag(2269733, budget=1000)
+        assert count_diag(10**7, budget=1000) == 7
+        # count_tower shares the check: p_1^(11) = 9737333 lies inside its bracket
+        with pytest.raises(BudgetExceededError, match=r"^x=9737333 above budget 1000: "):
+            count_tower(1, 9737333, budget=1000)
 
     def test_invalid(self, cache):
         with pytest.raises(DomainError, match=r"^count_diag requires x >= 1$"):

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,15 +18,15 @@ from primeth import (
     nth_prime,
     ratio_to_diagonal,
 )
-from primeth import bounds, engine, iterated
+from primeth import engine, iterated
 from primeth.hpreal import DEFAULT_PREC
-from primeth.iterated import _value_certainly_above, towers
+from primeth.iterated import proved_above, towers
 
-from oracle import n_log_n_by_decimal, sieve_primes, tower_by_sieve
+from oracle import dusart_by_decimal, n_log_n_by_decimal, sieve_primes, tower_by_sieve
 
 PRIMETH_RECURRENCE = [2, 3, 5, 11, 31, 127, 709, 5381, 52711]
-# caps a relative 2^-40 from the float product idx * log(idx), where a float
-# filter would be near its rounding limit, probe the skip
+# caps a relative 2^-40 from the float value of Dusart's lower bound, where a
+# float filter would be near its rounding limit, probe the skip
 _FLOAT_BAND = 2.0**-40
 
 
@@ -106,16 +107,18 @@ class TestTowers:
             if len(values) < 6:  # the level past the cap: stored unless skipped
                 idx = values[-1] if values else n
                 stored = cache.get(n, len(values) + 1)
-                assert (stored is None) == _value_certainly_above(idx, 10**7), n
+                assert (stored is None) == proved_above(idx, 10**7), n
                 assert stored is None or stored > 10**7
         assert len(lookups) == 6  # one call per level
         assert all(len(set(idxs)) == len(idxs) for idxs in lookups)
 
     def test_truncation_skip_and_level_stored_above_the_cap(self):
-        # p_1^(12) = p_9737333 = 174440041, and 9737333 ln 9737333 ~ 1.566e8:
-        # at cap 10^8 the skip decides level 12 unseen; at cap 1.6e8 it is
-        # computed, stored, and lies above the cap
-        for cap, stored in ((10**8, None), (160_000_000, 174440041)):
+        # p_1^(12) = p_9737333 = 174440041, and Dusart's lower bound on it is
+        # 174003877.97...: at caps 10^8, 1.6e8 and 174003876 the skip decides
+        # level 12 unseen; at caps from 174003877, the lower end of its
+        # enclosure, up to 174440040 it is computed, stored, and lies above the cap
+        for cap, stored in ((10**8, None), (160_000_000, None), (174_003_876, None),
+                            (174_003_877, 174440041), (174_440_040, 174440041)):
             cache = TowerCache()
             assert towers([1], 20, cap, cache)[1] == PRIMETH_RECURRENCE + [648391, 9737333]
             assert cache.get(1, 12) == stored
@@ -154,62 +157,65 @@ class TestTowers:
 
 
 class TestValueCertainlyAbove:
-    """The walker's skip decides idx log idx > cap exactly, never by rounding."""
+    """``proved_above``, the walker's skip: p_idx > idx, or Dusart's lower
+    bound on p_idx, puts p_idx above cap."""
 
-    # from 10^15 on, the float product alone misjudges floor(x) or ceil(x)
-    @pytest.mark.parametrize("idx", [16, 10**6, 10**9, 10**12, 10**15, 10**16, 10**18])
-    def test_decided_at_the_integers_around_n_log_n(self, idx):
-        x = n_log_n_by_decimal(idx, 40)
-        assert _value_certainly_above(idx, math.floor(x))
-        assert not _value_certainly_above(idx, math.ceil(x))
+    @staticmethod
+    def _lower_and_slack(idx):
+        # the decimal lower bound to 40 digits past the point, and the slack
+        # TestBrackets allows the integer enclosure of it
+        lower = dusart_by_decimal(idx, len(str(idx)) + 40)[0]
+        return lower, lower * Decimal(2) ** -60 + 1
+
+    @pytest.mark.parametrize("idx", [18, 10**6, 10**9, 10**12, 10**15, 10**18, 10**400],
+                             ids=["18", "1e6", "1e9", "1e12", "1e15", "1e18", "1e400"])
+    def test_decided_around_dusarts_lower_bound(self, idx):
+        lower, slack = self._lower_and_slack(idx)
+        assert proved_above(idx, math.ceil(lower - slack) - 1)
+        assert not proved_above(idx, math.ceil(lower))
 
     def test_skip_implies_value_above_cap(self):
         for idx in range(2, 20001):
             p = nth_prime(idx)
             for cap in (math.floor(n_log_n_by_decimal(idx, 20)), p):
-                if _value_certainly_above(idx, cap):
+                if proved_above(idx, cap):
                     assert p > cap
 
     def test_agrees_with_oracle_at_the_float_band_edges(self):
-        for idx in sorted({int(10 ** (e / 20)) for e in range(7, 361)}):
-            x = n_log_n_by_decimal(idx, 40)
-            approx = idx * math.log(idx)
-            caps = {math.floor(x), math.ceil(x)}
+        # caps at the integers around Dusart's lower bound, outside the slack of
+        # its enclosure, and a relative 2^-40 from its float value, where a
+        # float filter would be near its rounding limit; from 18 on the bound
+        # exceeds idx log idx, which the skip once read, and idx itself
+        for idx in sorted({int(10 ** (e / 20)) for e in range(26, 361)}):
+            lower, slack = self._lower_and_slack(idx)
+            approx = idx * (math.log(idx) + math.log(math.log(idx)) - 1)
+            caps = {math.ceil(lower - slack) - 1 - j for j in range(3)}
+            caps.update(math.ceil(lower) + j for j in range(3))
             for edge in (approx * (1 - _FLOAT_BAND), approx * (1 + _FLOAT_BAND)):
                 caps.update(range(int(edge) - 2, int(edge) + 3))
             for cap in caps:
-                assert _value_certainly_above(idx, cap) == (x > cap), (idx, cap)
-
+                if not lower - slack <= cap < lower:  # the enclosure decides it
+                    assert proved_above(idx, cap) == (cap < lower), (idx, cap)
 
     def test_cap_beyond_float_range(self):
         # float-int comparisons are exact, so a cap past 1e308 cannot overflow
-        assert not _value_certainly_above(10**6, 10**400)
+        assert not proved_above(10**6, 10**400)
         assert iterate_prime(1, 5, budget=10**400).values == [2, 3, 5, 11, 31]
 
     def test_index_beyond_float_range(self):
-        # no float holds the index: 10^400 log 10^400 is about 9.2 * 10^402
-        assert _value_certainly_above(10**400, 10**400 - 1)
-        assert _value_certainly_above(10**400, 9 * 10**402)
-        assert not _value_certainly_above(10**400, 10**403)
-        x = n_log_n_by_decimal(10**400, 440)
-        assert _value_certainly_above(10**400, math.floor(x))
-        assert not _value_certainly_above(10**400, math.ceil(x))
+        # no float holds the index: Dusart's lower bound on p_(10^400) is
+        # about 9.27 * 10^402
+        assert proved_above(10**400, 10**400 - 1)
+        assert proved_above(10**400, 9 * 10**402)
+        assert not proved_above(10**400, 10**403)
 
     def test_undecided_skip_computes_the_level(self, monkeypatch):
-        # an enclosure of log idx that always holds cap / idx leaves the skip
-        # open at every bits up to _MAX_BITS, so it answers False, and towers
-        # computes level 12 of base 1 (index 9737333), which the exact skip
-        # decides unseen at cap 10^8
-        cap, tried = 10**8, []
-
-        def straddling(m, bits):
-            tried.append(bits)
-            q = (cap << bits) // m
-            return q - 1, q + 1
-
-        monkeypatch.setattr(iterated, "_log", straddling)
-        assert not _value_certainly_above(9737333, cap)
-        assert tried == [128, 256, 512, 1024, 2048, 4096, 8192, bounds._MAX_BITS]
+        # an enclosure whose lower end stays at cap leaves the skip undecided,
+        # so towers computes level 12 of base 1 (index 9737333), which the
+        # real enclosure decides unseen at cap 10^8
+        cap = 10**8
+        monkeypatch.setattr(iterated, "_dusart", lambda a, b: (cap, 2 * cap))
+        assert not proved_above(9737333, cap)
         cache = TowerCache()
         assert towers([1], 20, cap, cache)[1] == PRIMETH_RECURRENCE + [648391, 9737333]
         assert cache.get(1, 12) == 174440041
@@ -321,13 +327,24 @@ class TestTowerCache:
 
     @pytest.mark.parametrize(
         "line",
-        ["X 1 1 2", "T 1 1", "T 1 1 2 3", "T a 1 2", "T 1 1 -5", "T 0 1 2", f"T 1 1 {2**64}"],
+        ["X 1 1 2", "T 1 1", "T 1 1 2 3", "T a 1 2", "T 1 1 -5", "T 0 1 2", f"T 1 1 {2**64}",
+         # int() once read p_6 = 13 from these two, though no store writes them
+         "T 6 1 1_3", "T +6 1 +13",
+         # bytes past ASCII, once a UnicodeDecodeError: a traceback, and exit 1
+         "T 1 1 \u0662", "T 1 1 2\u00e9"],
     )
     def test_malformed_lines_are_hard_errors(self, tmp_path, line):
         path = tmp_path / "towers.txt"
-        path.write_text(line + "\n")
+        path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(CacheFormatError):
             TowerCache(str(path))
+
+    def test_byte_past_ascii_names_its_line(self, tmp_path):
+        path = tmp_path / "towers.txt"
+        path.write_bytes(b"T 1 1 2\nT 2 1 3\xff\n")
+        with pytest.raises(CacheFormatError) as exc:
+            TowerCache(str(path))
+        assert str(exc.value) == f"{path}:2: bad record 'T 2 1 3\\xff'"
 
     @pytest.mark.parametrize(
         "lines, reason",
