@@ -171,14 +171,10 @@ def _cmd_verify(args, cache):
     k_max = 1 if args.suite == "rosser" else args.k_max
     if args.n_max < 1 or k_max < 1:
         raise DomainError("tower requires n >= 1 and k >= 1")
-    lines = []
     tally = dict.fromkeys((True, False, None), 0)  # rows by holds; None: inapplicable
-    truncated = False
     digits = min(args.prec, 20)  # printed digits of each bound; no verdict depends on them
-    for n, values in iterated.towers(range(1, args.n_max + 1), k_max, args.budget, cache).items():
-        truncated = truncated or len(values) < k_max  # none: p_n itself is above the budget
-        for k, value in enumerate(values, start=1):
-            lines += bounds.check_bounds(n, k, value, args.suite, digits, tally)
+    walk = iterated.towers(range(1, args.n_max + 1), k_max, args.budget, cache)
+    lines = bounds.check_bounds(walk, args.suite, digits, tally)
 
     with _open_out(args) as fh:  # only now, so an error above leaves --out as it was
         _stamp(fh, args)
@@ -192,7 +188,7 @@ def _cmd_verify(args, cache):
     )
     if violations:
         return EXIT_VIOLATION
-    if truncated:
+    if any(len(values) < k_max for values in walk.values()):  # none: p_n itself > budget
         return EXIT_BUDGET
     return EXIT_OK
 

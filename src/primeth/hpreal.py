@@ -1,16 +1,17 @@
 """High-precision real helpers built on mpmath.
 
-Precision is expressed everywhere in significant decimal digits.  A real
-is compared with an exact integer in one of two ways.  ``sign_and_text``
-takes a proved integer enclosure of the real, and gives the sign and the
-decimal text only where every point of the enclosure gives the same (Ziv's
-rounding test); it rounds by one binary shift, or by one division where the
-real has more integer digits than it prints.  It decides every bound row,
-and the same integer enclosures give Dusart's brackets, which decide the
-counts and the tower walker's skip.  ``compare_int``, which certify alone
-uses, takes the sign of an mpmath function's value minus the integer from
-the value's mantissa and exponent, in integers, and re-runs the function at
-doubled precision until the margin exceeds one unit in the last digit.
+Precision is expressed everywhere in significant decimal digits.  A real is
+compared with an exact integer in one of two ways.  ``sign_and_text`` takes
+a proved integer enclosure of the real, and gives the sign and the decimal
+text only where every point of the enclosure gives the same (Ziv's rounding
+test); its decimal exponent is exact, so it rounds once, by one binary shift
+or one division, and again only on a carry into the next decade.  It decides
+every bound row, and the same integer enclosures give Dusart's brackets,
+which decide the counts and the tower walker's skip.  ``compare_int``, which
+certify alone uses, takes the sign of an mpmath function's value minus the
+integer from the value's mantissa and exponent, in integers, and re-runs the
+function at doubled precision until the margin exceeds one unit in the last
+digit.
 """
 
 import functools
@@ -78,17 +79,17 @@ def sign_and_text(lo, hi, bits, value, digits):
     sign = -1 if hi < v else 1 if lo > v else 0 if lo == hi else None
     if sign is None:
         return None
-    e = math.floor((lo.bit_length() - bits - 1) * 0.3010299956639812)  # 10^e <= r < 2 10^(e+1)
+    e = math.floor((lo.bit_length() - bits - 1) * 0.3010299956639812)  # 10^e <= r < 10^(e+2)
+    e += lo >> bits >= _pow10(e + 1) if e >= -1 else lo * _pow10(-e - 1) >= 1 << bits  # exact
     man, top = _half_up(lo, hi, bits, digits - 1 - e)
-    if man >= _pow10(digits):  # r rounds to 10^(e+1)
+    if man >= _pow10(digits):  # r rounds up to 10^(e+1)
         e += 1
         man, top = _half_up(lo, hi, bits, digits - 1 - e)
     if top != man:
         return None
     text = str(man)
     if 0 <= e < digits:
-        text = f"{text[:e + 1]}.{text[e + 1:]}".rstrip("0")
-        return sign, text + "0" if text[-1] == "." else text
+        return sign, f"{text[:e + 1]}.{text[e + 1:].rstrip('0') or '0'}"
     if min(-(digits // 3), -5) < e < 0:
         return sign, ("0." + "0" * (-e - 1) + text).rstrip("0")
     text = f"{text[0]}.{text[1:]}".rstrip("0")

@@ -18,8 +18,8 @@ enclosed in integers, give integers lo <= p_n^(k) <= hi.
 """
 
 import os
+import re
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from mpmath import mp, mpf
@@ -40,6 +40,8 @@ DEFAULT_BUDGET = 10**11
 _DUSART_TABLE = 1 << 19
 # prime_count and sieve_segment stop below 2^48, so no exact level reaches it.
 EXACT_LIMIT = _TABLE_LIMIT**2
+# A cache file of lines as put_many writes them, each field below 10^18 < 2^63.
+_WRITTEN = re.compile(rb"(?:T [1-9][0-9]{0,17} [1-9][0-9]{0,17} [1-9][0-9]{0,17}\n)*")
 
 
 def _quoted(line):
@@ -70,7 +72,15 @@ class TowerCache:
 
     def _load(self, path):
         with open(path, "rb") as fh:  # bytes: their isdigit takes ASCII digits alone
-            *lines, tail = fh.read().split(b"\n")
+            data = fh.read()
+        if _WRITTEN.fullmatch(data):  # each line as put_many writes it: all parsed at once
+            fields = np.fromstring(data.replace(b"T", b""), np.int64, sep=" ")
+            n, level, value = fields.reshape(-1, 3).T
+            self._store = dict(zip(zip(n.tolist(), level.tolist()), value.tolist()))
+            if len(self._store) == len(n) and value.min(initial=2) >= 2:
+                return self._check_levels(path, n, level, value)
+            self._store = {}  # a key twice or a value below 2: the lines say which
+        *lines, tail = data.split(b"\n")
         store = self._store
         for lineno, line in enumerate(lines, start=1):
             if not (parts := line.split()):
@@ -87,9 +97,10 @@ class TowerCache:
                 raise CacheFormatError(f"{path}:{lineno}: {_quoted(line)} contradicts a record")
         if tail.strip():  # only the last line can lack a newline
             raise CacheFormatError(f"{path}:{len(lines) + 1}: torn record {_quoted(tail)}")
-        self._check_levels(path)
+        keys = np.array(list(store), dtype=object).reshape(-1, 2)  # Python ints, past int64 too
+        self._check_levels(path, *keys.T, np.array(list(store.values()), dtype=object))
 
-    def _check_levels(self, path):
+    def _check_levels(self, path, n, level, value):
         """Each value is prime, and the levels of each base n rise from n on.
 
         A record's index is n at level 1 and the stored value of the level
@@ -97,18 +108,12 @@ class TowerCache:
         must be the tabled prime.  The table ends at the largest value below
         2^24, so an index past it names a prime above every value below 2^24,
         and for idx <= pi(2^24) a prime below 2^24, so above it no value is
-        p_idx either.  Each check runs over arrays of the records in (n, level)
-        order; the first record failing reports, a tabled prime only if no other.
+        p_idx either.  Each check runs over the records' arrays n, level and
+        value in (n, level) order; the first record failing reports, a
+        tabled prime only if no other.
         """
-        store = self._store
-        try:
-            keys = np.fromiter(chain.from_iterable(store), np.int64, 2 * len(store))
-            value = np.fromiter(store.values(), np.int64, len(store))
-        except OverflowError:  # a key or value past int64: arrays of Python ints
-            keys = np.fromiter(chain.from_iterable(store), object, 2 * len(store))
-            value = np.fromiter(store.values(), object, len(store))
-        order = np.lexsort(keys.reshape(-1, 2).T[::-1])  # by n, then by level
-        (n, level), value = keys.reshape(-1, 2)[order].T, value[order]
+        order = np.lexsort((level, n))
+        n, level, value = n[order], level[order], value[order]
         # values below 2^24 are looked up in the table in one numpy pass
         small = value < _TABLE_LIMIT
         low = value[small].astype(np.int64)
@@ -143,18 +148,16 @@ class TowerCache:
     def put_many(self, records):
         """Store the (n, level, value) records; those not held yet go to the
         file in (n, level) order, as whole lines in one write."""
-        fresh = {}
+        store, fresh = self._store, {}
         for n, level, value in sorted(records):
-            held = self._store.get((n, level), fresh.get((n, level)))
-            if held is None:
-                fresh[n, level] = value
-            elif held != value:
+            key = n, level
+            if (held := store[key] if key in store else fresh.setdefault(key, value)) != value:
                 raise CacheFormatError(f"p_{n}^({level}) = {value} contradicts {held}")
-        self._store.update(fresh)
+        store.update(fresh)
         if self.path is not None and fresh:
             if self._fd is None:
                 self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-            data = "".join(f"T {n} {level} {value}\n" for (n, level), value in fresh.items())
+            data = "".join([f"T {n} {level} {value}\n" for (n, level), value in fresh.items()])
             if os.write(self._fd, data.encode("ascii")) != len(data):
                 raise OSError(f"{self.path}: short write of {len(fresh)} cache records")
 

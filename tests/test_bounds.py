@@ -13,6 +13,7 @@ from mpmath import libmp, mp, mpf
 from primeth import (
     DomainError,
     bounds,
+    hpreal,
     iterate_prime,
     log_lower_bound_L3,
     lower_bound_L3,
@@ -36,9 +37,16 @@ def _tally():
 
 
 def _lines(n, k, value, digits=15, suite="all"):
-    """check_bounds's lines for one tower level, and the tally they were counted in."""
+    """check_bounds's lines for level k of a tower of k levels each equal to value, and
+    the tally of the tower's rows."""
     tally = _tally()
-    return check_bounds(n, k, value, suite, digits, tally), tally
+    return check_bounds({n: [value] * k}, suite, digits, tally)[-1].split("\n"), tally
+
+
+def _enclose(name, n, k, bits):
+    """The enclosure of one BOUNDS row's bound at (n, k)."""
+    [lo], [hi] = bounds._enclose(bounds._ROW[name].term(k), [n], bits)
+    return lo, hi
 
 
 def _rows(n, k, value, digits=15):
@@ -53,7 +61,7 @@ def _rows(n, k, value, digits=15):
 
 def _bound(name, n, k, prec=50):
     """The bound of one BOUNDS row, rounded to the nearest mpf at ``prec`` digits."""
-    return bounds._rounded(bounds._ROW[name].term(n, k), prec)
+    return bounds._rounded(bounds._ROW[name].term(k), n, prec)
 
 
 class TestRosserBracket:
@@ -267,9 +275,10 @@ class TestBoundsTable:
         tally, expected_tally = _tally(), _tally()
         for digits in (15, 20):
             for n in range(1, 61):
-                for k in range(1, 13):
-                    for value in (2, 10**40):
-                        lines = check_bounds(n, k, value, "all", digits, tally)
+                for value in (2, 10**40):
+                    levels = check_bounds({n: [value] * 12}, "all", digits, tally)
+                    assert len(levels) == 12
+                    for k, lines in enumerate(map(str.splitlines, levels), start=1):
                         assert [line.split(",")[3] for line in lines] == list(HYPOTHESES)
                         for line, name in zip(lines, HYPOTHESES):
                             expected = _expected_fields(n, k, value, name, digits)
@@ -295,9 +304,8 @@ class TestBoundsTable:
             assert rows[name].holds == ("yes" if exact < value else "no")
             assert rows[name].lhs == mp.nstr(exact, 15) == "3.45387763949107e+16"
         assert rows["rosser_upper"].holds == rows["iter_upper"].holds == "yes"
-        term = bounds._ROW["rosser_lower"].term(n, 1)
-        lo, hi = bounds._enclose(term, 128)
-        lo2, hi2 = bounds._enclose(term, 256)
+        lo, hi = _enclose("rosser_lower", n, 1, 128)
+        lo2, hi2 = _enclose("rosser_lower", n, 1, 256)
         assert lo << 128 <= lo2 < hi2 <= hi << 128 and hi2 - lo2 < (hi - lo) << 64
 
 
@@ -328,7 +336,7 @@ class TestFormulaEnclosures:
         rows = [row for row in BOUNDS if row.term is not None]
         assert {row.name for row in rows} == set(MPF_EXPRESSIONS)
         for row in rows:
-            lo, hi = bounds._enclose(row.term(n, k), bits)
+            lo, hi = _enclose(row.name, n, k, bits)
             with mp.workprec(bits + hi.bit_length() + 64):
                 exact = MPF_EXPRESSIONS[row.name](n, k)
                 assert lo <= mp.ldexp(exact, bits) <= hi
@@ -413,7 +421,7 @@ class TestEnclosuresAgainstDecimal:
                 for k in range(1, 7):
                     if row.name == "iter_upper_simple" and k < 2:
                         continue
-                    lo, hi = bounds._enclose(row.term(n, k), bits)
+                    lo, hi = _enclose(row.name, n, k, bits)
                     exact = bound_by_decimal(row.name, n, k, 90)
                     with localcontext() as ctx:
                         ctx.prec = 120
@@ -421,13 +429,47 @@ class TestEnclosuresAgainstDecimal:
 
     @pytest.mark.parametrize("bits", [64, 128])
     def test_simple_row_to_k_40(self, bits):
-        term = bounds._ROW["iter_upper_simple"].term
         for k in range(2, 41):
-            lo, hi = bounds._enclose(term(k, k), bits)
+            lo, hi = _enclose("iter_upper_simple", k, k, bits)
             exact = bound_by_decimal("iter_upper_simple", k, k, 200)
             with localcontext() as ctx:
                 ctx.prec = 240
                 assert lo <= exact * Decimal(2) ** bits <= hi, k
+
+
+@pytest.fixture(scope="module")
+def log_table_1e6():
+    """The factor-sum log table grown to every m <= 10^6, restored afterwards."""
+    lows, highs = bounds._LOGS
+    kept = len(lows)
+    bounds._log_table(10**6 + 1)
+    yield bounds._LOGS
+    del lows[kept:], highs[kept:]
+
+
+class TestLogTable:
+    @given(st.integers(min_value=1, max_value=10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_encloses_decimal_ln(self, log_table_1e6, m):
+        # each entry sums _ln's enclosures of the prime factors of m, 2 units apiece
+        lo, hi = (ends[m] for ends in log_table_1e6)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            scaled = Decimal(m).ln() * Decimal(2) ** 128
+        factors, rest = 0, m
+        for p in range(2, math.isqrt(m) + 1):
+            while rest % p == 0:
+                rest, factors = rest // p, factors + 1
+        factors += rest > 1
+        assert lo <= scaled <= hi and hi - lo == 2 * factors
+
+    def test_rows_read_it_only_for_dense_bases(self, monkeypatch):
+        # verify's bases 1..n_max grow the table to n_max; one base far out takes _log
+        monkeypatch.setattr(bounds, "_LOGS", ([0, 0], [0, 0]))
+        check_bounds({n: [10] for n in range(1, 301)}, "ineq3", 15, _tally())
+        assert list(map(len, bounds._LOGS)) == [301, 301]
+        check_bounds({10**15: [10]}, "ineq3", 15, _tally())
+        assert list(map(len, bounds._LOGS)) == [301, 301]
 
 
 def _to_str_bits(digits):
@@ -510,6 +552,45 @@ class TestSignAndText:
         text = libmp.to_str(libmp.from_man_exp(man, -(s + 1)), digits)
         assert sign_and_text(man, man, s + 1, 0, digits) == (1, text)
 
+    @given(
+        st.sampled_from([15, 20]),
+        st.integers(min_value=-12, max_value=40),
+        st.integers(min_value=-6, max_value=6),
+        st.sampled_from([0, 64, 128, 200]),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_next_to_a_power_of_ten_rounds_as_decimal(self, digits, e, offset, bits, width):
+        # a few units of 2^-bits on either side of 10^e, where the bit length's
+        # estimate of the decimal exponent is one low or right; the text is the
+        # enclosure's real rounded half-up by stdlib decimal, and the sign is exact
+        with localcontext() as ctx:
+            ctx.prec = 400
+            unit = Decimal(2) ** -bits
+            man = int((Decimal(10) ** e / unit).to_integral_value(rounding="ROUND_FLOOR"))
+            man = max(man + offset, 1)
+            real = man * unit
+            expected = real.quantize(Decimal(1).scaleb(real.adjusted() - digits + 1),
+                                     rounding="ROUND_HALF_UP")
+        got = sign_and_text(man, man + width, bits, 0, digits)
+        if width == 0 or got is not None:
+            sign, text = got
+            assert sign == 1 and Decimal(text) == expected
+            assert Decimal(text).adjusted() in (real.adjusted(), real.adjusted() + 1)
+        value = man >> bits  # an integer at or below the real
+        sign, _ = sign_and_text(man, man, bits, value, digits)
+        assert sign == (1 if man > value << bits else 0)
+
+    def test_rounds_once_unless_it_carries(self, monkeypatch):
+        # 1000 has 10 bits, from which the estimate of its exponent is 2, one
+        # low; 20 nines round up to 10^20 at 15 digits, a true carry
+        calls = []
+        half_up = hpreal._half_up
+        monkeypatch.setattr(hpreal, "_half_up", lambda *args: calls.append(args) or half_up(*args))
+        assert sign_and_text(1000, 1000, 0, 0, 15) == (1, "1000.0") and len(calls) == 1
+        assert sign_and_text(10**20 - 1, 10**20 - 1, 0, 0, 15) == (1, "1.0e+20")
+        assert len(calls) == 3
+
     def test_layouts(self):
         cases = [(3 << 64, 64, 15, "3.0"), (12 * 10**24, 0, 20, "1.2e+25"), (1, 4, 15, "0.0625"),
                  (1, 20, 20, "9.5367431640625e-7"), (1, 14, 15, "6.103515625e-5"),
@@ -549,13 +630,15 @@ class TestReportCsv:
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(HEADER.split(","))
         for n, k, value in triples:
-            lines += check_bounds(n, k, value, "all", digits, tally)
-            writer.writerows(_expected_fields(n, k, value, name, digits) for name in HYPOTHESES)
+            lines += check_bounds({n: [value] * k}, "all", digits, tally)
+            writer.writerows(_expected_fields(n, level, value, name, digits)
+                             for level in range(1, k + 1) for name in HYPOTHESES)
         buf = io.StringIO()
         write_report_csv(lines, buf)
         assert buf.getvalue() == expected.getvalue()
         for row in buf.getvalue().splitlines():
             assert row.count(",") == 7 and '"' not in row and "\r" not in row
+        lines = buf.getvalue().splitlines()[1:]
         held = [line.endswith(",yes,yes") for line in lines]
         assert (tally[True], tally[False]) == (sum(held), len(lines) - sum(held) - tally[None])
 
@@ -591,20 +674,84 @@ class TestReportCsv:
     def test_verify_prints_check_bounds_lines(self, capsys, cache, prec):
         # verify all over n <= 300, k <= 3 prints what check_bounds and
         # write_report_csv give, and its summary counts the same tally
-        lines, tally = [], _tally()
-        for n in range(1, 301):
-            for k, value in enumerate(iterate_prime(n, 3, cache=cache).values, start=1):
-                lines += check_bounds(n, k, value, "all", prec, tally)
+        tally = _tally()
+        towers = {n: iterate_prime(n, 3, cache=cache).values for n in range(1, 301)}
         buf = io.StringIO()
-        write_report_csv(lines, buf)
+        write_report_csv(check_bounds(towers, "all", prec, tally), buf)
         argv = ["verify", "all", "--n-max", "300", "--k-max", "3", "--prec", str(prec)]
         assert main([*argv, "--no-timestamp"]) == 0
         out, err = capsys.readouterr()
-        assert out == buf.getvalue() and len(lines) == 5400
+        assert out == buf.getvalue() and out.count("\n") == 1 + 5400
         assert err == (
             f"suite=all applicable={tally[True] + tally[False]} held={tally[True]} "
             f"violated={tally[False]} inapplicable={tally[None]}\n"
         )
+
+
+
+@st.composite
+def _towers(draw):
+    """{n: levels}: up to 4 bases up to 10^5, or the dense bases 1..N; ragged depths up
+    to 40, empty ones too (p_n above the budget), and arbitrary positive values."""
+    if draw(st.booleans()):
+        ns = range(1, draw(st.integers(min_value=1, max_value=12)) + 1)
+    else:
+        ns = sorted(draw(st.sets(st.integers(min_value=1, max_value=10**5), min_size=1,
+                                 max_size=4)))
+    values = st.one_of(st.integers(min_value=1, max_value=10**7),
+                       st.integers(min_value=1, max_value=10**90))
+    depth = draw(st.integers(min_value=0, max_value=40))
+    return {n: draw(st.lists(values, max_size=depth)) for n in ns}
+
+
+def _row_by_row(towers, suite, digits, tally):
+    """The lines of ``suite`` for the towers, one row at a time: the paper's hypotheses
+    decide applicability, and each applicable row is settled on its own by _settle."""
+    lines = []
+    for n, values in towers.items():
+        for k, value in enumerate(values, start=1):
+            for row in bounds.SUITES[suite]:
+                if not HYPOTHESES[row.name](n, k):
+                    lines.append(f"{n},{k},{value},{row.name},,,no,")
+                    tally[None] += 1
+                    continue
+                [sign], [bound] = bounds._settle(row.term(k), [n], [value], digits)
+                lower = row.name in LOWER_ROWS
+                holds = sign < 0 if lower else sign > 0
+                lhs, rhs = (bound, value) if lower else (value, bound)
+                lines.append(f"{n},{k},{value},{row.name},{lhs},{rhs},yes,"
+                             + ("yes" if holds else "no"))
+                tally[holds] += 1
+    return lines
+
+
+class TestColumns:
+    @given(_towers(), st.sampled_from(sorted(bounds.SUITES)), st.integers(15, 20))
+    @settings(max_examples=80, deadline=None)
+    def test_equal_the_rows_settled_one_by_one(self, towers, suite, digits):
+        # one pass per level, shared terms, the log table and the lines built
+        # from columns give what each row settled alone gives, in tower order
+        tally, expected_tally = _tally(), _tally()
+        got = check_bounds(towers, suite, digits, tally)
+        assert len(got) == sum(map(len, towers.values()))
+        assert "\n".join(got) == "\n".join(_row_by_row(towers, suite, digits, expected_tally))
+        assert tally == expected_tally
+
+    def test_rows_in_any_order(self, monkeypatch):
+        # reversed, iter_upper settles 2 n log n for n >= 9 at k = 1 before
+        # rosser_upper needs it from n = 3 on
+        monkeypatch.setitem(bounds.SUITES, "all", bounds.SUITES["all"][::-1])
+        towers = {n: [10**6, 10**9, 10**12][:n % 4] for n in range(1, 40)}
+        tally, expected_tally = _tally(), _tally()
+        got = check_bounds(towers, "all", 20, tally)
+        assert "\n".join(got) == "\n".join(_row_by_row(towers, "all", 20, expected_tally))
+        assert tally == expected_tally
+
+    def test_no_tower_no_lines(self):
+        tally = _tally()
+        assert check_bounds({}, "all", 15, tally) == []
+        assert check_bounds({5: []}, "all", 15, tally) == []
+        assert tally == _tally()
 
 
 class TestPrecisionContext:

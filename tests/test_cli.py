@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import os
+import math
 import re
 import shlex
 import subprocess
@@ -580,13 +581,14 @@ class TestVerify:
         assert "applicable=3 held=3 violated=0 inapplicable=1" in err
 
     def test_violated_bound_exits_1(self, capsys, monkeypatch):
-        # a row whose bound, p_n + 1 (an _enclose patched to read n from the
-        # term), lies above every tower value it is checked against
-        row = bounds.Bound("iter_lower", ("ineq3",), lambda n, k: True, "lower",
-                           lambda n, k: (n, k))
+        # a row whose bound, p_n + 1 (an _enclose patched to give it at each n),
+        # lies above every tower value it is checked against
+        row = bounds.Bound("iter_lower", ("ineq3",), lambda k: (1, math.inf), "lower",
+                           lambda k: (1, 0, 1, 1, k))
         monkeypatch.setitem(bounds.SUITES, "ineq3", (row,))
         monkeypatch.setattr(
-            bounds, "_enclose", lambda term, bits: ((engine.nth_prime(term[0]) + 1) << bits,) * 2
+            bounds, "_enclose",
+            lambda term, ns, bits: [[(engine.nth_prime(n) + 1) << bits for n in ns]] * 2,
         )
         code, out, err = run(
             capsys, "verify", "ineq3", "--n-max", "2", "--k-max", "1", "--no-timestamp",
@@ -599,10 +601,14 @@ class TestVerify:
 
     def _run_straddling(self, capsys, monkeypatch, enclosure):
         """verify ineq3 for n <= 3, k = 1 with one row; its output and the bits it tried."""
-        row = bounds.Bound("iter_lower", ("ineq3",), lambda n, k: True, "lower",
-                           lambda n, k: (n, k))
+        row = bounds.Bound("iter_lower", ("ineq3",), lambda k: (1, math.inf), "lower",
+                           lambda k: (1, 0, 1, 1, k))
         monkeypatch.setitem(bounds.SUITES, "ineq3", (row,))
-        monkeypatch.setattr(bounds, "_enclose", lambda term, bits: enclosure(*term, bits))
+
+        def columns(term, ns, bits):  # the lists lo, hi of enclosure(n, k, bits) over ns
+            return zip(*[enclosure(n, term[-1], bits) for n in ns])
+
+        monkeypatch.setattr(bounds, "_enclose", columns)
         tried = []
         sign_and_text = bounds.sign_and_text
 
