@@ -40,26 +40,29 @@ DEFAULT_BUDGET = 10**11
 _DUSART_TABLE = 1 << 19
 # prime_count and sieve_segment stop below 2^48, so no exact level reaches it.
 EXACT_LIMIT = _TABLE_LIMIT**2
-# A cache file of lines as put_many writes them, each field below 10^18 < 2^63.
-_WRITTEN = re.compile(rb"(?:T [1-9][0-9]{0,17} [1-9][0-9]{0,17} [1-9][0-9]{0,17}\n)*")
+# The one cache record: "T n level value\n", single spaces, no leading zeros,
+# n and level in [1, 10^18) and value in [2, 10^18), so each fits int64.
+_WRITTEN = re.compile(rb"(?:T [1-9][0-9]{0,17} [1-9][0-9]{0,17} (?:[2-9]|[1-9][0-9]{1,17})\n)*")
 
 
 def _quoted(line):
     """A cache line as errors quote it: the str repr of its ASCII text, other bytes as \\xNN."""
-    return repr(line.strip())[1:]  # a bytes repr without its b
+    return repr(line)[1:]  # a bytes repr without its b
 
 
 class TowerCache:
     """Persistent (n, level) -> p_n^(level) store.
 
-    File format: one record per line, ``T <n> <level> <value>`` with
-    fields of ASCII digits.  The file is loaded fully at construction and
-    appended on every store.  Malformed lines, a torn last line (no newline:
+    File format: one ``_WRITTEN`` record per line, ``T <n> <level> <value>``
+    with single spaces and no leading zeros, n and level in [1, 10^18) and
+    value in [2, 10^18).  The file is loaded fully at construction and
+    appended on every store.  Any other line, a torn last line (no newline:
     the next store would extend it), non-prime values, levels of a base that
     do not rise from n on, values that are not the tabled prime their index
     names, and records or stores that contradict a stored value are hard
-    errors.  Each store, of one record or a batch, goes out in one ``write``
-    to an ``O_APPEND`` descriptor, opened on the first store and released by
+    errors; storing a record that is no ``_WRITTEN`` line is a DomainError.
+    Each store, of one record or a batch, goes out in one ``write`` to an
+    ``O_APPEND`` descriptor, opened on the first store and released by
     ``close``, so writers sharing the file never split each other's lines.
     """
 
@@ -71,34 +74,27 @@ class TowerCache:
             self._load(path)
 
     def _load(self, path):
-        with open(path, "rb") as fh:  # bytes: their isdigit takes ASCII digits alone
+        with open(path, "rb") as fh:
             data = fh.read()
-        if _WRITTEN.fullmatch(data):  # each line as put_many writes it: all parsed at once
-            fields = np.fromstring(data.replace(b"T", b""), np.int64, sep=" ")
-            n, level, value = fields.reshape(-1, 3).T
-            self._store = dict(zip(zip(n.tolist(), level.tolist()), value.tolist()))
-            if len(self._store) == len(n) and value.min(initial=2) >= 2:
-                return self._check_levels(path, n, level, value)
-            self._store = {}  # a key twice or a value below 2: the lines say which
-        *lines, tail = data.split(b"\n")
-        store = self._store
-        for lineno, line in enumerate(lines, start=1):
-            if not (parts := line.split()):
-                continue
-            # int() also reads "+", "-" and "_"; a byte past ASCII fails here too
-            if len(parts) != 4 or parts[0] != b"T" or not (
-                parts[1].isdigit() and parts[2].isdigit() and parts[3].isdigit()
-            ):
-                raise CacheFormatError(f"{path}:{lineno}: bad record {_quoted(line)}")
-            n, level, value = int(parts[1]), int(parts[2]), int(parts[3])
-            if n < 1 or level < 1 or not 2 <= value < 1 << 64:  # is_prime's range
-                raise CacheFormatError(f"{path}:{lineno}: out-of-range field in {_quoted(line)}")
-            if store.setdefault((n, level), value) != value:
-                raise CacheFormatError(f"{path}:{lineno}: {_quoted(line)} contradicts a record")
-        if tail.strip():  # only the last line can lack a newline
-            raise CacheFormatError(f"{path}:{len(lines) + 1}: torn record {_quoted(tail)}")
-        keys = np.array(list(store), dtype=object).reshape(-1, 2)  # Python ints, past int64 too
-        self._check_levels(path, *keys.T, np.array(list(store.values()), dtype=object))
+        end = _WRITTEN.match(data).end()  # where the first line that is no record starts
+        tail, newline, _ = data[end:].partition(b"\n")
+        lineno = data.count(b"\n", 0, end) + 1
+        if newline:
+            raise CacheFormatError(f"{path}:{lineno}: bad record {_quoted(tail)}")
+        records = data[:end].replace(b"T", b"")
+        n, level, value = np.fromstring(records, np.int64, sep=" ").reshape(-1, 3).T
+        order = np.lexsort((level, n))  # stable: the records of a key stay in file order
+        n, level, value = n[order], level[order], value[order]
+        again = (np.diff(n, prepend=0) == 0) & (np.diff(level, prepend=0) == 0)  # n, level >= 1
+        if (clash := np.flatnonzero(again & (np.diff(value, prepend=0) != 0))).size:
+            i = order[clash].min()  # the first in file order
+            line = data.splitlines()[i]
+            raise CacheFormatError(f"{path}:{i + 1}: {_quoted(line)} contradicts a record")
+        if tail:  # only the last line can lack its newline: the next store would extend it
+            raise CacheFormatError(f"{path}:{lineno}: torn record {_quoted(tail)}")
+        n, level, value = n[~again], level[~again], value[~again]
+        self._store = dict(zip(zip(n.tolist(), level.tolist()), value.tolist()))
+        self._check_levels(path, n, level, value)
 
     def _check_levels(self, path, n, level, value):
         """Each value is prime, and the levels of each base n rise from n on.
@@ -108,19 +104,17 @@ class TowerCache:
         must be the tabled prime.  The table ends at the largest value below
         2^24, so an index past it names a prime above every value below 2^24,
         and for idx <= pi(2^24) a prime below 2^24, so above it no value is
-        p_idx either.  Each check runs over the records' arrays n, level and
-        value in (n, level) order; the first record failing reports, a
-        tabled prime only if no other.
+        p_idx either.  n, level and value are int64 columns, one row per key
+        in (n, level) order; the first record failing reports, a tabled prime
+        only if no other.
         """
-        order = np.lexsort((level, n))
-        n, level, value = n[order], level[order], value[order]
         # values below 2^24 are looked up in the table in one numpy pass
         small = value < _TABLE_LIMIT
-        low = value[small].astype(np.int64)
+        low = value[small]
         table = base_primes_upto(int(low.max(initial=1)))
         prime = np.empty(len(value), dtype=bool)
         prime[small] = table[np.searchsorted(table, low, side="right") - 1] == low
-        prime[~small] = [is_prime(int(v)) for v in value[~small]]
+        prime[~small] = [is_prime(v) for v in value[~small].tolist()]
         first = np.r_[True, n[1:] != n[:-1]]  # the lowest level stored of its base
         floor = np.where(first, n, np.roll(value, 1))
         below = ~first & (np.roll(level, 1) == level - 1)
@@ -132,7 +126,7 @@ class TowerCache:
                       f"is not above {floor[i]}" if value[i] <= floor[i] else f"is not p_{idx[i]}")
             raise CacheFormatError(f"{path}: p_{n[i]}^({level[i]}) = {value[i]} {reason}")
         listed = np.flatnonzero((idx > 0) & (idx <= len(table)))
-        primes = table[idx[listed].astype(np.int64) - 1]
+        primes = table[idx[listed] - 1]
         if (bad := np.flatnonzero(value[listed] != primes)).size:
             i, p = listed[bad[0]], primes[bad[0]]
             raise CacheFormatError(
@@ -147,18 +141,21 @@ class TowerCache:
 
     def put_many(self, records):
         """Store the (n, level, value) records; those not held yet go to the
-        file in (n, level) order, as whole lines in one write."""
+        file in (n, level) order, as whole lines in one write.  Nothing is
+        stored if one contradicts a held value or is no ``_WRITTEN`` line."""
         store, fresh = self._store, {}
         for n, level, value in sorted(records):
             key = n, level
             if (held := store[key] if key in store else fresh.setdefault(key, value)) != value:
                 raise CacheFormatError(f"p_{n}^({level}) = {value} contradicts {held}")
+        data = "".join([f"T {n} {level} {value}\n" for (n, level), value in fresh.items()]).encode()
+        if (end := _WRITTEN.match(data).end()) < len(data):
+            raise DomainError(f"bad cache record {_quoted(data[end:].splitlines()[0])}")
         store.update(fresh)
-        if self.path is not None and fresh:
+        if self.path is not None and data:
             if self._fd is None:
                 self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-            data = "".join([f"T {n} {level} {value}\n" for (n, level), value in fresh.items()])
-            if os.write(self._fd, data.encode("ascii")) != len(data):
+            if os.write(self._fd, data) != len(data):
                 raise OSError(f"{self.path}: short write of {len(fresh)} cache records")
 
     def close(self):

@@ -14,7 +14,7 @@ import pytest
 from mpmath import libmp, mpf
 
 import primeth
-from primeth import PrimethError, bounds, certify, engine, errors, hpreal
+from primeth import PrimethError, TowerCache, bounds, certify, engine, errors, hpreal
 from primeth.cli import _build_parser, main
 
 from oracle import L_by_decimal, bound_by_decimal, sieve_primes, tower_by_sieve
@@ -902,6 +902,8 @@ class TestDeterminismAndCache:
             assert not cache_path.exists()
             return
         assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == cache_digest
+        # the loader accepts the pinned bytes: one record per line
+        assert len(TowerCache(str(cache_path))) == len(cache_path.read_bytes().splitlines())
         if argv[:2] == ["table", "counts"]:  # each stored level is the sieved one
             for record in cache_path.read_text().splitlines():
                 n, level, value = map(int, record.split()[1:])

@@ -284,11 +284,15 @@ class TestRatioToDiagonal:
 
 
 def _level_error_by_loop(path, store, primes):
-    """The CacheFormatError message of TowerCache's level checks on store, or
-    None, as the loop over one record at a time decided it.
+    """The CacheFormatError message of TowerCache on store, written in its
+    order, or None, as the loop over one record at a time decided it: the
+    first line with a field of 19 or more digits, else the level checks.
 
     primes are the primes up to 10^7, above every value of store below 2^24.
     """
+    for lineno, ((n, level), value) in enumerate(store.items(), start=1):
+        if max(n, level, value) >= 10**18:
+            return f"{path}:{lineno}: bad record 'T {n} {level} {value}'"
     small = [v for v in store.values() if v < 2**24]
     table = primes[: np.searchsorted(primes, max(small, default=1), side="right")].tolist()
     tabled, listed = len(table), set(table)
@@ -331,13 +335,41 @@ class TestTowerCache:
          # int() once read p_6 = 13 from these two, though no store writes them
          "T 6 1 1_3", "T +6 1 +13",
          # bytes past ASCII, once a UnicodeDecodeError: a traceback, and exit 1
-         "T 1 1 \u0662", "T 1 1 2\u00e9"],
+         "T 1 1 \u0662", "T 1 1 2\u00e9",
+         # spellings no store writes, once read line by line
+         "", "T  1 1 2", "T 01 1 2", "T 1 1 2\r", "T 1 1 2 ", "T 1 1 1", f"T 1 1 {10**18 + 3}"],
     )
     def test_malformed_lines_are_hard_errors(self, tmp_path, line):
+        # the bad line follows a valid record and is quoted whole, a \r or a
+        # trailing space too
         path = tmp_path / "towers.txt"
-        path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(CacheFormatError):
+        path.write_text("T 1 1 2\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(CacheFormatError) as exc:
             TowerCache(str(path))
+        assert str(exc.value) == f"{path}:2: bad record {repr(line.encode())[1:]}"
+
+    def test_empty_file_loads(self, tmp_path):
+        path = tmp_path / "towers.txt"
+        path.write_text("")
+        assert len(TowerCache(str(path))) == 0
+
+    @pytest.mark.parametrize("tail", ["", "T 1 1 3\n", "T 6 1"])
+    def test_contradiction_names_its_line(self, tmp_path, tail):
+        # the later line of the two; the first such line in the file, though
+        # the key of line 4 sorts first; and before a torn last line
+        path = tmp_path / "towers.txt"
+        path.write_text("T 5 1 11\nT 1 1 2\nT 5 1 13\n" + tail)
+        with pytest.raises(CacheFormatError) as exc:
+            TowerCache(str(path))
+        assert str(exc.value) == f"{path}:3: 'T 5 1 13' contradicts a record"
+
+    def test_torn_last_line_names_its_line(self, tmp_path):
+        # before the level checks: 4 is not prime
+        path = tmp_path / "towers.txt"
+        path.write_text("T 1 1 2\nT 1 2 4\nT 2 1")
+        with pytest.raises(CacheFormatError) as exc:
+            TowerCache(str(path))
+        assert str(exc.value) == f"{path}:3: torn record 'T 2 1'"
 
     def test_byte_past_ascii_names_its_line(self, tmp_path):
         path = tmp_path / "towers.txt"
@@ -415,7 +447,7 @@ class TestTowerCache:
 
     def test_checks_agree_with_the_per_record_loop(self, tmp_path, primes_1e7):
         # random towers, some records changed or left out, some keys and
-        # values past int64, against the checks made one record at a time
+        # values of 19 or 20 digits, against the checks made one record at a time
         rng = random.Random(11)
         big = [32452843, 32452867, 4294967311, 9223372036854775837, 18446744073709551557]
         path = tmp_path / "towers.txt"
@@ -444,8 +476,9 @@ class TestTowerCache:
             except CacheFormatError as exc:
                 got = str(exc)
             assert got == _level_error_by_loop(str(path), store, primes_1e7), store
-            outcomes.add(got and got.split(" is not ")[1].split(" ")[0])
-        assert outcomes >= {None, "prime", "above"} and len(outcomes) >= 5
+            outcomes.add(got and ("bad" if " is not " not in got else
+                                  got.split(" is not ")[1].split(" ")[0]))
+        assert outcomes >= {None, "bad", "prime", "above"} and len(outcomes) >= 6
 
     def test_valid_records_load(self, tmp_path):
         # levels may be missing, records repeat, and bases interleave
@@ -512,6 +545,18 @@ class TestTowerCache:
         second.close()
         assert path.read_text().splitlines() == [f"T {n} 1 {primes[n - 1]}" for n in range(1, 601)]
         assert len(TowerCache(str(path))) == 600
+
+    @pytest.mark.parametrize("record", [(0, 1, 2), (1, 1, 1), (1, 1, 10**18)],
+                             ids=["n0", "value1", "19digits"])
+    def test_store_the_loader_would_refuse_raises(self, tmp_path, record):
+        # each was once written, and every later load of the file failed
+        path = tmp_path / "towers.txt"
+        cache = TowerCache(str(path))
+        n, level, value = record
+        with pytest.raises(DomainError, match=f"^bad cache record 'T {n} {level} {value}'$"):
+            cache.put(n, level, value)
+        assert cache.get(n, level) is None and len(cache) == 0
+        assert not path.exists()
 
     def test_batch_that_contradicts_a_record_stores_nothing(self, tmp_path):
         path = tmp_path / "towers.txt"
