@@ -5,8 +5,8 @@ suites that report it, its hypothesis at level k as the span (first, last) of
 the n it admits, the side (lower: bound < p_n^(k); upper: p_n^(k) < bound) and
 its term at level k, (a, b, m0, t, j) for (a n + b) (log max(m0, t n))^j.
 ``_enclose`` holds a term at each n of a column in exact integers lo * 2^-bits
-<= bound <= hi * 2^-bits, from mpmath's log rounded down: at 128 bits through
-the table ``_LOGS`` where it reaches, and through ``_log`` otherwise.
+<= bound <= hi * 2^-bits, from ``hpreal._ln``'s enclosures of log m: at 128 bits
+through the table ``_LOGS`` where it reaches, and one ``_ln`` per n otherwise.
 Out-of-hypothesis rows are flagged inapplicable, never evaluated: a bound can
 fail outside its hypothesis without meaning anything.  ``check_bounds`` settles
 each distinct term of a tower level once per base, from enclosures of 128, 256,
@@ -15,32 +15,17 @@ each distinct term of a tower level once per base, from enclosures of 128, 256,
 nearest mpf.
 """
 
-import functools
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_log, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp
 
 from .errors import DomainError
-from .hpreal import DEFAULT_PREC, MAX_ESCALATION_PREC, sign_and_text
+from .hpreal import DEFAULT_PREC, _MAX_BITS, _START_BITS, _ln, sign_and_text
 
-_START_BITS = 128
-_MAX_BITS = dps_to_prec(MAX_ESCALATION_PREC)
-
-
-def _ln(m, bits, e=0):
-    """(lo, hi): lo <= 2^bits log(m 2^e) <= hi for integers m, e with m 2^e >= 1.  mpmath's
-    log rounded down at bits + t bits, log(m 2^e) < 2^t, is within an ulp <= 2^-bits of
-    it; lo floors it, and lo + 2 allows one more unit for that rounding."""
-    t = (m.bit_length() + e).bit_length()
-    lo = to_fixed(mpf_log(from_man_exp(m, e), bits + t, "f"), bits)
-    return lo, lo + 2
-
-
-_log = functools.lru_cache(maxsize=256)(_ln)  # the brackets and escalated rows ask again
 _LOGS = ([0, 0], [0, 0])  # lo and hi of 2^_START_BITS log m at m, for m below their length
 
 
@@ -65,7 +50,7 @@ def _enclose(term, ns, bits):
     if bits == _START_BITS and max(ms, default=0) < len(_LOGS[0]):
         lows, highs = ([ends[m] for m in ms] for ends in _LOGS)
     else:
-        logs = [_log(m, bits) for m in ms]
+        logs = [_ln(m, bits) for m in ms]
         lows, highs = [lo for lo, _ in logs], [hi for _, hi in logs]
     cs, shift = [a * n + b for n in ns], bits * (j - 1)
     return ([c * lo**j >> shift for c, lo in zip(cs, lows)],

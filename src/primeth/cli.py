@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 
 from mpmath import mp, mpf
 
-from . import bounds, certify, counting, engine, iterated
+from . import bounds, certify, counting, engine, hpreal, iterated
 from .errors import BudgetExceededError, DomainError, PrimethError, ThresholdViolatedError
 
 EXIT_OK = 0
@@ -51,9 +51,10 @@ def _build_parser():
     cache.add_argument("--cache", metavar="PATH", default=None,
                        help="persistent tower cache file")
     report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--prec", type=int, default=50,
-                        help="significant decimal digits (default 50); verify prints each "
-                             "bound to min(PREC, 20) of them and decides no verdict by it")
+    report.add_argument("--prec", type=int, default=hpreal.DEFAULT_PREC,
+                        help=f"significant decimal digits (default {hpreal.DEFAULT_PREC}); "
+                             "verify prints each bound to min(PREC, 20) of them and decides "
+                             "no verdict by it")
     report.add_argument("--out", metavar="PATH", default=None,
                         help="write CSV/report here instead of stdout")
     report.add_argument("--no-timestamp", action="store_true",
@@ -168,9 +169,9 @@ def _cmd_count(args, cache):
 
 
 def _cmd_verify(args, cache):
-    k_max = 1 if args.suite == "rosser" else args.k_max
-    if args.n_max < 1 or k_max < 1:
+    if args.n_max < 1 or args.k_max < 1:
         raise DomainError("tower requires n >= 1 and k >= 1")
+    k_max = 1 if args.suite == "rosser" else args.k_max
     tally = dict.fromkeys((True, False, None), 0)  # rows by holds; None: inapplicable
     digits = min(args.prec, 20)  # printed digits of each bound; no verdict depends on them
     walk = iterated.towers(range(1, args.n_max + 1), k_max, args.budget, cache)
@@ -251,19 +252,14 @@ def main(argv=None):
     for option, least in (("budget", 2), ("prec", 15)):  # where the subcommand takes it
         if getattr(args, option, least) < least:
             parser.error(f"--{option} must be >= {least}")
-    cache = None
     try:
-        cache = iterated.TowerCache(getattr(args, "cache", None))
-        return args.func(args, cache)
+        return args.func(args, iterated.TowerCache(getattr(args, "cache", None)))
     except PrimethError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:  # an unusable --cache or --out path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if cache is not None:
-            cache.close()
 
 
 if __name__ == "__main__":

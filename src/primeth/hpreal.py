@@ -7,25 +7,38 @@ text only where every point of the enclosure gives the same (Ziv's rounding
 test); its decimal exponent is exact, so it rounds once, by one binary shift
 or one division, and again only on a carry into the next decade.  It decides
 every bound row, and the same integer enclosures give Dusart's brackets,
-which decide the counts and the tower walker's skip.  ``compare_int``, which
-certify alone uses, takes the sign of an mpmath function's value minus the
-integer from the value's mantissa and exponent, in integers, and re-runs the
-function at doubled precision until the margin exceeds one unit in the last
-digit.
+which decide the counts and the tower walker's skip.  ``_ln`` makes each
+enclosure of a logarithm from mpmath's log rounded down.  ``compare_int``,
+which certify alone uses, takes the sign of an mpmath function's value minus
+the integer from the value's mantissa and exponent, in integers, and re-runs
+the function at doubled precision until the margin exceeds one unit in the
+last digit.
 """
 
 import functools
 import math
 
 from mpmath import libmp, mp
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_log, to_fixed
 
 DEFAULT_PREC = 50
 MAX_ESCALATION_PREC = 4096
+_START_BITS = 128  # the bits of an enclosure's first try
+_MAX_BITS = dps_to_prec(MAX_ESCALATION_PREC)
 
 
 @functools.lru_cache(maxsize=256)
 def _pow10(e):
     return 10**e
+
+
+def _ln(m, bits, e=0):
+    """(lo, hi): lo <= 2^bits log(m 2^e) <= hi for integers m, e with m 2^e >= 1.  mpmath's
+    log rounded down at bits + t bits, log(m 2^e) < 2^t, is within an ulp <= 2^-bits of
+    it; lo floors it, and lo + 2 allows one more unit for that rounding."""
+    t = (m.bit_length() + e).bit_length()
+    lo = to_fixed(mpf_log(from_man_exp(m, e), bits + t, "f"), bits)
+    return lo, lo + 2
 
 
 def compare_int(value, fn, prec):

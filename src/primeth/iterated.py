@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf
 
-from .bounds import _START_BITS, _ln, _log
 from .engine import _TABLE_LIMIT, _TABLE_PRIMES, base_primes_upto, is_prime, nth_primes
 from .errors import BudgetExceededError, CacheFormatError, DomainError
-from .hpreal import DEFAULT_PREC
+from .hpreal import DEFAULT_PREC, _START_BITS, _ln
 
 # Bounds the VALUE of a prime, not its index; reaches the diagonal
 # through k = 9..10 in minutes.
@@ -61,15 +60,14 @@ class TowerCache:
     do not rise from n on, values that are not the tabled prime their index
     names, and records or stores that contradict a stored value are hard
     errors; storing a record that is no ``_WRITTEN`` line is a DomainError.
-    Each store, of one record or a batch, goes out in one ``write`` to an
-    ``O_APPEND`` descriptor, opened on the first store and released by
-    ``close``, so writers sharing the file never split each other's lines.
+    Each store, of one record or a batch, opens the file ``O_APPEND``, makes
+    one ``write`` and closes it, so no descriptor outlives a store and writers
+    sharing the file never split each other's lines.
     """
 
     def __init__(self, path=None):
         self.path = path
         self._store = {}
-        self._fd = None
         if path is not None and os.path.exists(path):
             self._load(path)
 
@@ -153,16 +151,12 @@ class TowerCache:
             raise DomainError(f"bad cache record {_quoted(data[end:].splitlines()[0])}")
         store.update(fresh)
         if self.path is not None and data:
-            if self._fd is None:
-                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-            if os.write(self._fd, data) != len(data):
-                raise OSError(f"{self.path}: short write of {len(fresh)} cache records")
-
-    def close(self):
-        """Release the append descriptor; a later store opens it again."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                if os.write(fd, data) != len(data):
+                    raise OSError(f"{self.path}: short write of {len(fresh)} cache records")
+            finally:
+                os.close(fd)
 
     def __len__(self):
         return len(self._store)
@@ -222,14 +216,15 @@ def towers(ns, k, cap, cache=None):
 def _dusart(a, b):
     """Integers lo <= a (ln a + ln ln a - 1) and hi >= b (ln b + ln ln b - 0.9484).
 
-    ``_log`` puts ln m in [l, h] 2^-bits, so ln ln m lies in [ln(l 2^-bits),
-    ln(h 2^-bits)], whose ends ``_ln`` encloses in the same units; with 0.9484
-    as 9484/10^4, each factor is a rational bound, multiplied exactly.
+    ``_ln`` puts ln m in [l, h] 2^-bits, once for a == b, so ln ln m lies in
+    [ln(l 2^-bits), ln(h 2^-bits)], whose ends ``_ln`` encloses in the same units;
+    with 0.9484 as 9484/10^4, each factor is a rational bound, multiplied exactly.
     """
     bits = _START_BITS
-    ln_a, _ = _log(a, bits)
+    ln_a, ln_b = _ln(a, bits)
+    if b != a:
+        ln_b = _ln(b, bits)[1]
     lo = a * (ln_a + _ln(ln_a, bits, -bits)[0] - (1 << bits)) >> bits
-    _, ln_b = _log(b, bits)
     hi = b * ((ln_b + _ln(ln_b, bits, -bits)[1]) * 10**4 - (9484 << bits))
     return lo, -(-hi // (10**4 << bits))
 

@@ -105,7 +105,7 @@ class TestUpperBoundL1:
     def test_hypothesis(self):
         with pytest.raises(DomainError, match=r"^upper bound needs n >= 9$"):
             upper_bound_L1(8, 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^upper bound needs k >= 1$"):
             upper_bound_L1(9, 0)
 
 
@@ -149,6 +149,8 @@ class TestLowerBoundSimple:
             DomainError, match=r"^lower bound is vacuous at n = 1 \(log 1 = 0\)$"
         ):
             lower_bound_simple(1, 3)
+        with pytest.raises(DomainError, match=r"^lower bound needs k >= 1$"):
+            lower_bound_simple(2, 0)
 
 
 class TestLowerBoundL3:
@@ -348,12 +350,28 @@ class TestFormulaEnclosures:
             if n >= 9:
                 assert upper_bound_L1(n, k, prec) == +upper
 
+    def test_wrapper_doubles_the_bits_while_the_ends_round_apart(self, monkeypatch):
+        # a first enclosure whose ends round to different mpfs is tried again
+        # at twice the bits, and the bound is the one the true enclosures give
+        expected = lower_bound_simple(10**6, 3, 15)
+        tried, enclose = [], bounds._enclose
+
+        def halved_first(term, ns, bits):
+            tried.append(bits)
+            lows, highs = enclose(term, ns, bits)
+            return ([lows[0] >> 1] if len(tried) == 1 else lows), highs
+
+        monkeypatch.setattr(bounds, "_enclose", halved_first)
+        assert lower_bound_simple(10**6, 3, 15) == expected
+        bits = libmp.dps_to_prec(15) + 64
+        assert tried == [bits, 2 * bits]
+
 
 class TestEnclosuresAgainstDecimal:
     @given(st.integers(min_value=2, max_value=2**64 - 1), st.sampled_from([64, 128, 256]))
     @settings(max_examples=200, deadline=None)
     def test_log_encloses_decimal_ln(self, x, bits):
-        lo, hi = bounds._log(x, bits)
+        lo, hi = hpreal._ln(x, bits)
         with localcontext() as ctx:
             ctx.prec = bits // 3 + 40  # 2^bits log x with about 35 digits to spare
             scaled = Decimal(x).ln() * Decimal(2) ** bits
@@ -368,7 +386,7 @@ class TestEnclosuresAgainstDecimal:
     def test_ln_encloses_a_fixed_point_argument(self, m, e, bits):
         # the brackets take log log n as the log of m 2^-bits; any m 2^e >= 1
         e = max(e, 1 - m.bit_length())
-        lo, hi = bounds._ln(m, bits, e)
+        lo, hi = hpreal._ln(m, bits, e)
         with localcontext() as ctx:
             ctx.prec = bits // 3 + 80
             scaled = (Decimal(m) * Decimal(2) ** e).ln() * Decimal(2) ** bits
@@ -381,13 +399,9 @@ class TestEnclosuresAgainstDecimal:
             rounding.append(rnd)
             return libmp.mpf_log(x, prec, rnd)
 
-        monkeypatch.setattr(bounds, "mpf_log", recorded)
-        bounds._log.cache_clear()
-        try:
-            assert bounds._log(10**6 + 3, 128) == bounds._log(10**6 + 3, 128)
-        finally:
-            bounds._log.cache_clear()
-        assert rounding == ["f"]
+        monkeypatch.setattr(hpreal, "mpf_log", recorded)
+        assert hpreal._ln(10**6 + 3, 128) == hpreal._ln(10**6 + 3, 128)
+        assert rounding == ["f", "f"]  # one each: no call is remembered
 
     @given(st.integers(min_value=2, max_value=2**64 - 1), st.sampled_from([64, 128]))
     @settings(max_examples=200, deadline=None)
@@ -398,12 +412,8 @@ class TestEnclosuresAgainstDecimal:
             _, man, exp, bc = libmp.mpf_log(v, prec, rnd)
             return libmp.from_man_exp((man << prec - bc) - 1, exp - (prec - bc))
 
-        bounds._log.cache_clear()
-        try:
-            with mock.patch.object(bounds, "mpf_log", one_unit_low):
-                lo, hi = bounds._log(x, bits)
-        finally:
-            bounds._log.cache_clear()
+        with mock.patch.object(hpreal, "mpf_log", one_unit_low):
+            lo, hi = hpreal._ln(x, bits)
         with localcontext() as ctx:
             ctx.prec = bits // 3 + 40
             assert lo <= Decimal(x).ln() * Decimal(2) ** bits <= hi

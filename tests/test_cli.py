@@ -534,10 +534,13 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--k-max", "0"], ["--k-max", "-1", "--n-max", "3"], ["--n-max", "0"], ["--n-max", "-5"]],
+        [[suite, *flags] for suite in ("all", "rosser") for flags in (
+            ["--k-max", "0"], ["--k-max", "-1", "--n-max", "3"], ["--n-max", "0"], ["--n-max", "-5"]
+        )],
     )
     def test_no_levels_is_a_usage_error(self, capsys, flags):
-        code, out, err = run(capsys, "verify", "all", *flags, "--no-timestamp")
+        # rosser walks one level whatever --k-max says, and refuses k < 1 all the same
+        code, out, err = run(capsys, "verify", *flags, "--no-timestamp")
         assert (code, out) == (3, "")
         assert err == "error: tower requires n >= 1 and k >= 1\n"
 

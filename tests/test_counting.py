@@ -18,7 +18,7 @@ from primeth import (
     iterate_prime,
     ratio_series,
 )
-from primeth import counting, engine, iterated
+from primeth import counting, engine, hpreal, iterated
 from primeth.cli import main
 
 from oracle import dusart_by_decimal, tower_by_sieve
@@ -151,6 +151,19 @@ class TestBrackets:
         assert levels[10] == (9737333, 9737333)
         assert levels[9][0] < 648391 < levels[9][1]  # index 52711 is past the table
         assert levels[11] == iterated._dusart(9737333, 9737333)
+
+    def test_logs_taken(self, monkeypatch):
+        # _dusart takes log m once when a == b, then log log m at both ends;
+        # count_diag(10^10) takes 36 logs in all, none of them twice by a memo
+        calls, mpf_log = [], hpreal.mpf_log
+        monkeypatch.setattr(hpreal, "mpf_log", lambda *args: calls.append(args) or mpf_log(*args))
+        iterated._dusart(10**6, 10**6)
+        assert len(calls) == 3
+        iterated._dusart(10**6, 10**6 + 1)
+        assert len(calls) == 3 + 4
+        calls.clear()
+        assert count_diag(10**10) == 9
+        assert len(calls) == 36
 
     @pytest.mark.parametrize("n", [10**5, 43391])
     def test_independent_of_the_table_built(self, fresh_table, n):

@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,6 +30,30 @@ PRIMETH_RECURRENCE = [2, 3, 5, 11, 31, 127, 709, 5381, 52711]
 # caps a relative 2^-40 from the float value of Dusart's lower bound, where a
 # float filter would be near its rounding limit, probe the skip
 _FLOAT_BAND = 2.0**-40
+
+
+class _RecordedOs:
+    """The os module, recording the descriptors ``os.open`` gives and ``os.close`` takes;
+    ``os.write`` raises ``fail`` when set, and writes all but the last byte when ``short``."""
+
+    def __init__(self):
+        self.opened, self.closed, self.fail, self.short = [], [], None, False
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def open(self, *args):
+        self.opened.append(fd := os.open(*args))
+        return fd
+
+    def close(self, fd):
+        self.closed.append(fd)
+        os.close(fd)
+
+    def write(self, fd, data):
+        if self.fail is not None:
+            raise self.fail
+        return os.write(fd, data[:-1] if self.short else data)
 
 
 class TestIteratePrime:
@@ -420,7 +446,6 @@ class TestTowerCache:
         cache = TowerCache(str(path))
         for n in range(1, 301):
             iterate_prime(n, 3, cache=cache)
-        cache.close()
         fresh_table()
         reloaded = TowerCache(str(path))
         assert len(reloaded) == 900 and reloaded.get(300, 3) == 191551
@@ -513,9 +538,9 @@ class TestTowerCache:
             idx = expected
 
     def test_two_writers_alternating_keep_whole_lines(self, tmp_path):
-        # both objects hold an append descriptor on the same file; a
-        # buffered writer would reorder or split records here.  The records
-        # are genuine, (n, 1, p_n), so the file reloads.
+        # both objects append to the same file, each store through its own
+        # descriptor; a buffered writer would reorder or split records here.
+        # The records are genuine, (n, 1, p_n), so the file reloads.
         primes = sieve_primes(10_000).tolist()
         path = tmp_path / "towers.txt"
         first, second = TowerCache(str(path)), TowerCache(str(path))
@@ -524,8 +549,6 @@ class TestTowerCache:
             cache = first if n % 2 else second
             cache.put(n, 1, primes[n - 1])
             expected.append(f"T {n} 1 {primes[n - 1]}")
-        first.close()
-        second.close()
         assert path.read_text().splitlines() == expected
         reloaded = TowerCache(str(path))
         assert len(reloaded) == 600
@@ -541,8 +564,6 @@ class TestTowerCache:
             cache = second if start // 50 % 2 else first
             cache.put_many([(n, 1, primes[n - 1]) for n in reversed(range(start, start + 50))])
         first.put_many([])
-        first.close()
-        second.close()
         assert path.read_text().splitlines() == [f"T {n} 1 {primes[n - 1]}" for n in range(1, 601)]
         assert len(TowerCache(str(path))) == 600
 
@@ -564,18 +585,34 @@ class TestTowerCache:
         cache.put_many([(3, 1, 5), (3, 1, 5)])
         with pytest.raises(CacheFormatError, match="= 7 contradicts 5"):
             cache.put_many([(2, 1, 3), (3, 1, 7)])
-        cache.close()
         assert path.read_text() == "T 3 1 5\n" and cache.get(2, 1) is None
 
-    def test_store_after_close_reopens(self, tmp_path):
+    def test_each_store_closes_what_it_opens(self, tmp_path, monkeypatch):
+        # one descriptor per non-empty store, closed also when the write
+        # raises; a file deleted between stores is made again by the next
+        recorded = _RecordedOs()
+        monkeypatch.setattr(iterated, "os", recorded)
         path = tmp_path / "towers.txt"
         cache = TowerCache(str(path))
         cache.put(3, 1, 5)
-        cache.close()
-        cache.close()
+        cache.put_many([])
+        path.unlink()
         cache.put(3, 2, 11)
-        cache.close()
-        assert path.read_text() == "T 3 1 5\nT 3 2 11\n"
+        assert path.read_text() == "T 3 2 11\n"
+        recorded.fail = OSError("no space left")
+        with pytest.raises(OSError, match="^no space left$"):
+            cache.put(5, 1, 11)
+        assert len(recorded.opened) == 3 and recorded.closed == recorded.opened
+
+    def test_short_write_raises(self, tmp_path, monkeypatch):
+        recorded = _RecordedOs()
+        monkeypatch.setattr(iterated, "os", recorded)
+        path = tmp_path / "towers.txt"
+        recorded.short = True
+        message = f"^{re.escape(str(path))}: short write of 2 cache records$"
+        with pytest.raises(OSError, match=message):
+            TowerCache(str(path)).put_many([(3, 1, 5), (3, 2, 11)])
+        assert recorded.closed == recorded.opened and len(recorded.opened) == 1
 
     def test_diagonal_reuses_tower_records(self):
         cache = TowerCache()
