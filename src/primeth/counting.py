@@ -1,44 +1,78 @@
 """Exact counting functions for the diagonal and tower sequences.
 
-count_tower(n, x) counts the k with p_n^(k) <= x, and count_diag(x) the k
-with p_k^(k) <= x: it advances k while all k levels of base k are <= x.
-Both decide each level from its proved bracket ``iterated.brackets``: a
-level with hi <= x counts, and one with lo > x ends the count, as every
-level above it is larger still.  Only when x lies inside a bracket does the
-count run the exact ``iterated.towers`` for that base, which computes the
-levels up to one past x and stores them, and only that walk needs x within
-the budget.  So most counts compute no prime past a small table, and they
-never estimate: the only facts taken on trust are Dusart's two bounds.
+p_m <= y exactly when m <= pi(y), so p_n^(k) <= x exactly when n <= pi^k(x):
+count_tower(n, x) is the number of k with pi^k(x) >= n, and count_diag(x)
+the largest k with pi^k(x) >= k.  Both read these off one chain of brackets
+lo_j <= pi^j(x) <= hi_j, as pi does not decrease: ends map to the next ends
+by exact pi or Dusart's bounds on pi.  Only a comparison the chain leaves
+open, lo_j < n <= hi_j, runs the exact ``iterated.towers`` walk of that one
+base, which stores its levels, and only that walk needs x within the budget.
 """
-
-from itertools import islice
 
 from mpmath import mp
 
+from .engine import prime_count, prime_counts
 from .errors import BudgetExceededError, DomainError, UnsupportedRangeError
-from .hpreal import DEFAULT_PREC
-from .iterated import DEFAULT_BUDGET, EXACT_LIMIT, brackets, towers
+from .hpreal import DEFAULT_PREC, _START_BITS, _ln
+from .iterated import DEFAULT_BUDGET, EXACT_LIMIT, towers
+
+# Chain ends below 2^28 take exact pi, sieved by the primes below 2^14: about 2.5 ms
+# for both ends.  Dusart's bounds on pi are widest there; taken from 2^24 on, they
+# leave open x past 2^48 that his bounds on p_m decide.
+_EXACT_PI = 1 << 28
 
 
-def _count_levels(n, x, levels, budget, cache):
-    """Number of the levels p_n^(1..levels) that are <= x; levels None: all of them."""
-    count = 0
-    for lo, hi in islice(brackets(n, cache), levels):
-        if lo > x:
-            break
-        if hi > x:  # only the exact value decides this level
-            if lo >= EXACT_LIMIT:  # towers would reach it and fail there
-                raise UnsupportedRangeError(
-                    f"x={x} lies in [{lo}, {hi}], the bracket of p_{n}^({count + 1}), "
-                    "whose exact value is past 2^48"
-                )
-            if x > budget:  # the walk would compute primes up to x
-                raise BudgetExceededError(
-                    f"x={x} above budget {budget}: bracketing element not computable"
-                )
-            return len(towers([n], levels or x, x, cache)[n])  # p_n^(k) > k: x levels at most
-        count += 1
-    return count
+def _pi_bounds(y):
+    """Integers (a, b) with a <= pi(y) <= b: pi(y) itself below _EXACT_PI, and past it
+    Dusart's y/L (1 + 1/L + 2/L^2) <= pi(y) (y >= 88789) and pi(y) <= y/L (1 + 1/L +
+    2.51/L^2) (y >= 355991), L = ln y (arXiv:1002.0442).  Both decrease in L, which
+    ``_ln`` puts in [l, h] 2^-bits: a takes h, b takes l."""
+    if y < _EXACT_PI:
+        return (count := prime_count(y)), count
+    l, h = _ln(y, _START_BITS)
+    one = 1 << _START_BITS
+    a = y * one * (h * h + one * h + 2 * one * one) // h**3
+    return a, -(-y * one * (100 * l * l + 100 * one * l + 251 * one * one) // (100 * l**3))
+
+
+def _chain(x):
+    """[(lo_j, hi_j) for j = 0, 1, ...], lo_j <= pi^j(x) <= hi_j, up to the first hi_j = 0."""
+    chain = [(x, x)]
+    while (hi := chain[-1][1]) > 0:
+        lo = chain[-1][0]
+        if hi < _EXACT_PI:  # both ends exact: one sieve counts them
+            chain.append(tuple(prime_counts([lo, hi])))
+        else:
+            chain.append((_pi_bounds(lo)[0], _pi_bounds(hi)[1]))
+    return chain
+
+
+def _walk(n, k, levels, x, budget, cache):
+    """Number of the levels p_n^(1..levels) that are <= x, by the exact walk of base n,
+    where the chain leaves p_n^(k) <= x open."""
+    if x >= EXACT_LIMIT:  # the walk would reach p_n^(k), near x, and fail there
+        raise UnsupportedRangeError(f"x={x} is past 2^48, where no walk decides p_{n}^({k}) <= x")
+    if x > budget:  # the walk would compute primes up to x
+        raise BudgetExceededError(
+            f"x={x} above budget {budget}: bracketing element not computable"
+        )
+    return len(towers([n], levels, x, cache)[n])
+
+
+def _count_diag(x, chain, budget, cache):
+    k = 1  # the chain ends at hi = 0, below every k
+    while chain[k][0] >= k or chain[k][1] >= k and _walk(k, k, k, x, budget, cache) == k:
+        k += 1
+    return k - 1
+
+
+def _count_tower(n, x, chain, budget, cache):
+    k = 1
+    while chain[k][0] >= n:
+        k += 1
+    if chain[k][1] < n:
+        return k - 1
+    return _walk(n, k, x, x, budget, cache)  # p_n^(k) > k: x levels at most
 
 
 def count_diag(x, budget=DEFAULT_BUDGET, cache=None):
@@ -46,10 +80,7 @@ def count_diag(x, budget=DEFAULT_BUDGET, cache=None):
     x = int(x)
     if x < 1:
         raise DomainError("count_diag requires x >= 1")
-    k = 1
-    while _count_levels(k, x, k, budget, cache) == k:
-        k += 1
-    return k - 1
+    return _count_diag(x, _chain(x), budget, cache)
 
 
 def count_tower(n, x, budget=DEFAULT_BUDGET, cache=None):
@@ -57,7 +88,7 @@ def count_tower(n, x, budget=DEFAULT_BUDGET, cache=None):
     n, x = int(n), int(x)
     if n < 1 or x < 1:
         raise DomainError("count_tower requires n >= 1 and x >= 1")
-    return _count_levels(n, x, None, budget, cache)
+    return _count_tower(n, x, _chain(x), budget, cache)
 
 
 def comparator(x, prec=DEFAULT_PREC):
@@ -75,16 +106,22 @@ def ratio_series(xs, ns, budget=DEFAULT_BUDGET, prec=DEFAULT_PREC, cache=None):
 
     One row per x and distinct n, in ascending n, or per x with n and
     tower_count None when ns is empty; comparator is None when x < 16.
-    Tower counts run in the order ns is given, which orders the cache file.
+    Every count of an x reads one chain.  Tower counts run in the order ns
+    is given, which orders the cache file.
     """
     xs = [int(x) for x in xs]
     ns = [int(n) for n in ns]
     if any(a > b for a, b in zip(xs, xs[1:])):
         raise DomainError("xs must be sorted ascending")
+    if xs and xs[0] < 1:
+        raise DomainError("count_diag requires x >= 1")
+    if xs and ns and min(ns) < 1:
+        raise DomainError("count_tower requires n >= 1 and x >= 1")
     rows = []
     for x in xs:
-        diag = count_diag(x, budget=budget, cache=cache)
-        towers = {n: count_tower(n, x, budget=budget, cache=cache) for n in ns}
+        chain = _chain(x)
+        diag = _count_diag(x, chain, budget, cache)
+        towers = {n: _count_tower(n, x, chain, budget, cache) for n in ns}
         comp = comparator(x, prec=prec) if x >= 16 else None
         for n in sorted(towers) or [None]:
             rows.append((x, diag, n, towers.get(n), comp))

@@ -10,11 +10,6 @@ lookups of a level go to nth_primes together, their counts in one batch.
 It never computes an uncached level at index idx that ``proved_above``
 puts above cap: idx > cap, or the integer lower end of Dusart's lower bound
 on p_idx above cap.
-
-``brackets(n, cache)`` encloses the same levels without computing them: a
-level is exact while its index is tabled or the level cached, and past that
-Dusart's bounds on p_m, applied to the ends of its index's bracket and
-enclosed in integers, give integers lo <= p_n^(k) <= hi.
 """
 
 import os
@@ -32,11 +27,6 @@ from .hpreal import DEFAULT_PREC, _START_BITS, _ln
 # through k = 9..10 in minutes.
 DEFAULT_BUDGET = 10**11
 
-# Dusart (Math. Comp. 68 (1999)) proves m (ln m + ln ln m - 1) <= p_m for
-# m >= 2 and p_m <= m (ln m + ln ln m - 0.9484) for m >= 39017.  brackets
-# reads p_m from the table of the primes up to 2^19 for m <= pi(2^19) =
-# 43390, so both bounds hold wherever it applies them.
-_DUSART_TABLE = 1 << 19
 # prime_count and sieve_segment stop below 2^48, so no exact level reaches it.
 EXACT_LIMIT = _TABLE_LIMIT**2
 # The one cache record: "T n level value\n", single spaces, no leading zeros,
@@ -181,7 +171,7 @@ def proved_above(idx, cap):
     That bound lies below idx log2 idx <= idx bitlen(idx), so a cap at or above
     this takes no logarithm.  A lower end at or below cap answers False, and
     the walker computes the level, so no rounding decides a skip."""
-    return idx > cap or idx * idx.bit_length() > cap and _dusart(idx, idx)[0] > cap
+    return idx > cap or idx * idx.bit_length() > cap and _dusart(idx) > cap
 
 
 def towers(ns, k, cap, cache=None):
@@ -213,41 +203,13 @@ def towers(ns, k, cap, cache=None):
     return out
 
 
-def _dusart(a, b):
-    """Integers lo <= a (ln a + ln ln a - 1) and hi >= b (ln b + ln ln b - 0.9484).
-
-    ``_ln`` puts ln m in [l, h] 2^-bits, once for a == b, so ln ln m lies in
-    [ln(l 2^-bits), ln(h 2^-bits)], whose ends ``_ln`` encloses in the same units;
-    with 0.9484 as 9484/10^4, each factor is a rational bound, multiplied exactly.
-    """
+def _dusart(m):
+    """The integer lo <= m (ln m + ln ln m - 1), Dusart's lower bound on p_m (Math.
+    Comp. 68 (1999), m >= 2).  ``_ln`` puts ln m in [l, h] 2^-bits, so ln ln m is
+    at least ln(l 2^-bits), whose lower end ``_ln`` gives in the same units."""
     bits = _START_BITS
-    ln_a, ln_b = _ln(a, bits)
-    if b != a:
-        ln_b = _ln(b, bits)[1]
-    lo = a * (ln_a + _ln(ln_a, bits, -bits)[0] - (1 << bits)) >> bits
-    hi = b * ((ln_b + _ln(ln_b, bits, -bits)[1]) * 10**4 - (9484 << bits))
-    return lo, -(-hi // (10**4 << bits))
-
-
-def brackets(n, cache=None):
-    """Yield (lo, hi) with lo <= p_n^(k) <= hi for k = 1, 2, ..., without end.
-
-    A level is exact (lo == hi) when the cache holds it or its index is
-    exact and tabled.  Otherwise its index lies in [a, b], above the table
-    (an inexact bracket starts above it), and Dusart's bounds, both
-    increasing, put the level in [a (ln a + ln ln a - 1), b (ln b + ln ln b
-    - 0.9484)], rounded outward to integers.
-    """
-    table = base_primes_upto(_DUSART_TABLE)
-    a = b = n
-    level = 1
-    while True:
-        value = cache.get(n, level) if cache is not None else None
-        if value is None and b <= len(table):
-            value = int(table[b - 1])
-        a, b = (value, value) if value is not None else _dusart(a, b)
-        yield a, b
-        level += 1
+    ln = _ln(m, bits)[0]
+    return m * (ln + _ln(ln, bits, -bits)[0] - (1 << bits)) >> bits
 
 
 def iterate_prime(n, k, budget=DEFAULT_BUDGET, cache=None):

@@ -85,17 +85,29 @@ def n_log_n_by_decimal(n, digits):
 
 
 def dusart_by_decimal(n, digits=60):
-    """Dusart's bounds (n(ln n + ln ln n - 1), n(ln n + ln ln n - 0.9484)) on p_n.
-
-    Both to ``digits`` significant digits with stdlib ``decimal`` only; the
-    constant 0.9484 is the exact decimal 9484/10^4.
-    """
+    """Dusart's lower bound n(ln n + ln ln n - 1) on p_n to ``digits`` significant digits,
+    with stdlib ``decimal`` only."""
     with localcontext() as ctx:
         ctx.prec = digits + 10
         n = Decimal(n)
         ln = n.ln()
-        s = ln + ln.ln()
-        lower, upper = n * (s - 1), n * (s - Decimal("0.9484"))
+        lower = n * (ln + ln.ln() - 1)
+        ctx.prec = digits
+        return +lower
+
+
+def pi_bounds_by_decimal(x, digits=60):
+    """Dusart's bounds (x/L (1 + 1/L + 2/L^2), x/L (1 + 1/L + 2.51/L^2)) on pi(x), L = ln x.
+
+    Both to ``digits`` significant digits with stdlib ``decimal`` only; the
+    constant 2.51 is the exact decimal 251/100.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        x = Decimal(x)
+        ln = x.ln()
+        lower = x / ln * (1 + 1 / ln + 2 / ln**2)
+        upper = x / ln * (1 + 1 / ln + Decimal("2.51") / ln**2)
         ctx.prec = digits
         return +lower, +upper
 

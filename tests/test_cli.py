@@ -195,9 +195,11 @@ class TestExitCodes:
         assert code == 2 and "budget" in err
 
     def test_count_above_budget(self, capsys):
-        # x = p_7^(7) lies inside its bracket, so the walk must run
-        assert run(capsys, "count", "diag", "2269733", "--budget", "1000") == (
-            2, "", "budget exhausted: x=2269733 above budget 1000: "
+        # exact pi decides x = p_7^(7) below 2^28; the chain leaves p_9^(9) <= x
+        # open at x = p_9^(9), so the walk must run
+        assert run(capsys, "count", "diag", "2269733", "--budget", "1000") == (0, "7\n", "")
+        assert run(capsys, "count", "diag", "1559861749", "--budget", "1000") == (
+            2, "", "budget exhausted: x=1559861749 above budget 1000: "
                    "bracketing element not computable\n",
         )
 
@@ -206,12 +208,14 @@ class TestExitCodes:
         [
             (["count", "diag", f"{10**21}"], 16),
             (["count", "diag", f"{10**100}"], 52),
+            (["count", "diag", f"{10**1000}"], 349),
             (["count", "tower", "1", f"{10**50}"], 35),
             (["count", "diag", "10000000", "--budget", "1000"], 7),
         ],
-        ids=["diag_1e21", "diag_1e100", "tower_1e50", "diag_1e7_budget_1000"],
+        ids=["diag_1e21", "diag_1e100", "diag_1e1000", "tower_1e50", "diag_1e7_budget_1000"],
     )
-    def test_count_decided_by_brackets_needs_no_budget(self, capsys, argv, count):
+    def test_count_decided_by_the_chain_needs_no_budget(self, capsys, argv, count):
+        # 349 at 10^1000 was recorded from the brackets on p_m that the chain replaced
         assert run(capsys, *argv) == (0, f"{count}\n", "")
 
     def test_nth_above_budget(self, capsys):
@@ -233,10 +237,12 @@ class TestExitCodes:
         assert peak < 1 << 20
 
     def test_count_inside_a_bracket_past_2_48_exits_3(self, capsys):
-        # 5.5e15 lies in the bracket of p_13^(13), whose exact value is past 2^48
-        code, out, err = run(
-            capsys, "count", "diag", "5500000000000000", "--budget", "10000000000000000"
+        # the chain decides 5.5e15, and leaves p_13^(13) <= x open at x past 2^48
+        budget = "10000000000000000"
+        assert run(capsys, "count", "diag", "5500000000000000", "--budget", budget) == (
+            0, "12\n", ""
         )
+        code, out, err = run(capsys, "count", "diag", "5519908106212193", "--budget", budget)
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
@@ -809,10 +815,10 @@ class TestDeterminismAndCache:
 
     def test_cold_and_warm_cache_identical(self, capsys, tmp_path):
         cache_path = tmp_path / "towers.txt"
-        # x = p_7^(7) lies inside the bracket of p_7^(7), so the cold run
-        # computes and stores base 7, and the warm run reads it back
+        # the chain leaves p_9^(9) <= x open at x = p_9^(9), so the cold run
+        # computes and stores base 9, and the warm run reads it back
         args = [
-            "table", "counts", "100,10000,2269733", "1,2", "--no-timestamp",
+            "table", "counts", "100,10000,2269733,1559861749", "1,2", "--no-timestamp",
             "--cache", str(cache_path),
         ]
         cold_out = tmp_path / "cold.csv"
@@ -840,9 +846,10 @@ class TestDeterminismAndCache:
             # stdout recorded at 5eab9cd in the old flag syntax, as table
             # --xs 100,10000,1000000 --ns 2,1,2; --xs 2,100 --ns 1;
             # --residuals --k-max 9; --residuals --k-max 7 --budget 100000;
-            # --ratios --n 3 --k-max 11 --budget 100000.  Brackets decide
-            # every count in the first two table counts runs, so they write
-            # no cache file (None); the third's stdout was recorded at a9ce604
+            # --ratios --n 3 --k-max 11 --budget 100000.  The chain of pi
+            # decides every count in the three table counts runs, so they
+            # write no cache file (None); the third's stdout was recorded at
+            # a9ce604
             (
                 ["table", "counts", "100,10000,1000000", "2,1,2", "--no-timestamp"], 0,
                 "04ec2699d763bae92c426caf9357f3ff2c5a171c8905346642c40c557e6a3f93",
@@ -856,7 +863,7 @@ class TestDeterminismAndCache:
             (
                 ["table", "counts", "100,2269733", "1,7", "--no-timestamp"], 0,
                 "a7d469483ae00025af70a5f908180d0851c584b0d7f8189369bde8f98fbed12b",
-                "4a3aab4242498517d51b1de793a10bd62c13d666a39712de1c4603dc6ac15a12", "",
+                None, "",
             ),
             (
                 ["table", "residuals", "9", "--no-timestamp"], 0,
@@ -894,8 +901,7 @@ class TestDeterminismAndCache:
         self, capsys, tmp_path, primes_3e6, argv, exit_code, out_digest, cache_digest, err
     ):
         # SHA-256 of stdout and of the cache file, recorded at d9494df unless
-        # noted; the table counts cache digests were recorded at the change
-        # that decides counts from brackets
+        # noted
         cache_path = tmp_path / "towers.txt"
         code, out, stderr = run(capsys, *argv, "--cache", str(cache_path))
         assert code == exit_code

@@ -2,8 +2,6 @@ import hashlib
 import math
 import tracemalloc
 from decimal import Decimal
-from itertools import islice
-
 import pytest
 
 from primeth import (
@@ -21,7 +19,7 @@ from primeth import (
 from primeth import counting, engine, hpreal, iterated
 from primeth.cli import main
 
-from oracle import dusart_by_decimal, tower_by_sieve
+from oracle import dusart_by_decimal, pi_bounds_by_decimal, tower_by_sieve
 
 DIAG = [2, 5, 31, 277, 5381, 87803, 2269733]
 # p_k^(k) for k = 8..12
@@ -29,7 +27,7 @@ DIAG_PAST_7 = [50728129, 1559861749, 64988430769, 2428095424619, 119543903707171
 
 
 def _walk_count_diag(x, cache):
-    """count_diag as the walk alone decided it, before brackets."""
+    """count_diag as the walk alone decided it, before the chain of pi."""
     k = 1
     while len(iterated.towers([k], k, x, cache)[k]) == k:
         k += 1
@@ -37,7 +35,7 @@ def _walk_count_diag(x, cache):
 
 
 def _walk_count_tower(n, x, cache):
-    """count_tower as the walk alone decided it, before brackets."""
+    """count_tower as the walk alone decided it, before the chain of pi."""
     return len(iterated.towers([n], x, x, cache)[n])
 
 
@@ -59,17 +57,23 @@ class TestCountDiag:
                 assert count_diag(value - 1, cache=cache) == k - 1
 
     def test_budget_guard(self):
-        # x = p_7^(7) lies inside its bracket with no cache: only the walk,
-        # which the budget bounds, decides it; the brackets alone decide 10^7
+        # below 2^28 the chain is exact, so it decides x = p_7^(7), 10^7 and
+        # p_8^(8) whatever the budget; x = p_9^(9) lies past it, and the chain
+        # leaves p_9^(9) <= x open: only the walk, which the budget bounds, decides it
+        assert count_diag(2269733, budget=1000) == 7
+        assert count_diag(10**7, budget=1000) == 7
+        assert count_diag(50728129, budget=1000) == 8
         with pytest.raises(
             BudgetExceededError,
-            match=r"^x=2269733 above budget 1000: bracketing element not computable$",
+            match=r"^x=1559861749 above budget 1000: bracketing element not computable$",
         ):
-            count_diag(2269733, budget=1000)
-        assert count_diag(10**7, budget=1000) == 7
-        # count_tower shares the check: p_1^(11) = 9737333 lies inside its bracket
-        with pytest.raises(BudgetExceededError, match=r"^x=9737333 above budget 1000: "):
-            count_tower(1, 9737333, budget=1000)
+            count_diag(1559861749, budget=1000)
+        # count_tower shares the check: exact pi decides p_1^(11) = 9737333 and
+        # p_1^(12) = 174440041, and the chain leaves p_1^(13) = 3657500101 open
+        assert count_tower(1, 9737333, budget=1000) == 11
+        assert count_tower(1, 174440041, budget=1000) == 12
+        with pytest.raises(BudgetExceededError, match=r"^x=3657500101 above budget 1000: "):
+            count_tower(1, 3657500101, budget=1000)
 
     def test_invalid(self, cache):
         with pytest.raises(DomainError, match=r"^count_diag requires x >= 1$"):
@@ -91,12 +95,12 @@ class TestCountTower:
                 assert count_tower(n, value - 1, cache=cache) == k - 1
 
     def test_bracketing_level_is_cached(self):
-        # p_1^(10) = 648391 has index 52711, past the 2^19 table, so its bracket
-        # holds x = 648391 and the level is computed exactly, and kept
+        # the chain leaves p_1^(13) = 3657500101 <= x open at x = 3657500101, so
+        # base 1 is walked exactly, and its levels are kept
         cache = TowerCache()
-        assert count_tower(1, 648391, cache=cache) == 10
-        assert cache.get(1, 10) == 648391
-        # 110 lies outside every bracket of base 1: nothing is computed or kept
+        assert count_tower(1, 3657500101, cache=cache) == 13
+        assert cache.get(1, 13) == 3657500101
+        # the exact chain decides x = 110: nothing is computed or kept
         cache = TowerCache()
         assert count_tower(1, 110, cache=cache) == 5
         assert len(cache) == 0
@@ -118,61 +122,80 @@ class TestCountTower:
 
 
 class TestBrackets:
+    """The chain's brackets lo_j <= pi^j(x) <= hi_j, from Dusart's bounds on
+    pi at or past 2^28, and the lower end of his bound on p_m, the walker's skip."""
+
     @pytest.mark.parametrize(
         "n", [39017, 43391, 10**6, 10**15, 10**40, 10**160, 10**400],
         ids=["39017", "43391", "1e6", "1e15", "1e40", "1e160", "1e400"],
     )
     def test_endpoints_on_the_safe_side(self, n):
-        lo, hi = iterated._dusart(n, n)
-        lower, upper = dusart_by_decimal(n)
-        assert lo <= lower and hi >= upper
+        lo = iterated._dusart(n)
+        lower = dusart_by_decimal(n)
+        # rounded down by less than a relative 2^-60 and one unit
+        assert lo <= lower and lower - lo < lower * Decimal(2) ** -60 + 1
+
+    @pytest.mark.parametrize(
+        "x", [1 << 28, 10**9, 10**15, 10**40, 10**400],
+        ids=["2^28", "1e9", "1e15", "1e40", "1e400"],
+    )
+    def test_pi_bounds_on_the_safe_side(self, x):
+        a, b = counting._pi_bounds(x)
+        lower, upper = pi_bounds_by_decimal(x, len(str(x)) + 40)
+        assert a <= lower and b >= upper
         # rounded outward by less than a relative 2^-60 and one unit
         slack = lower * Decimal(2) ** -60 + 1
-        assert lower - lo < slack and hi - upper < slack
+        assert lower - a < slack and b - upper < slack
 
-    def test_diagonal_brackets_contain_known_values(self):
+    @pytest.mark.parametrize("x, pi", [(10**k, p) for k, p in enumerate(
+        [664579, 5761455, 50847534, 455052511, 4118054813, 37607912018, 346065536839], start=7)],
+        ids=[f"1e{k}" for k in range(7, 14)])
+    def test_pi_bounds_contain_known_pi(self, x, pi):
+        # OEIS A006880; below 2^28 only the decimal bounds are Dusart's
+        lower, upper = pi_bounds_by_decimal(x)
+        a, b = counting._pi_bounds(x)
+        assert lower <= pi <= upper and a <= pi <= b
+        assert (a == b) == (x < 1 << 28)
+
+    def test_pi_bounds_contain_prime_count(self):
+        for i in range(16):  # log-spaced in [2^24, 10^11]
+            x = round(2**24 * (10**11 / 2**24) ** (i / 15))
+            pi, (lower, upper) = engine.prime_count(x), pi_bounds_by_decimal(x)
+            a, b = counting._pi_bounds(x)
+            assert lower <= pi <= upper and a <= pi <= b, x
+
+    def test_diagonal_brackets_contain_known_values(self, cache):
+        # pi^j(p_k^(k)) = p_k^(k - j), and p_k^(0) = k; exact while x < 2^28
         for k, value in enumerate(DIAG + DIAG_PAST_7, start=1):
-            lo, hi = list(islice(iterated.brackets(k), k))[-1]
-            assert lo <= value <= hi
-            assert (lo == hi) == (k <= 6)  # levels past 6 have untabled indices
+            chain = counting._chain(value)
+            lo, hi = chain[k]
+            assert lo <= k <= hi
+            assert (lo == hi) == (k <= 8)
+            levels = [k] + iterate_prime(k, k, cache=cache).values[:-1] if k <= 10 else []
+            for j, level in enumerate(reversed(levels), start=1):
+                assert chain[j][0] <= level <= chain[j][1], (k, j)
 
-    def test_tower_brackets_contain_exact_levels(self, primes_3e6):
-        table_primes = 43390  # pi(2^19)
-        for n in range(1, 2001):
-            values = tower_by_sieve(n, 3, primes_3e6)
-            for index, value, (lo, hi) in zip([n] + values, values, iterated.brackets(n)):
-                assert lo <= value <= hi
-                assert (lo == hi) == (index <= table_primes)
-
-    def test_cached_level_is_exact(self):
-        cache = TowerCache()
-        cache.put(1, 11, 9737333)
-        levels = list(islice(iterated.brackets(1, cache), 12))
-        assert levels[10] == (9737333, 9737333)
-        assert levels[9][0] < 648391 < levels[9][1]  # index 52711 is past the table
-        assert levels[11] == iterated._dusart(9737333, 9737333)
+    def test_tower_brackets_contain_exact_levels(self, towers_to_1e9):
+        # pi^j(p_n^(k)) = p_n^(k - j), and p_n^(0) = n
+        for n, values in towers_to_1e9.items():
+            for k, x in enumerate(values, start=1):
+                chain = counting._chain(x)
+                for j, level in enumerate(([n] + values[: k - 1])[::-1], start=1):
+                    lo, hi = chain[j]
+                    assert lo <= level <= hi, (n, k, j)
+                    assert lo == hi or x >= 1 << 28, (n, k, j)
 
     def test_logs_taken(self, monkeypatch):
-        # _dusart takes log m once when a == b, then log log m at both ends;
-        # count_diag(10^10) takes 36 logs in all, none of them twice by a memo
+        # a chain step takes one log of each end past 2^28; _dusart takes
+        # log m and log log m
         calls, mpf_log = [], hpreal.mpf_log
         monkeypatch.setattr(hpreal, "mpf_log", lambda *args: calls.append(args) or mpf_log(*args))
-        iterated._dusart(10**6, 10**6)
-        assert len(calls) == 3
-        iterated._dusart(10**6, 10**6 + 1)
-        assert len(calls) == 3 + 4
+        iterated._dusart(10**6)
+        assert len(calls) == 2
+        steps = len(counting._chain(10**100)) - 1
         calls.clear()
-        assert count_diag(10**10) == 9
-        assert len(calls) == 36
-
-    @pytest.mark.parametrize("n", [10**5, 43391])
-    def test_independent_of_the_table_built(self, fresh_table, n):
-        # brackets read the primes up to 2^19 only, however far the table has
-        # grown: p_43391 lies past them, so its bracket stays inexact
-        cold = list(islice(iterated.brackets(n), 4))
-        engine._prime_table(engine._TABLE_LIMIT)
-        assert list(islice(iterated.brackets(n), 4)) == cold
-        assert cold[0][0] < cold[0][1]
+        assert count_diag(10**100) == 52
+        assert len(calls) <= 2 * steps
 
 
 class TestCountIdentity:
@@ -201,23 +224,42 @@ class TestCountIdentity:
                 assert count_tower(n, x) == _walk_count_tower(n, x, cache), (n, x)
 
     def test_decision_at_the_bracket_ends(self, monkeypatch):
-        # a level counts once x >= hi, ends the count while x < lo, and sends
-        # x in [lo, hi) to the exact walk, here a stub giving 9 levels
+        # with p_1^(k) in [lo, hi], pi^k(x) >= 1 once x >= hi and pi^k(x) = 0
+        # while x < lo; the chain's enclosures say so, and leave pi^k(x) in
+        # [0, 1] for x in [lo, hi), which goes to the exact walk, here a stub
+        # giving 9 levels
         levels = [(7, 7), (20, 25), (30, 40)]
-        monkeypatch.setattr(counting, "brackets", lambda n, cache: iter(levels))
+        monkeypatch.setattr(counting, "_chain", lambda x: [(x, x)] + [
+            (1, 1) if x >= hi else (0, 1) if x >= lo else (0, 0) for lo, hi in levels
+        ] + [(0, 0)])
         monkeypatch.setattr(counting, "towers", lambda ns, k, x, cache: {n: [0] * 9 for n in ns})
         xs = (6, 7, 19, 20, 24, 25, 29, 30, 39, 40)
         assert [count_tower(1, x) for x in xs] == [0, 1, 1, 9, 9, 2, 2, 9, 9, 3]
+
+    @pytest.mark.parametrize("n, x, count", [
+        (1, 9086589960500761815721, 20), (1, 1787250162542279523144973398, 24),
+        (4, 567822314269014876, 16), (4, 3259509311625319862360172, 19),
+        (4, 12336106443626864690219836895, 21), (4, 866246615933292364272377852738, 23),
+        (4, 60376703261736188813224112498691, 23), (10, 1812146901352003, 12),
+        ("diag", 243461157926321741, 13), ("diag", 249605396225585215, 14),
+        ("diag", 22384049388975424410852829050, 19), ("diag", 23118814806739271102632515814, 20),
+    ])
+    def test_decided_at_the_ends_of_brackets_on_p_m(self, n, x, count):
+        # x = lo - 1 or hi of a bracket [lo, hi] on p_n^(k) from Dusart's bounds on
+        # p_m, past 2^48, where those brackets decided the counts recorded here
+        got = count_diag(x, budget=x) if n == "diag" else count_tower(n, x, budget=x)
+        assert got == count
 
     def test_far_past_the_exact_range(self):
         for x, count in ((10**20, 15), (10**50, 30), (10**100, 52)):
             assert count_diag(x, budget=x) == count
 
     def test_inside_a_bracket_past_2_48(self):
-        # 5.5e15 lies in the bracket of p_13^(13), and p_12^(12) < 1.2e14 is
-        # below it: the exact value decides, and it lies past 2^48
+        # the chain decides 5.5e15, but leaves p_13^(13) <= x open at x =
+        # 5519908106212193, past 2^48, where the exact walk cannot decide it
+        assert count_diag(5_500_000_000_000_000, budget=10**16) == 12
         with pytest.raises(UnsupportedRangeError, match="past 2\\^48"):
-            count_diag(5_500_000_000_000_000, budget=10**16)
+            count_diag(5_519_908_106_212_193, budget=10**16)
 
 
 class TestTowerWork:
@@ -226,8 +268,8 @@ class TestTowerWork:
     Each list was recorded at a9ce604 and is authenticated by its SHA-256;
     the iterate_prime digests date from d9494df, before the three tower
     loops became one walker.  iterate_prime must make exactly the recorded
-    lookups in the same order.  A count decides most levels from brackets
-    and walks only a base where x falls inside one, so it may make fewer
+    lookups in the same order.  A count decides most levels from the chain
+    of pi and walks only a base the chain leaves open, so it may make fewer
     lookups, but none the walk-only counts did not make.
     """
 
@@ -247,7 +289,7 @@ class TestTowerWork:
             (lambda: iterate_prime(1, 20, budget=10**9),
              [1, 2, 3, 5, 11, 31, 127, 709, 5381, 52711, 648391, 9737333],
              "e9f3d227d5023b9288ef3bbbde79c068986ce21b755db8b45878ea3f387ba440", True),
-            # x = p_7^(7) and x = p_1^(11) lie inside a bracket: the walk runs
+            # x = p_7^(7) and x = p_1^(11), where brackets on p_m ran the walk
             (lambda: count_diag(2269733),
              [1, 2, 3, 3, 5, 11, 4, 7, 17, 59, 5, 11, 31, 127, 709, 6, 13, 41, 179, 1063,
               8527, 7, 17, 59, 277, 1787, 15299, 167449, 8, 19, 67, 331, 2221, 19577],
@@ -276,7 +318,7 @@ class TestTowerWork:
             assert set(calls) <= set(recorded)
 
     def test_count_diag_1e10_computes_no_prime(self, monkeypatch, fresh_table):
-        # brackets decide every level: no lookup and only the 2^19 table
+        # the chain decides every level: no lookup, and its exact pi reads a small table
         monkeypatch.setattr(iterated, "nth_primes", lambda idxs: pytest.fail(f"nth_primes({idxs})"))
         tracemalloc.start()
         try:
@@ -284,7 +326,7 @@ class TestTowerWork:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert engine._TABLE[0] == 1 << 19
+        assert engine._TABLE[0] <= 1 << 19
         assert peak < 4 << 20
 
 

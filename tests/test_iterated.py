@@ -190,7 +190,7 @@ class TestValueCertainlyAbove:
     def _lower_and_slack(idx):
         # the decimal lower bound to 40 digits past the point, and the slack
         # TestBrackets allows the integer enclosure of it
-        lower = dusart_by_decimal(idx, len(str(idx)) + 40)[0]
+        lower = dusart_by_decimal(idx, len(str(idx)) + 40)
         return lower, lower * Decimal(2) ** -60 + 1
 
     @pytest.mark.parametrize("idx", [18, 10**6, 10**9, 10**12, 10**15, 10**18, 10**400],
@@ -240,7 +240,7 @@ class TestValueCertainlyAbove:
         # so towers computes level 12 of base 1 (index 9737333), which the
         # real enclosure decides unseen at cap 10^8
         cap = 10**8
-        monkeypatch.setattr(iterated, "_dusart", lambda a, b: (cap, 2 * cap))
+        monkeypatch.setattr(iterated, "_dusart", lambda m: cap)
         assert not proved_above(9737333, cap)
         cache = TowerCache()
         assert towers([1], 20, cap, cache)[1] == PRIMETH_RECURRENCE + [648391, 9737333]
