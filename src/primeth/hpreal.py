@@ -7,12 +7,12 @@ text only where every point of the enclosure gives the same (Ziv's rounding
 test); its decimal exponent is exact, so it rounds once, by one binary shift
 or one division, and again only on a carry into the next decade.  It decides
 every bound row, and the same integer enclosures give Dusart's bounds on
-pi, which decide the counts, and on p_m, the tower walker's skip.  ``_ln``
-makes each enclosure of a logarithm from mpmath's log rounded down.  ``compare_int``,
-which certify alone uses, takes the sign of an mpmath function's value minus
-the integer from the value's mantissa and exponent, in integers, and re-runs
-the function at doubled precision until the margin exceeds one unit in the
-last digit.
+pi, which decide the counts, and on p_m, which bracket the levels they leave
+open and give the tower walker's skip.  ``_ln`` makes each enclosure of a
+logarithm from mpmath's log rounded down.  ``compare_int``, which certify
+alone uses, takes the sign of an mpmath function's value minus the integer
+from the value's mantissa and exponent, in integers, and re-runs the function
+at doubled precision until the margin exceeds one unit in the last digit.
 """
 
 import functools

@@ -203,13 +203,15 @@ def towers(ns, k, cap, cache=None):
     return out
 
 
-def _dusart(m):
+def _dusart(m, upper=False):
     """The integer lo <= m (ln m + ln ln m - 1), Dusart's lower bound on p_m (Math.
-    Comp. 68 (1999), m >= 2).  ``_ln`` puts ln m in [l, h] 2^-bits, so ln ln m is
-    at least ln(l 2^-bits), whose lower end ``_ln`` gives in the same units."""
+    Comp. 68 (1999), m >= 2), or with upper hi >= m (ln m + ln ln m - 0.9484), his
+    upper bound (m >= 39017).  ``_ln`` puts ln m in [l, h] 2^-bits, so ln ln m lies in
+    [ln(l 2^-bits), ln(h 2^-bits)], whose ends ``_ln`` encloses in the same units."""
     bits = _START_BITS
-    ln = _ln(m, bits)[0]
-    return m * (ln + _ln(ln, bits, -bits)[0] - (1 << bits)) >> bits
+    ln = _ln(m, bits)[upper]
+    num = m * ((ln + _ln(ln, bits, -bits)[upper]) * 10**4 - ((9484 if upper else 10**4) << bits))
+    return -(-num // (10**4 << bits)) if upper else num // (10**4 << bits)
 
 
 def iterate_prime(n, k, budget=DEFAULT_BUDGET, cache=None):

@@ -85,15 +85,19 @@ def n_log_n_by_decimal(n, digits):
 
 
 def dusart_by_decimal(n, digits=60):
-    """Dusart's lower bound n(ln n + ln ln n - 1) on p_n to ``digits`` significant digits,
-    with stdlib ``decimal`` only."""
+    """Dusart's bounds (n(ln n + ln ln n - 1), n(ln n + ln ln n - 0.9484)) on p_n.
+
+    Both to ``digits`` significant digits with stdlib ``decimal`` only; the
+    constant 0.9484 is the exact decimal 9484/10^4.
+    """
     with localcontext() as ctx:
         ctx.prec = digits + 10
         n = Decimal(n)
         ln = n.ln()
-        lower = n * (ln + ln.ln() - 1)
+        s = ln + ln.ln()
+        lower, upper = n * (s - 1), n * (s - Decimal("0.9484"))
         ctx.prec = digits
-        return +lower
+        return +lower, +upper
 
 
 def pi_bounds_by_decimal(x, digits=60):

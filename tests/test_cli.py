@@ -195,11 +195,11 @@ class TestExitCodes:
         assert code == 2 and "budget" in err
 
     def test_count_above_budget(self, capsys):
-        # exact pi decides x = p_7^(7) below 2^28; the chain leaves p_9^(9) <= x
-        # open at x = p_9^(9), so the walk must run
+        # exact pi decides x = p_7^(7) below 2^24; neither the chain nor the
+        # bracket of p_8^(8) decides p_8^(8) <= x at x = p_8^(8), so the walk must run
         assert run(capsys, "count", "diag", "2269733", "--budget", "1000") == (0, "7\n", "")
-        assert run(capsys, "count", "diag", "1559861749", "--budget", "1000") == (
-            2, "", "budget exhausted: x=1559861749 above budget 1000: "
+        assert run(capsys, "count", "diag", "50728129", "--budget", "1000") == (
+            2, "", "budget exhausted: x=50728129 above budget 1000: "
                    "bracketing element not computable\n",
         )
 
@@ -237,7 +237,8 @@ class TestExitCodes:
         assert peak < 1 << 20
 
     def test_count_inside_a_bracket_past_2_48_exits_3(self, capsys):
-        # the chain decides 5.5e15, and leaves p_13^(13) <= x open at x past 2^48
+        # the chain decides 5.5e15; past 2^48, at 5519908106212193, neither it
+        # nor the bracket of p_13^(13), whose exact value is past 2^48, decides
         budget = "10000000000000000"
         assert run(capsys, "count", "diag", "5500000000000000", "--budget", budget) == (
             0, "12\n", ""
@@ -245,6 +246,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "count", "diag", "5519908106212193", "--budget", budget)
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "the bracket of p_13^(13), whose exact value is past 2^48" in err
 
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "nth", "0")
@@ -815,10 +817,10 @@ class TestDeterminismAndCache:
 
     def test_cold_and_warm_cache_identical(self, capsys, tmp_path):
         cache_path = tmp_path / "towers.txt"
-        # the chain leaves p_9^(9) <= x open at x = p_9^(9), so the cold run
-        # computes and stores base 9, and the warm run reads it back
+        # neither the chain nor the brackets decide p_8^(8) <= x at x = p_8^(8),
+        # so the cold run computes and stores base 8, and the warm run reads it back
         args = [
-            "table", "counts", "100,10000,2269733,1559861749", "1,2", "--no-timestamp",
+            "table", "counts", "100,10000,2269733,50728129", "1,2", "--no-timestamp",
             "--cache", str(cache_path),
         ]
         cold_out = tmp_path / "cold.csv"

@@ -2,6 +2,9 @@ import hashlib
 import math
 import tracemalloc
 from decimal import Decimal
+import itertools
+from itertools import islice
+
 import pytest
 
 from primeth import (
@@ -57,23 +60,23 @@ class TestCountDiag:
                 assert count_diag(value - 1, cache=cache) == k - 1
 
     def test_budget_guard(self):
-        # below 2^28 the chain is exact, so it decides x = p_7^(7), 10^7 and
-        # p_8^(8) whatever the budget; x = p_9^(9) lies past it, and the chain
-        # leaves p_9^(9) <= x open: only the walk, which the budget bounds, decides it
+        # below 2^24 the chain is exact, so it decides x = p_7^(7) and 10^7
+        # whatever the budget; x = p_8^(8) and p_9^(9) lie past it, and neither the
+        # chain nor the brackets of the base decide p_k^(k) <= x there: only the
+        # walk, which the budget bounds, does
         assert count_diag(2269733, budget=1000) == 7
         assert count_diag(10**7, budget=1000) == 7
-        assert count_diag(50728129, budget=1000) == 8
-        with pytest.raises(
-            BudgetExceededError,
-            match=r"^x=1559861749 above budget 1000: bracketing element not computable$",
-        ):
-            count_diag(1559861749, budget=1000)
-        # count_tower shares the check: exact pi decides p_1^(11) = 9737333 and
-        # p_1^(12) = 174440041, and the chain leaves p_1^(13) = 3657500101 open
+        for x in (50728129, 1559861749):
+            with pytest.raises(
+                BudgetExceededError,
+                match=rf"^x={x} above budget 1000: bracketing element not computable$",
+            ):
+                count_diag(x, budget=1000)
+        # count_tower shares the check: exact pi decides p_1^(11) = 9737333, and
+        # p_1^(12) = 174440041 is left open
         assert count_tower(1, 9737333, budget=1000) == 11
-        assert count_tower(1, 174440041, budget=1000) == 12
-        with pytest.raises(BudgetExceededError, match=r"^x=3657500101 above budget 1000: "):
-            count_tower(1, 3657500101, budget=1000)
+        with pytest.raises(BudgetExceededError, match=r"^x=174440041 above budget 1000: "):
+            count_tower(1, 174440041, budget=1000)
 
     def test_invalid(self, cache):
         with pytest.raises(DomainError, match=r"^count_diag requires x >= 1$"):
@@ -95,11 +98,11 @@ class TestCountTower:
                 assert count_tower(n, value - 1, cache=cache) == k - 1
 
     def test_bracketing_level_is_cached(self):
-        # the chain leaves p_1^(13) = 3657500101 <= x open at x = 3657500101, so
-        # base 1 is walked exactly, and its levels are kept
+        # the chain and the brackets of base 1 leave p_1^(12) = 174440041 <= x
+        # open at x = 174440041, so base 1 is walked exactly, and its levels are kept
         cache = TowerCache()
-        assert count_tower(1, 3657500101, cache=cache) == 13
-        assert cache.get(1, 13) == 3657500101
+        assert count_tower(1, 174440041, cache=cache) == 12
+        assert cache.get(1, 12) == 174440041
         # the exact chain decides x = 110: nothing is computed or kept
         cache = TowerCache()
         assert count_tower(1, 110, cache=cache) == 5
@@ -122,25 +125,27 @@ class TestCountTower:
 
 
 class TestBrackets:
-    """The chain's brackets lo_j <= pi^j(x) <= hi_j, from Dusart's bounds on
-    pi at or past 2^28, and the lower end of his bound on p_m, the walker's skip."""
+    """The chain's brackets lo_j <= pi^j(x) <= hi_j, from Dusart's bounds on pi
+    past 2^24, and the brackets of a base's levels, from his bounds on p_m."""
 
     @pytest.mark.parametrize(
         "n", [39017, 43391, 10**6, 10**15, 10**40, 10**160, 10**400],
         ids=["39017", "43391", "1e6", "1e15", "1e40", "1e160", "1e400"],
     )
     def test_endpoints_on_the_safe_side(self, n):
-        lo = iterated._dusart(n)
-        lower = dusart_by_decimal(n)
-        # rounded down by less than a relative 2^-60 and one unit
-        assert lo <= lower and lower - lo < lower * Decimal(2) ** -60 + 1
+        lo, hi = iterated._dusart(n), iterated._dusart(n, upper=True)
+        lower, upper = dusart_by_decimal(n)
+        assert lo <= lower and hi >= upper
+        # rounded outward by less than a relative 2^-60 and one unit
+        slack = lower * Decimal(2) ** -60 + 1
+        assert lower - lo < slack and hi - upper < slack
 
     @pytest.mark.parametrize(
-        "x", [1 << 28, 10**9, 10**15, 10**40, 10**400],
-        ids=["2^28", "1e9", "1e15", "1e40", "1e400"],
+        "x", [1 << 24, 10**9, 10**15, 10**40, 10**400],
+        ids=["2^24", "1e9", "1e15", "1e40", "1e400"],
     )
     def test_pi_bounds_on_the_safe_side(self, x):
-        a, b = counting._pi_bounds(x)
+        a, b = counting._chain(x)[1]
         lower, upper = pi_bounds_by_decimal(x, len(str(x)) + 40)
         assert a <= lower and b >= upper
         # rounded outward by less than a relative 2^-60 and one unit
@@ -151,29 +156,33 @@ class TestBrackets:
         [664579, 5761455, 50847534, 455052511, 4118054813, 37607912018, 346065536839], start=7)],
         ids=[f"1e{k}" for k in range(7, 14)])
     def test_pi_bounds_contain_known_pi(self, x, pi):
-        # OEIS A006880; below 2^28 only the decimal bounds are Dusart's
+        # OEIS A006880; below 2^24 the chain takes pi itself
         lower, upper = pi_bounds_by_decimal(x)
-        a, b = counting._pi_bounds(x)
+        a, b = counting._chain(x)[1]
         assert lower <= pi <= upper and a <= pi <= b
-        assert (a == b) == (x < 1 << 28)
+        assert (a == b) == (x < 1 << 24)
 
     def test_pi_bounds_contain_prime_count(self):
         for i in range(16):  # log-spaced in [2^24, 10^11]
             x = round(2**24 * (10**11 / 2**24) ** (i / 15))
             pi, (lower, upper) = engine.prime_count(x), pi_bounds_by_decimal(x)
-            a, b = counting._pi_bounds(x)
+            a, b = counting._chain(x)[1]
             assert lower <= pi <= upper and a <= pi <= b, x
 
     def test_diagonal_brackets_contain_known_values(self, cache):
-        # pi^j(p_k^(k)) = p_k^(k - j), and p_k^(0) = k; exact while x < 2^28
+        # pi^j(p_k^(k)) = p_k^(k - j), and p_k^(0) = k; exact while x < 2^24
         for k, value in enumerate(DIAG + DIAG_PAST_7, start=1):
             chain = counting._chain(value)
             lo, hi = chain[k]
             assert lo <= k <= hi
-            assert (lo == hi) == (k <= 8)
+            assert (lo == hi) == (k <= 7)
             levels = [k] + iterate_prime(k, k, cache=cache).values[:-1] if k <= 10 else []
             for j, level in enumerate(reversed(levels), start=1):
                 assert chain[j][0] <= level <= chain[j][1], (k, j)
+            # and forward, from Dusart's bounds on p_m once the index is untabled
+            lo, hi = list(islice(counting._levels(k, None), k + 1))[-1]
+            assert lo <= value <= hi
+            assert (lo == hi) == (k <= 6)
 
     def test_tower_brackets_contain_exact_levels(self, towers_to_1e9):
         # pi^j(p_n^(k)) = p_n^(k - j), and p_n^(0) = n
@@ -183,15 +192,43 @@ class TestBrackets:
                 for j, level in enumerate(([n] + values[: k - 1])[::-1], start=1):
                     lo, hi = chain[j]
                     assert lo <= level <= hi, (n, k, j)
-                    assert lo == hi or x >= 1 << 28, (n, k, j)
+                    assert lo == hi or x >= 1 << 24, (n, k, j)
+
+    def test_level_brackets_contain_exact_levels(self, primes_3e6):
+        table_primes = 43390  # pi(2^19)
+        for n in range(1, 2001):
+            values = tower_by_sieve(n, 3, primes_3e6)
+            levels = counting._levels(n, None)
+            assert next(levels) == (n, n)
+            for index, value, (lo, hi) in zip([n] + values, values, levels):
+                assert lo <= value <= hi
+                assert (lo == hi) == (index <= table_primes)
+
+    def test_cached_level_is_exact(self):
+        cache = TowerCache()
+        cache.put(1, 11, 9737333)
+        levels = list(islice(counting._levels(1, cache), 13))
+        assert levels[11] == (9737333, 9737333)
+        assert levels[10][0] < 648391 < levels[10][1]  # index 52711 is past the table
+        assert levels[12] == (iterated._dusart(9737333), iterated._dusart(9737333, upper=True))
+
+    @pytest.mark.parametrize("n", [10**5, 43391])
+    def test_independent_of_the_table_built(self, fresh_table, n):
+        # level brackets read the primes up to 2^19 only, however far the table
+        # has grown: p_43391 lies past them, so its bracket stays inexact
+        cold = list(islice(counting._levels(n, None), 4))
+        engine._prime_table(engine._TABLE_LIMIT)
+        assert list(islice(counting._levels(n, None), 4)) == cold
+        assert cold[1][0] < cold[1][1]
 
     def test_logs_taken(self, monkeypatch):
-        # a chain step takes one log of each end past 2^28; _dusart takes
-        # log m and log log m
+        # a chain step takes one log of each distinct end past 2^24; _dusart
+        # takes log m and log log m
         calls, mpf_log = [], hpreal.mpf_log
         monkeypatch.setattr(hpreal, "mpf_log", lambda *args: calls.append(args) or mpf_log(*args))
         iterated._dusart(10**6)
-        assert len(calls) == 2
+        iterated._dusart(10**6, upper=True)
+        assert len(calls) == 4
         steps = len(counting._chain(10**100)) - 1
         calls.clear()
         assert count_diag(10**100) == 52
@@ -226,27 +263,40 @@ class TestCountIdentity:
     def test_decision_at_the_bracket_ends(self, monkeypatch):
         # with p_1^(k) in [lo, hi], pi^k(x) >= 1 once x >= hi and pi^k(x) = 0
         # while x < lo; the chain's enclosures say so, and leave pi^k(x) in
-        # [0, 1] for x in [lo, hi), which goes to the exact walk, here a stub
-        # giving 9 levels
+        # [0, 1] for x in [lo, hi), which, with brackets of the levels that
+        # decide nothing, goes to the exact walk, here a stub giving 9 levels
         levels = [(7, 7), (20, 25), (30, 40)]
         monkeypatch.setattr(counting, "_chain", lambda x: [(x, x)] + [
             (1, 1) if x >= hi else (0, 1) if x >= lo else (0, 0) for lo, hi in levels
         ] + [(0, 0)])
+        monkeypatch.setattr(counting, "_levels", lambda n, cache: itertools.chain(
+            [(n, n)], itertools.repeat((0, 10**9))))
         monkeypatch.setattr(counting, "towers", lambda ns, k, x, cache: {n: [0] * 9 for n in ns})
         xs = (6, 7, 19, 20, 24, 25, 29, 30, 39, 40)
         assert [count_tower(1, x) for x in xs] == [0, 1, 1, 9, 9, 2, 2, 9, 9, 3]
+
+    def test_decision_by_the_brackets_of_the_levels(self, monkeypatch):
+        # where the chain leaves pi^k(x) in [0, 1] open, the level's own bracket
+        # [30, 40] decides p_1^(k) <= x for x >= 40 and p_1^(k) > x for x < 30;
+        # between them the exact walk runs, here a stub giving 9 levels
+        monkeypatch.setattr(counting, "_chain", lambda x: [(x, x), (0, 1), (0, 0)])
+        monkeypatch.setattr(counting, "_levels", lambda n, cache: iter([(n, n), (30, 40), (50, 60)]))
+        monkeypatch.setattr(counting, "towers", lambda ns, k, x, cache: {n: [0] * 9 for n in ns})
+        assert [count_tower(1, x) for x in (29, 30, 39, 40)] == [0, 9, 9, 1]
 
     @pytest.mark.parametrize("n, x, count", [
         (1, 9086589960500761815721, 20), (1, 1787250162542279523144973398, 24),
         (4, 567822314269014876, 16), (4, 3259509311625319862360172, 19),
         (4, 12336106443626864690219836895, 21), (4, 866246615933292364272377852738, 23),
         (4, 60376703261736188813224112498691, 23), (10, 1812146901352003, 12),
+        (40, 5219171332463790, 12), (40, 5219171332463791, 12),
         ("diag", 243461157926321741, 13), ("diag", 249605396225585215, 14),
         ("diag", 22384049388975424410852829050, 19), ("diag", 23118814806739271102632515814, 20),
     ])
     def test_decided_at_the_ends_of_brackets_on_p_m(self, n, x, count):
-        # x = lo - 1 or hi of a bracket [lo, hi] on p_n^(k) from Dusart's bounds on
-        # p_m, past 2^48, where those brackets decided the counts recorded here
+        # x = lo - 1, hi or hi + 1 of a bracket [lo, hi] on p_n^(k) from Dusart's
+        # bounds on p_m, past 2^48, where those brackets decided the counts
+        # recorded here: the chain alone leaves p_40^(12) <= x open at the last two
         got = count_diag(x, budget=x) if n == "diag" else count_tower(n, x, budget=x)
         assert got == count
 

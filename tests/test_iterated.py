@@ -190,7 +190,7 @@ class TestValueCertainlyAbove:
     def _lower_and_slack(idx):
         # the decimal lower bound to 40 digits past the point, and the slack
         # TestBrackets allows the integer enclosure of it
-        lower = dusart_by_decimal(idx, len(str(idx)) + 40)
+        lower = dusart_by_decimal(idx, len(str(idx)) + 40)[0]
         return lower, lower * Decimal(2) ** -60 + 1
 
     @pytest.mark.parametrize("idx", [18, 10**6, 10**9, 10**12, 10**15, 10**18, 10**400],
